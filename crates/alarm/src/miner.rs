@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use cspm_core::{cspm_partial, CspmConfig};
+use cspm_core::{mine, CspmConfig, Variant};
 
 use crate::rules::AlarmType;
 use crate::simulator::{build_window_graph, parse_alarm_attr, AlarmEvent};
@@ -140,7 +140,7 @@ pub fn acor_rank(topo: &TelecomTopology, events: &[AlarmEvent], window_ms: u64) 
 /// MDL code lengths.
 pub fn cspm_rank(topo: &TelecomTopology, events: &[AlarmEvent], window_ms: u64) -> RankedPairs {
     let wg = build_window_graph(topo, events, window_ms);
-    let result = cspm_partial(&wg.graph, CspmConfig::default());
+    let result = mine(&wg.graph, Variant::Partial, CspmConfig::default());
     let attrs = wg.graph.attrs();
     let stats = PairStats::collect(topo, events, window_ms);
 

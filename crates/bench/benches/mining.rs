@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use cspm_core::{cspm_basic, cspm_partial, CoresetMode, CspmConfig, GainPolicy, InvertedDb};
+use cspm_core::{mine, CoresetMode, CspmConfig, GainPolicy, InvertedDb, Variant};
 use cspm_datasets::{dblp_like, usflight_like, Scale};
 
 fn bench_inverted_db(c: &mut Criterion) {
@@ -61,14 +61,32 @@ fn bench_cspm_variants(c: &mut Criterion) {
     g.sample_size(10);
     let tiny = dblp_like(Scale::Tiny, 1);
     g.bench_function("basic_dblp_tiny", |b| {
-        b.iter(|| cspm_basic(black_box(&tiny.graph), CspmConfig::default()))
+        b.iter(|| {
+            mine(
+                black_box(&tiny.graph),
+                Variant::Basic,
+                CspmConfig::default(),
+            )
+        })
     });
     g.bench_function("partial_dblp_tiny", |b| {
-        b.iter(|| cspm_partial(black_box(&tiny.graph), CspmConfig::default()))
+        b.iter(|| {
+            mine(
+                black_box(&tiny.graph),
+                Variant::Partial,
+                CspmConfig::default(),
+            )
+        })
     });
     let small = dblp_like(Scale::Small, 1);
     g.bench_function("partial_dblp_small", |b| {
-        b.iter(|| cspm_partial(black_box(&small.graph), CspmConfig::default()))
+        b.iter(|| {
+            mine(
+                black_box(&small.graph),
+                Variant::Partial,
+                CspmConfig::default(),
+            )
+        })
     });
     g.finish();
 }

@@ -10,7 +10,7 @@
 //! ```
 
 use cspm_bench::{fmt_secs, hr, parse_args};
-use cspm_core::{cspm_partial, CspmConfig, GainPolicy};
+use cspm_core::{mine, CspmConfig, GainPolicy, Variant};
 use cspm_datasets::benchmark_suite;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
                 ..Default::default()
             };
             let t = std::time::Instant::now();
-            let res = cspm_partial(&d.graph, cfg);
+            let res = mine(&d.graph, Variant::Partial, cfg);
             let time = t.elapsed().as_secs_f64();
             println!(
                 "{:<22} {:>9} {:>8} {:>12.1} {:>12.1} {:>12.1} {:>10}",

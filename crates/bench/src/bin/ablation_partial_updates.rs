@@ -11,7 +11,7 @@
 //! ```
 
 use cspm_bench::{fmt_secs, hr, parse_args};
-use cspm_core::{cspm_basic, cspm_partial, CspmConfig};
+use cspm_core::{mine, CspmConfig, Variant};
 use cspm_datasets::benchmark_suite;
 
 fn main() {
@@ -32,10 +32,10 @@ fn main() {
             continue;
         }
         let t = std::time::Instant::now();
-        let basic = cspm_basic(&d.graph, CspmConfig::instrumented());
+        let basic = mine(&d.graph, Variant::Basic, CspmConfig::instrumented());
         let tb = t.elapsed().as_secs_f64();
         let t = std::time::Instant::now();
-        let partial = cspm_partial(&d.graph, CspmConfig::instrumented());
+        let partial = mine(&d.graph, Variant::Partial, CspmConfig::instrumented());
         let tp = t.elapsed().as_secs_f64();
         let gap = (partial.final_dl / basic.final_dl - 1.0) * 100.0;
         println!(

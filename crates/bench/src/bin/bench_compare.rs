@@ -11,10 +11,10 @@
 //! `--threshold` percent (default 15) *and* by more than `--floor-ms`
 //! milliseconds (default 0.5 — microsecond-scale timings jitter far
 //! beyond 15% on shared CI runners, and a relative gate alone would
-//! flake). Replay timings are reported but never gated, and so are
-//! records present on only one side: a record absent from the baseline
-//! is a **new** benchmark landing in this PR (e.g.
-//! `merge_loop_session_warm`) — it has nothing to regress against and
+//! flake). Other timings (windowed-stream, store-open) are reported but
+//! never gated, and so are records present on only one side: a record
+//! absent from the baseline is a **new** benchmark landing in this PR
+//! (e.g. `merge_loop_session_warm`) — it has nothing to regress against and
 //! must not fail the job; its timing becomes gate-relevant once the
 //! refreshed baseline is committed. A record absent from the fresh run
 //! is reported as **removed**.
@@ -96,7 +96,7 @@ enum Verdict {
     Fail { delta_pct: f64 },
     /// Gated, within bounds.
     Ok { delta_pct: f64 },
-    /// Reported only (replay timings etc.).
+    /// Reported only (windowed-stream and store-open timings etc.).
     Info { delta_pct: f64 },
     /// Present in the fresh run only — a benchmark landing in this PR.
     New,
@@ -318,16 +318,16 @@ mod tests {
 
     #[test]
     fn ungated_records_only_inform() {
-        let baseline = timings(&[("D/replay_flat", 0.001), ("D/gone", 1.0)]);
-        let fresh = timings(&[("D/replay_flat", 0.9)]);
+        let baseline = timings(&[("D/store_open_warm", 0.001), ("D/gone", 1.0)]);
+        let fresh = timings(&[("D/store_open_warm", 0.9)]);
         let report = compare(&baseline, &fresh, 15.0, 0.5);
         assert!(report.failures.is_empty());
-        let replay = report
+        let open = report
             .rows
             .iter()
-            .find(|r| r.name.ends_with("flat"))
+            .find(|r| r.name.ends_with("warm"))
             .unwrap();
-        assert!(matches!(replay.verdict, Verdict::Info { .. }));
+        assert!(matches!(open.verdict, Verdict::Info { .. }));
         let gone = report
             .rows
             .iter()

@@ -10,8 +10,7 @@
 //! Backends are the two [`PostingPolicy`] values: `sparse` forces
 //! sorted id slices everywhere (the pre-adaptive layout), `adaptive`
 //! lets dense rows flip to chunked bitmaps. Algorithms are the paper's
-//! two variants; `basic` runs with delegation disabled so the row
-//! times genuine full-regeneration sweeps (Algorithm 1). The headline
+//! two variants, each mined from a pre-built database. The headline
 //! records the adaptive-over-sparse speedup on the largest dataset's
 //! merge-heavy run plus the cross-backend identity checks that gate it.
 
@@ -19,8 +18,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use cspm_bench::fmt_secs;
-use cspm_core::engine::{run_on_db, SchedulePolicy};
-use cspm_core::{CoresetMode, CspmConfig, CspmResult, InvertedDb, PostingPolicy};
+use cspm_core::{CoresetMode, CspmConfig, CspmResult, InvertedDb, Miner, PostingPolicy, Variant};
 use cspm_datasets::{dblp_like, pokec_like, usflight_like, Dataset, Scale};
 
 struct Run {
@@ -72,20 +70,11 @@ fn main() {
     for d in &datasets {
         let (n, m, a) = d.statistics();
         println!("== {} ({n} vertices, {m} edges, {a} attrs) ==", d.name);
-        for (algorithm, policy) in [
-            ("basic", SchedulePolicy::FullRegeneration),
-            ("partial", SchedulePolicy::Incremental),
-        ] {
+        for (algorithm, variant) in [("basic", Variant::Basic), ("partial", Variant::Partial)] {
             for (backend, posting) in [
                 ("sparse", PostingPolicy::SparseOnly),
                 ("adaptive", PostingPolicy::Adaptive),
             ] {
-                // Honour the requested policy: a delegated "basic" row
-                // would just re-measure the incremental schedule.
-                let config = CspmConfig {
-                    full_regen_max_pairs: None,
-                    ..config
-                };
                 let wall = Instant::now();
                 let db = InvertedDb::build_with_posting(
                     &d.graph,
@@ -94,7 +83,9 @@ fn main() {
                     posting,
                 );
                 let mine = Instant::now();
-                let result = run_on_db(db, policy, config);
+                let mut session = Miner::from_config(config).variant(variant).build();
+                session.adopt_db(db);
+                let result = session.run_detached().expect("adopted database mines");
                 let mine_secs = mine.elapsed().as_secs_f64();
                 let wall_secs = wall.elapsed().as_secs_f64();
                 let p = result.stats.posting;

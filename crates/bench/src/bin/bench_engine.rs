@@ -6,12 +6,13 @@
 //!              [--input FILE]… [--format pokec|dblp|usflight|native|auto]
 //! ```
 //!
-//! Measures, per dataset: the posting-store replay (flat arena vs the
-//! seed's HashMap-row baseline over an identical merge schedule — see
-//! `cspm_bench::enginebench`), the engine's two scheduling policies
-//! end to end on a pre-built inverted database, a thread sweep of
-//! the incremental merge loop (`merge_loop_incremental_t{1,2,4,8}`),
-//! and the session warm-path pair: `merge_loop_session_cold` (cold
+//! Measures, per dataset: the engine's two variants end to end on a
+//! pre-built inverted database (`merge_loop_incremental` for
+//! CSPM-Partial; `merge_loop_basic` for CSPM-Basic, only where
+//! Algorithm 1's O(pairs × merges) sweeps are tractable, see
+//! `BASIC_MAX_PAIRS`), a thread sweep of the incremental merge loop
+//! (`merge_loop_incremental_t{1,2,4,8}`), and the session warm-path
+//! pair: `merge_loop_session_cold` (cold
 //! `MiningSession::mine` of a delta-grown graph) vs
 //! `merge_loop_session_warm` (`apply_delta` on a session that already
 //! holds the base graph — same merge loop, but database *patching*
@@ -26,10 +27,7 @@
 //! `store_rebuild_cold` (open the snapshot, rebuild the database from
 //! the recovered graph) vs `store_open_warm` (decode the snapshot's
 //! serialized DB section instead — `InvertedDb::from_pristine_rows`;
-//! description lengths asserted bit-identical). FullRegeneration is
-//! recorded on every dataset: past
-//! the delegation threshold (Pokec) it completes by delegating to the
-//! incremental policy instead of being skipped.
+//! description lengths asserted bit-identical).
 //!
 //! With `--input` (requires the `real-data` feature), the generator
 //! suite is replaced by the given real dataset dumps; the parse phase
@@ -45,10 +43,8 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use cspm_bench::enginebench::MergeWorkload;
 use cspm_bench::fmt_secs;
-use cspm_core::engine::{run_on_db, SchedulePolicy};
-use cspm_core::{CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner};
+use cspm_core::{CoresetMode, CspmConfig, CspmResult, GainPolicy, InvertedDb, Miner, Variant};
 use cspm_datasets::{dblp_like, pokec_like, usflight_like, Dataset, Scale};
 use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm_graph::AttributedGraph;
@@ -81,6 +77,18 @@ fn median_secs_batched<I, T>(
 struct Record {
     name: String,
     secs: f64,
+}
+
+/// CSPM-Basic re-scores every sharing pair after every merge, so it is
+/// timed only on datasets with at most this many initial pairs: DBLP
+/// and USFlight at `--small`, not pokec-Small with its 44,850.
+const BASIC_MAX_PAIRS: usize = 10_000;
+
+/// The merge loop alone: mines a pre-built database.
+fn mine_db(db: InvertedDb, variant: Variant, config: CspmConfig) -> CspmResult {
+    let mut session = Miner::from_config(config).variant(variant).build();
+    session.adopt_db(db);
+    session.run_detached().expect("adopted database mines")
 }
 
 /// A deterministic, modest evolution step for the session benchmark:
@@ -218,64 +226,26 @@ fn main() {
         let (n, m, a) = d.statistics();
         println!("== {} ({n} vertices, {m} edges, {a} attrs) ==", d.name);
 
-        let w = MergeWorkload::from_graph(&d.graph);
-        assert_eq!(
-            w.replay_flat(),
-            w.replay_hashmap(),
-            "backends must do identical work"
-        );
-        let flat = median_secs(reps, || w.replay_flat());
-        let hash = median_secs(reps, || w.replay_hashmap());
-        println!(
-            "  posting store replay ({} merges): flat {} vs hashmap-rows {} ({:.2}x)",
-            w.merge_count(),
-            fmt_secs(flat),
-            fmt_secs(hash),
-            hash / flat
-        );
-        records.push(Record {
-            name: format!("{}/replay_flat", d.name),
-            secs: flat,
-        });
-        records.push(Record {
-            name: format!("{}/replay_hashmap_rows", d.name),
-            secs: hash,
-        });
-
         let db = InvertedDb::build(&d.graph, CoresetMode::SingleValue, GainPolicy::Total);
         let initial_pairs = db.sharing_pairs().len();
-        for (label, policy) in [
-            ("incremental", SchedulePolicy::Incremental),
-            ("full_regeneration", SchedulePolicy::FullRegeneration),
-        ] {
-            // Full regeneration is O(pairs × merges); past the
-            // delegation threshold (Pokec at this scale) the run
-            // completes by delegating to the incremental policy —
-            // previously it had to be skipped outright.
-            let config = CspmConfig {
-                full_regen_max_pairs: Some(5_000),
-                ..CspmConfig::default()
-            };
-            let mut delegated = false;
+        for (label, variant) in [("incremental", Variant::Partial), ("basic", Variant::Basic)] {
+            if variant == Variant::Basic && initial_pairs > BASIC_MAX_PAIRS {
+                println!("  merge loop [{label}]: skipped ({initial_pairs} initial pairs)");
+                continue;
+            }
             let (mut evals, mut pruned) = (0u64, 0u64);
             let secs = median_secs_batched(
                 reps,
                 || db.clone(),
                 |db| {
-                    let res = run_on_db(db, policy, config);
-                    delegated = res.stats.delegated;
+                    let res = mine_db(db, variant, CspmConfig::default());
                     evals = res.stats.total_gain_evals;
                     pruned = res.stats.pruned_pairs;
                     res
                 },
             );
-            let note = if delegated {
-                format!(" (delegated: {initial_pairs} initial pairs)")
-            } else {
-                String::new()
-            };
             println!(
-                "  merge loop [{label}]: {}{note} ({pruned}/{evals} evals pruned)",
+                "  merge loop [{label}]: {} ({pruned}/{evals} evals pruned)",
                 fmt_secs(secs)
             );
             records.push(Record {
@@ -287,9 +257,9 @@ fn main() {
         // Thread sweep over the incremental merge loop: scoring fans
         // out across scoped workers; results are bit-identical at every
         // count (asserted against the single-thread reference).
-        let reference = run_on_db(
+        let reference = mine_db(
             db.clone(),
-            SchedulePolicy::Incremental,
+            Variant::Partial,
             CspmConfig::default().with_threads(1),
         );
         for threads in [1usize, 2, 4, 8] {
@@ -299,7 +269,7 @@ fn main() {
                 reps,
                 || db.clone(),
                 |db| {
-                    let res = run_on_db(db, SchedulePolicy::Incremental, config);
+                    let res = mine_db(db, Variant::Partial, config);
                     final_dl = res.final_dl;
                     res
                 },

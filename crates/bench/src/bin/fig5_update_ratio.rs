@@ -9,7 +9,7 @@
 //! ```
 
 use cspm_bench::{hr, parse_args};
-use cspm_core::{cspm_basic, cspm_partial, CspmConfig, RunStats};
+use cspm_core::{mine, CspmConfig, RunStats, Variant};
 use cspm_datasets::benchmark_suite;
 
 /// Summarises a ratio series at up to `points` evenly spaced iterations.
@@ -35,9 +35,9 @@ fn main() {
 
     for d in benchmark_suite(args.scale, args.seed) {
         println!("== {} ==", d.name);
-        let partial = cspm_partial(&d.graph, CspmConfig::instrumented());
+        let partial = mine(&d.graph, Variant::Partial, CspmConfig::instrumented());
         let basic = (d.graph.vertex_count() <= BASIC_VERTEX_CAP)
-            .then(|| cspm_basic(&d.graph, CspmConfig::instrumented()));
+            .then(|| mine(&d.graph, Variant::Basic, CspmConfig::instrumented()));
 
         println!("{:>10} {:>14} {:>14}", "iteration", "Basic", "Partial");
         hr(42);

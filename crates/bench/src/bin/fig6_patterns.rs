@@ -11,7 +11,7 @@
 //! ```
 
 use cspm_bench::parse_args;
-use cspm_core::{cspm_partial, CspmConfig};
+use cspm_core::{mine, CspmConfig, Variant};
 use cspm_datasets::benchmark_suite;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     );
     for d in benchmark_suite(args.scale, args.seed) {
         let g = &d.graph;
-        let result = cspm_partial(g, CspmConfig::default());
+        let result = mine(g, Variant::Partial, CspmConfig::default());
         println!(
             "== {} == ({} a-stars, {} merges, ratio {:.3})",
             d.name,

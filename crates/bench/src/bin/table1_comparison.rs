@@ -28,7 +28,11 @@ fn main() {
     println!("\nmechanical checks against this implementation:");
     // CSPM consumes an attributed graph and emits attribute patterns.
     let (g, _) = cspm_graph::fixtures::paper_example();
-    let res = cspm_core::cspm_partial(&g, cspm_core::CspmConfig::default());
+    let res = cspm_core::mine(
+        &g,
+        cspm_core::Variant::Partial,
+        cspm_core::CspmConfig::default(),
+    );
     println!(
         "  [ok] CSPM input = attributed graph ({} vertices, {} attrs), output = {} a-stars",
         g.vertex_count(),

@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use cspm_bench::{fmt_secs, hr, parse_args};
-use cspm_core::{cspm_basic, cspm_partial, CspmConfig};
+use cspm_core::{mine, CspmConfig, Variant};
 use cspm_datasets::benchmark_suite;
 use cspm_graph::AttributedGraph;
 use cspm_itemset::{slim, SlimConfig, TransactionDb};
@@ -68,14 +68,14 @@ fn main() {
 
         let (basic_cell, merges_b) = if g.vertex_count() <= BASIC_VERTEX_CAP {
             let t = Instant::now();
-            let b = cspm_basic(g, CspmConfig::default());
+            let b = mine(g, Variant::Basic, CspmConfig::default());
             (fmt_secs(t.elapsed().as_secs_f64()), b.merges.to_string())
         } else {
             ("-".to_owned(), "-".to_owned())
         };
 
         let t = Instant::now();
-        let p = cspm_partial(g, CspmConfig::default());
+        let p = mine(g, Variant::Partial, CspmConfig::default());
         let partial_time = t.elapsed().as_secs_f64();
 
         println!(

@@ -27,8 +27,6 @@
 
 use cspm_datasets::Scale;
 
-pub mod enginebench;
-
 /// Parsed common CLI options.
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessArgs {

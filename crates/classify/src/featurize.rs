@@ -1,6 +1,6 @@
 //! Feature extraction: a-star occurrence counts vs attribute histograms.
 
-use cspm_core::{cspm_partial, CspmConfig, MinedModel};
+use cspm_core::{mine, CspmConfig, MinedModel, Variant};
 use cspm_graph::dynamic::SnapshotSequence;
 use cspm_graph::{AStar, AttrTable, AttributedGraph};
 use cspm_nn::Matrix;
@@ -22,7 +22,7 @@ impl AStarFeaturizer {
     pub fn fit(train: &[AttributedGraph], top_k: usize) -> Self {
         let seq: SnapshotSequence = train.iter().cloned().collect();
         let union = seq.union_graph();
-        let result = cspm_partial(&union, CspmConfig::default());
+        let result = mine(&union, Variant::Partial, CspmConfig::default());
         Self::from_model(&result.model, union.attrs().clone(), top_k)
     }
 

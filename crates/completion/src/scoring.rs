@@ -1,6 +1,6 @@
 //! The CSPM scoring module (Algorithm 5) and score fusion (Fig. 7).
 
-use cspm_core::{cspm_partial, CspmConfig, MinedModel};
+use cspm_core::{mine, CspmConfig, MinedModel, Variant};
 use cspm_nn::Matrix;
 
 use crate::data::CompletionTask;
@@ -24,7 +24,7 @@ impl CspmScorer {
     /// attributes are hidden from the miner — no leakage).
     pub fn fit(task: &CompletionTask) -> Self {
         let observed = task.observed_graph();
-        let result = cspm_partial(&observed, CspmConfig::default());
+        let result = mine(&observed, Variant::Partial, CspmConfig::default());
         Self {
             model: result.model,
             n_attrs: task.graph.attr_count(),

@@ -34,9 +34,9 @@ pub enum CoresetMode {
 
 /// CSPM configuration. The defaults reproduce the paper's parameter-free
 /// setting; nothing here tunes *what* is found, only instrumentation and
-/// safety valves — thread count and the delegation threshold change how
-/// fast the answer is computed, never which answer.
-#[derive(Debug, Clone, Copy)]
+/// safety valves — the thread count changes how fast the answer is
+/// computed, never which answer.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CspmConfig {
     /// Gain accounting policy.
     pub gain_policy: GainPolicy,
@@ -52,34 +52,9 @@ pub struct CspmConfig {
     /// Scoring is deterministic at every thread count: results are
     /// bit-identical to the sequential path.
     pub threads: usize,
-    /// [`SchedulePolicy::FullRegeneration`](crate::SchedulePolicy)
-    /// delegates the whole run to the incremental policy when the
-    /// initial candidate-pair count exceeds this threshold (full
-    /// regeneration is O(pairs × merges) and becomes impractical above
-    /// ~10⁴ pairs). `None` disables delegation and always honours the
-    /// requested policy.
-    pub full_regen_max_pairs: Option<usize>,
-}
-
-impl Default for CspmConfig {
-    fn default() -> Self {
-        Self {
-            gain_policy: GainPolicy::default(),
-            coreset_mode: CoresetMode::default(),
-            max_merges: None,
-            collect_stats: false,
-            threads: 0,
-            full_regen_max_pairs: Some(Self::DEFAULT_FULL_REGEN_MAX_PAIRS),
-        }
-    }
 }
 
 impl CspmConfig {
-    /// Default delegation threshold for
-    /// [`Self::full_regen_max_pairs`]: the scale at which full
-    /// regeneration's O(pairs × merges) sweeps stop being practical.
-    pub const DEFAULT_FULL_REGEN_MAX_PAIRS: usize = 10_000;
-
     /// Upper cap on auto-detected scoring threads (`threads == 0`).
     pub const MAX_AUTO_THREADS: usize = 8;
 
@@ -136,14 +111,10 @@ pub struct RunStats {
     /// tallied in [`Self::pruned_pairs`].
     pub total_gain_evals: u64,
     /// Candidate pairs dismissed by the Algorithm 2 pruning bound
-    /// before an exact gain evaluation (incremental scoring only; the
-    /// full-regeneration sweep prunes against its running best and is
-    /// not tallied here).
+    /// before an exact gain evaluation. Only CSPM-Partial's queue
+    /// scoring applies the bound; CSPM-Basic's sweep evaluates every
+    /// pair exactly, so its runs always report 0.
     pub pruned_pairs: u64,
-    /// Whether a FullRegeneration run delegated to the incremental
-    /// policy because the initial candidate-pair count exceeded
-    /// [`CspmConfig::full_regen_max_pairs`].
-    pub delegated: bool,
     /// Whether the run was cancelled cooperatively by a
     /// [`ProgressObserver`](crate::ProgressObserver) returning
     /// `ControlFlow::Break`. A cancelled result is still a valid model
@@ -169,10 +140,6 @@ mod tests {
         assert!(c.max_merges.is_none());
         assert!(!c.collect_stats);
         assert_eq!(c.threads, 0, "auto thread detection by default");
-        assert_eq!(
-            c.full_regen_max_pairs,
-            Some(CspmConfig::DEFAULT_FULL_REGEN_MAX_PAIRS)
-        );
         assert!(CspmConfig::instrumented().collect_stats);
         assert_eq!(c.with_threads(4).threads, 4);
     }

@@ -82,7 +82,7 @@ pub fn verify_lossless(g: &AttributedGraph, db: &InvertedDb) -> Vec<LossError> {
 mod tests {
     use super::*;
     use crate::config::{CoresetMode, CspmConfig, GainPolicy};
-    use crate::{cspm_basic, cspm_partial};
+    use crate::{mine, Variant};
     use cspm_graph::fixtures::{labelled_path, paper_example};
 
     #[test]
@@ -96,8 +96,8 @@ mod tests {
     fn converged_db_is_lossless_both_variants() {
         let (g, _) = paper_example();
         for result in [
-            cspm_basic(&g, CspmConfig::default()),
-            cspm_partial(&g, CspmConfig::default()),
+            mine(&g, Variant::Basic, CspmConfig::default()),
+            mine(&g, Variant::Partial, CspmConfig::default()),
         ] {
             let errors = verify_lossless(&g, &result.db);
             assert!(errors.is_empty(), "loss after mining: {errors:?}");
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn lossless_on_path_fixture() {
         let g = labelled_path(12, 3);
-        let result = cspm_partial(&g, CspmConfig::default());
+        let result = mine(&g, Variant::Partial, CspmConfig::default());
         assert!(verify_lossless(&g, &result.db).is_empty());
     }
 

@@ -2,9 +2,8 @@
 //! paper): a-stars over a sequence of snapshots.
 //!
 //! Dynamic mining dispatches through the same unified engine, so the
-//! scheduling knobs of [`CspmConfig`] — scoring `threads` and the
-//! full-regeneration delegation threshold — apply here unchanged, and
-//! results stay bit-identical at any thread count.
+//! scheduling knob of [`CspmConfig`] — scoring `threads` — applies here
+//! unchanged, and results stay bit-identical at any thread count.
 //!
 //! Since the session redesign, [`mine_dynamic`] is itself a thin
 //! wrapper over a [`MiningSession`](crate::MiningSession): the
@@ -186,11 +185,7 @@ mod tests {
         let seq = recurring_sequence();
         for variant in [Variant::Basic, Variant::Partial] {
             let replayed = mine_dynamic(&seq, variant, CspmConfig::default());
-            let direct = crate::engine::mine_with_policy(
-                &seq.union_graph(),
-                variant.policy(),
-                CspmConfig::default(),
-            );
+            let direct = crate::mine(&seq.union_graph(), variant, CspmConfig::default());
             assert_eq!(replayed.result.final_dl, direct.final_dl);
             assert_eq!(replayed.result.merges, direct.merges);
             assert_eq!(

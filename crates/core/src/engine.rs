@@ -16,12 +16,12 @@
 //!
 //! * [`CandidateScheduler`] — a gain-ordered priority queue over leafset
 //!   pairs with the per-leafset partner index (`rdict`) of §V, shared by
-//!   both policies;
-//! * [`SchedulePolicy::FullRegeneration`] — Algorithm 1: the scheduler
-//!   is cleared and reseeded from every sharing pair after each merge
-//!   (large sweeps are evaluated across threads);
-//! * [`SchedulePolicy::Incremental`] — Algorithm 3: popped gains are
-//!   lazily revalidated (recomputed once before use, preserving the
+//!   both variants;
+//! * [`Variant::Basic`] — Algorithm 1: the scheduler is cleared and
+//!   reseeded from every sharing pair after each merge (large sweeps
+//!   are evaluated across threads);
+//! * [`Variant::Partial`] — Algorithm 3: popped gains are lazily
+//!   revalidated (recomputed once before use, preserving the
 //!   monotone-DL invariant), the new pattern is evaluated against
 //!   `rdict[x] ∩ rdict[y]`, and pairs of partly-merged parents are
 //!   re-scored — exactly the three update rules of Algorithm 4.
@@ -34,37 +34,31 @@
 //! # Parallel candidate scoring
 //!
 //! Between merges the database is immutable, and every candidate score
-//! is a pure function of it — so both policies evaluate their candidate
+//! is a pure function of it — so both variants evaluate their candidate
 //! batches across a `std::thread::scope` worker pool. Workers share the
 //! posting arena read-only through [`GainView`] snapshots (no row is
 //! cloned); batches are split into contiguous chunks and results are
 //! reduced deterministically — per-pair gains are reassembled in input
-//! order, and the full-regeneration sweep reduces per-chunk winners by
-//! best gain with ties broken towards the smallest candidate pair id.
+//! order, and Algorithm 1's sweep reduces per-chunk winners by best
+//! gain with ties broken towards the smallest candidate pair id.
 //! Mining output is therefore **bit-identical at every thread count**.
 //!
-//! Two knobs on [`CspmConfig`] control scheduling (both tune *speed*,
-//! never *what* is mined):
+//! One knob on [`CspmConfig`] controls scheduling, and it tunes *speed*,
+//! never *what* is mined: [`CspmConfig::threads`], the scoring worker
+//! count (`0` = one per available core, capped at
+//! [`CspmConfig::MAX_AUTO_THREADS`]).
 //!
-//! * [`CspmConfig::threads`] — scoring worker count (`0` = one per
-//!   available core, capped at [`CspmConfig::MAX_AUTO_THREADS`]);
-//! * [`CspmConfig::full_regen_max_pairs`] — Algorithm 1's sweeps are
-//!   O(pairs × merges); past this many initial candidate pairs a
-//!   FullRegeneration run delegates to the incremental policy (recorded
-//!   in [`RunStats::delegated`](crate::RunStats)). `None` disables
-//!   delegation.
-//!
-//! Candidate generation additionally applies the pruning bound of the
-//! paper's Algorithm 2 ([`GainView::pair_gain_upper_bound`]): pairs
-//! whose cheap length-only upper bound is non-positive are dismissed
-//! before their exact gain — and before they ever enter the queue.
+//! CSPM-Partial's queue scoring additionally applies the pruning bound
+//! of the paper's Algorithm 2 ([`GainView::pair_gain_upper_bound`]):
+//! pairs whose cheap length-only upper bound is non-positive are
+//! dismissed before their exact gain — and before they ever enter the
+//! queue.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::time::Instant;
 
-use cspm_graph::AttributedGraph;
 use cspm_mdl::OrdF64;
 
 use crate::config::{CspmConfig, IterationStat, RunStats};
@@ -119,16 +113,19 @@ impl ProgressObserver for RunToCompletion {
     }
 }
 
-/// How the engine maintains its candidate pool between merges.
+/// Which CSPM variant the merge loop runs — that is, how the engine
+/// maintains its candidate pool between merges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// Algorithm 1: regenerate every candidate gain after each merge.
-    FullRegeneration,
-    /// Algorithm 3 (§V): keep candidates warm, repair incrementally,
-    /// revalidate lazily on pop. The default, as in the paper's
-    /// applications.
+pub enum Variant {
+    /// CSPM-Basic (Algorithm 1): regenerate every candidate gain after
+    /// each merge.
+    Basic,
+    /// CSPM-Partial (Algorithm 3, §V): keep candidates warm, repair
+    /// them incrementally via `rdict`, revalidate lazily on pop. The
+    /// default, as in the paper's applications ("CSPM-Partial is
+    /// adopted for the two applications owing to its efficiency").
     #[default]
-    Incremental,
+    Partial,
 }
 
 /// Result of a CSPM run (either variant).
@@ -256,47 +253,12 @@ impl CandidateScheduler {
     }
 }
 
-/// Runs the engine on an attributed graph.
-///
-/// A thin wrapper over a one-shot [`MiningSession`](crate::MiningSession)
-/// — equivalent to `Miner::from_config(config).policy(policy).build()`
-/// followed by [`mine`](crate::MiningSession::mine), minus the state
-/// retention. Keep the session instead when you expect graph deltas or
-/// want progress callbacks.
-pub fn mine_with_policy(
-    g: &AttributedGraph,
-    policy: SchedulePolicy,
-    config: CspmConfig,
-) -> CspmResult {
-    let started = Instant::now();
-    let db = InvertedDb::build(g, config.coreset_mode, config.gain_policy);
-    let mut result = run_on_db(db, policy, config);
-    result.stats.elapsed_secs = started.elapsed().as_secs_f64();
-    result
-}
-
-/// Runs the greedy merge loop on a pre-built inverted database — the
-/// shared core of CSPM-Basic, CSPM-Partial, dynamic mining and the
-/// session API. Exposed so benchmarks can time the merge loop apart
-/// from database construction.
-///
-/// A thin wrapper over a one-shot session adopting `db` (see
-/// [`MiningSession::adopt_db`](crate::MiningSession::adopt_db)); unlike
-/// a retained session it consumes the database and keeps nothing warm.
-pub fn run_on_db(db: InvertedDb, policy: SchedulePolicy, config: CspmConfig) -> CspmResult {
-    let mut session = crate::session::Miner::from_config(config)
-        .policy(policy)
-        .build();
-    session.adopt_db(db);
-    session.run_detached().expect("session was just loaded")
-}
-
 /// The merge loop itself (Algorithm 1 / Algorithm 3), with a progress
 /// observer threaded through; every public mining entry point funnels
 /// here.
 pub(crate) fn run_loop(
     mut db: InvertedDb,
-    policy: SchedulePolicy,
+    variant: Variant,
     config: CspmConfig,
     observer: &mut dyn ProgressObserver,
 ) -> CspmResult {
@@ -309,30 +271,16 @@ pub(crate) fn run_loop(
     let cap_reached = |merges: usize| config.max_merges.is_some_and(|m| merges >= m);
 
     // Algorithm 1 line 5 / Algorithm 3 lines 5–6: the initial candidate
-    // pool. FullRegeneration only ever needs the front of the queue —
-    // everything else is regenerated after the next merge anyway. A
-    // pre-satisfied merge cap skips the sweep entirely.
-    let mut policy = policy;
+    // pool. Basic only ever needs the front of the queue — everything
+    // else is regenerated after the next merge anyway. A pre-satisfied
+    // merge cap skips the sweep entirely.
     if !cap_reached(merges) {
         let pairs = db.sharing_pairs();
-        // Scale escape hatch: full regeneration re-sweeps every pair
-        // after every merge, O(pairs × merges). Past the configured
-        // threshold the whole run delegates to the incremental policy,
-        // which maintains the same greedy queue at a fraction of the
-        // evaluations.
-        if policy == SchedulePolicy::FullRegeneration
-            && config
-                .full_regen_max_pairs
-                .is_some_and(|cap| pairs.len() > cap)
-        {
-            policy = SchedulePolicy::Incremental;
-            stats.delegated = true;
-        }
         stats.total_gain_evals += seed_pairs(
             &db,
             &pairs,
             &mut scheduler,
-            policy,
+            variant,
             threads,
             &mut stats.pruned_pairs,
         );
@@ -340,15 +288,15 @@ pub(crate) fn run_loop(
 
     while !cap_reached(merges) {
         let Some((x, y, gain, mut gain_evals)) =
-            pop_next_positive(&mut scheduler, &db, policy, &mut stats)
+            pop_next_positive(&mut scheduler, &db, variant, &mut stats)
         else {
             break;
         };
         // Capture relations before any removal (the new pattern inherits
         // candidate partners from both parents).
-        let (rel_x, rel_y) = match policy {
-            SchedulePolicy::Incremental => (scheduler.related(x), scheduler.related(y)),
-            SchedulePolicy::FullRegeneration => Default::default(),
+        let (rel_x, rel_y) = match variant {
+            Variant::Partial => (scheduler.related(x), scheduler.related(y)),
+            Variant::Basic => Default::default(),
         };
         let outcome = db.merge(x, y);
         debug_assert!(outcome.merged_any);
@@ -356,11 +304,11 @@ pub(crate) fn run_loop(
 
         // Consult the observer *before* the post-merge scheduler
         // upkeep: everything below this point only prepares the next
-        // iteration (a full regeneration sweep, or the Algorithm 4
-        // update batch) and would be wasted work on a cancellation.
-        // The stat therefore counts the evals spent reaching this
-        // merge; the recorded per-iteration stats additionally include
-        // the upkeep evals, as they always have.
+        // iteration (an Algorithm 1 regeneration sweep, or the
+        // Algorithm 4 update batch) and would be wasted work on a
+        // cancellation. The stat therefore counts the evals spent
+        // reaching this merge; the recorded per-iteration stats
+        // additionally include the upkeep evals, as they always have.
         let live = db.live_leafset_count() as u64;
         let mut stat = IterationStat {
             gain_evals,
@@ -378,8 +326,8 @@ pub(crate) fn run_loop(
             break;
         }
 
-        match policy {
-            SchedulePolicy::FullRegeneration => {
+        match variant {
+            Variant::Basic => {
                 scheduler.clear();
                 // Skip the regeneration sweep after the final permitted
                 // merge — the loop is about to break on the cap anyway.
@@ -389,13 +337,13 @@ pub(crate) fn run_loop(
                         &db,
                         &pairs,
                         &mut scheduler,
-                        policy,
+                        variant,
                         threads,
                         &mut stats.pruned_pairs,
                     );
                 }
             }
-            SchedulePolicy::Incremental => {
+            Variant::Partial => {
                 let n = outcome.new_leafset;
                 // (1) Remove totally merged leafsets from the pool.
                 if outcome.x_removed {
@@ -472,22 +420,22 @@ pub(crate) fn run_loop(
 /// accepted entry (evals spent on discarded stale entries are charged
 /// to `stats.total_gain_evals` directly, as before).
 ///
-/// `FullRegeneration` trusts stored gains — its queue is regenerated
-/// from scratch after every merge, so entries are exact by
-/// construction. `Incremental` lazily revalidates every pop: untouched
-/// pairs go stale when a shared coreset's total frequency changes, and
-/// a stale entry whose true gain flipped non-positive is dropped here —
-/// it is never applied, which is what keeps the total DL monotone.
+/// `Basic` trusts stored gains — its queue is regenerated from scratch
+/// after every merge, so entries are exact by construction. `Partial`
+/// lazily revalidates every pop: untouched pairs go stale when a shared
+/// coreset's total frequency changes, and a stale entry whose true gain
+/// flipped non-positive is dropped here — it is never applied, which is
+/// what keeps the total DL monotone.
 fn pop_next_positive(
     scheduler: &mut CandidateScheduler,
     db: &InvertedDb,
-    policy: SchedulePolicy,
+    variant: Variant,
     stats: &mut RunStats,
 ) -> Option<(LeafsetId, LeafsetId, f64, u64)> {
     while let Some((x, y, stored)) = scheduler.pop_max() {
-        let (gain, evals) = match policy {
-            SchedulePolicy::FullRegeneration => (stored, 0),
-            SchedulePolicy::Incremental => (db.pair_gain(x, y), 1),
+        let (gain, evals) = match variant {
+            Variant::Basic => (stored, 0),
+            Variant::Partial => (db.pair_gain(x, y), 1),
         };
         if gain > GAIN_EPS {
             return Some((x, y, gain, evals));
@@ -511,25 +459,25 @@ fn resolve_threads(requested: usize) -> usize {
 }
 
 /// Fills the scheduler from the given sharing pairs. Returns the number
-/// of gain evaluations charged. Under `FullRegeneration` only the best
-/// pair is retained (Algorithm 2 reduced on the fly); under
-/// `Incremental` every positive pair is stored.
+/// of gain evaluations charged. Under `Basic` only the best pair is
+/// retained (Algorithm 2 reduced on the fly); under `Partial` every
+/// positive pair is stored.
 fn seed_pairs(
     db: &InvertedDb,
     pairs: &[(LeafsetId, LeafsetId)],
     scheduler: &mut CandidateScheduler,
-    policy: SchedulePolicy,
+    variant: Variant,
     threads: usize,
     pruned: &mut u64,
 ) -> u64 {
     let evals = pairs.len() as u64;
-    match policy {
-        SchedulePolicy::FullRegeneration => {
+    match variant {
+        Variant::Basic => {
             if let Some((x, y, gain)) = best_pair(db, pairs, threads) {
                 scheduler.upsert(x, y, gain);
             }
         }
-        SchedulePolicy::Incremental => {
+        Variant::Partial => {
             let (gains, p) = score_pairs(db, pairs, threads);
             *pruned += p;
             for (&(x, y), &gain) in pairs.iter().zip(&gains) {
@@ -610,7 +558,7 @@ const PARALLEL_THRESHOLD: usize = 8_192;
 
 /// The pair with the maximum positive gain, ties broken towards the
 /// smallest `(x, y)` — identical selection in the sequential and
-/// parallel paths, so full-regeneration mining stays deterministic.
+/// parallel paths, so CSPM-Basic mining stays deterministic.
 fn best_pair(
     db: &InvertedDb,
     pairs: &[(LeafsetId, LeafsetId)],
@@ -720,8 +668,8 @@ mod tests {
 
     #[test]
     fn policies_agree_on_paper_example() {
-        // Under DataOnly pricing the two policies take identical greedy
-        // paths on the paper example. (Under Total, Incremental may
+        // Under DataOnly pricing the two variants take identical greedy
+        // paths on the paper example. (Under Total, Partial may
         // legitimately stop earlier: Algorithm 3 only considers new
         // pairs from rdict[x] ∩ rdict[y], and a pair whose model cost
         // made it unprofitable before a merge is never revisited — the
@@ -731,8 +679,8 @@ mod tests {
             gain_policy: GainPolicy::DataOnly,
             ..Default::default()
         };
-        let full = mine_with_policy(&g, SchedulePolicy::FullRegeneration, cfg);
-        let inc = mine_with_policy(&g, SchedulePolicy::Incremental, cfg);
+        let full = crate::mine(&g, Variant::Basic, cfg);
+        let inc = crate::mine(&g, Variant::Partial, cfg);
         assert!((full.final_dl - inc.final_dl).abs() < 1e-6);
         assert_eq!(full.merges, inc.merges);
         assert!(full.final_dl <= full.initial_dl);
@@ -741,11 +689,8 @@ mod tests {
     #[test]
     fn both_policies_are_sound_under_total_pricing() {
         let (g, _) = paper_example();
-        for policy in [
-            SchedulePolicy::FullRegeneration,
-            SchedulePolicy::Incremental,
-        ] {
-            let res = mine_with_policy(&g, policy, CspmConfig::instrumented());
+        for variant in [Variant::Basic, Variant::Partial] {
+            let res = crate::mine(&g, variant, CspmConfig::instrumented());
             assert!(res.final_dl <= res.initial_dl + 1e-9);
             let mut prev = res.initial_dl;
             for it in &res.stats.iterations {
@@ -753,16 +698,6 @@ mod tests {
                 prev = it.dl_after;
             }
         }
-    }
-
-    #[test]
-    fn run_on_db_matches_mine_with_policy() {
-        let (g, _) = paper_example();
-        let db = InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::Total);
-        let via_db = run_on_db(db, SchedulePolicy::Incremental, CspmConfig::default());
-        let via_graph = mine_with_policy(&g, SchedulePolicy::Incremental, CspmConfig::default());
-        assert_eq!(via_db.merges, via_graph.merges);
-        assert!((via_db.final_dl - via_graph.final_dl).abs() < 1e-12);
     }
 
     #[test]
@@ -879,9 +814,9 @@ mod tests {
     }
 
     /// A stale queue entry whose gain flipped non-positive must never be
-    /// applied. Incremental revalidates on pop and drops it here;
-    /// FullRegeneration never sees one (its queue is rebuilt from exact
-    /// gains after every merge — `seed_pairs` only stores fresh values).
+    /// applied. Partial revalidates on pop and drops it here; Basic
+    /// never sees one (its queue is rebuilt from exact gains after every
+    /// merge — `seed_pairs` only stores fresh values).
     #[test]
     fn stale_flipped_entry_is_never_popped_as_positive() {
         let (g, _) = paper_example();
@@ -903,8 +838,7 @@ mod tests {
         }
         assert!(poisoned > 0, "fixture must yield stale candidates");
         let mut stats = RunStats::default();
-        let popped =
-            pop_next_positive(&mut scheduler, &db, SchedulePolicy::Incremental, &mut stats);
+        let popped = pop_next_positive(&mut scheduler, &db, Variant::Partial, &mut stats);
         assert!(
             popped.is_none(),
             "revalidation let a stale entry through: {popped:?}"
@@ -913,41 +847,37 @@ mod tests {
         assert_eq!(stats.total_gain_evals, poisoned, "one revalidation each");
     }
 
+    /// Algorithm 1 re-scores every sharing pair after every merge: a
+    /// converged Basic run spends the initial sweep plus one sweep of
+    /// the pairs left after each merge, and never prunes.
     #[test]
-    fn full_regeneration_delegates_past_pair_threshold() {
-        let (g, _) = paper_example();
-        let strict = CspmConfig {
-            full_regen_max_pairs: Some(0), // everything is "too large"
+    fn basic_spends_one_full_sweep_per_merge() {
+        let d = many_label_graph(60, 6);
+        let capped = |m| CspmConfig {
+            max_merges: m,
             ..Default::default()
         };
-        let res = mine_with_policy(&g, SchedulePolicy::FullRegeneration, strict);
-        assert!(res.stats.delegated, "run must record the delegation");
-        // The delegated run is exactly the incremental run.
-        let inc = mine_with_policy(&g, SchedulePolicy::Incremental, CspmConfig::default());
-        assert_eq!(res.final_dl, inc.final_dl);
-        assert_eq!(res.merges, inc.merges);
-        // Delegation disabled: the policy is honoured no matter the size.
-        let honoured = CspmConfig {
-            full_regen_max_pairs: None,
-            ..Default::default()
+        let pairs_after = |m| {
+            let res = crate::mine(&d, Variant::Basic, capped(Some(m)));
+            res.db.sharing_pairs().len() as u64
         };
-        let res = mine_with_policy(&g, SchedulePolicy::FullRegeneration, honoured);
-        assert!(!res.stats.delegated);
+        let run = crate::mine(&d, Variant::Basic, capped(None));
+        assert!(run.merges >= 2, "fixture merged only {} times", run.merges);
+        let sweeps: u64 = (0..=run.merges).map(pairs_after).sum();
+        assert_eq!(run.stats.total_gain_evals, sweeps);
+        assert_eq!(run.stats.pruned_pairs, 0);
     }
 
     #[test]
     fn mining_is_bit_identical_across_thread_counts() {
         let (g, _) = paper_example();
-        for policy in [
-            SchedulePolicy::FullRegeneration,
-            SchedulePolicy::Incremental,
-        ] {
-            let base = mine_with_policy(&g, policy, CspmConfig::default().with_threads(1));
+        for variant in [Variant::Basic, Variant::Partial] {
+            let base = crate::mine(&g, variant, CspmConfig::default().with_threads(1));
             for threads in [2, 4, 8] {
-                let run = mine_with_policy(&g, policy, CspmConfig::default().with_threads(threads));
+                let run = crate::mine(&g, variant, CspmConfig::default().with_threads(threads));
                 assert_eq!(
                     base.final_dl, run.final_dl,
-                    "{policy:?} @ {threads} threads"
+                    "{variant:?} @ {threads} threads"
                 );
                 assert_eq!(base.merges, run.merges);
                 assert_eq!(base.stats.total_gain_evals, run.stats.total_gain_evals);

@@ -1066,7 +1066,7 @@ impl GainView<'_> {
 
     /// The exact gain through a caller-owned scratch buffer — the cost
     /// profile of [`Self::pair_gain`] without its per-call allocation.
-    /// Used by the full-regeneration sweep, where the bound cannot pay
+    /// Used by CSPM-Basic's regeneration sweep, where the bound cannot pay
     /// for itself: the sweep keeps only the single best pair, and the
     /// bound can never prune the best pair by construction.
     pub(crate) fn gain_with(

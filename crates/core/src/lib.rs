@@ -19,14 +19,12 @@
 //! |---|---|---|
 //! | storage | [`positions`] | sorted-slice set algebra + the flat [`PostingStore`] arena backing every row (+ [`PostingView`], its shared read-only snapshot; `compact()` repacks a fragmented arena) |
 //! | database | [`InvertedDb`] | §IV-B rows over the arena, exact DL bookkeeping, the §IV-E merge, in-place graph-delta patching; [`GainView`] scores candidates read-only (exact gain + the Algorithm 2 pruning bound) |
-//! | engine | [`engine`] | the greedy merge loop + [`CandidateScheduler`]; Algorithm 1 and Algorithm 3 are its two [`SchedulePolicy`] values; candidate batches are scored across a scoped worker pool, deterministically at every thread count; a [`ProgressObserver`] rides along for per-merge callbacks and cancellation |
+//! | engine | [`engine`] | the greedy merge loop + [`CandidateScheduler`]; Algorithm 1 and Algorithm 3 are its two [`Variant`]s; candidate batches are scored across a scoped worker pool, deterministically at every thread count; a [`ProgressObserver`] rides along for per-merge callbacks and cancellation |
 //! | **sessions** | [`session`] | the primary API: a [`Miner`]-built [`MiningSession`] owns the database + arena across calls, absorbs [`GraphDelta`](cspm_graph::dynamic::GraphDelta)s incrementally, re-mines warm (bit-identically), and compacts the arena under pressure |
-//! | façade | [`cspm_basic`] / [`cspm_partial`] / [`mine`] / [`mine_dynamic`] | one-shot wrappers over a session |
+//! | one-shot | [`mine`] / [`mine_dynamic`] | single runs that retain no state |
 //!
-//! Scheduling is tuned by two [`CspmConfig`] knobs — `threads` (scoring
-//! worker count, `0` = auto) and `full_regen_max_pairs` (candidate-pair
-//! threshold past which [`SchedulePolicy::FullRegeneration`] delegates
-//! to the incremental policy). Both change only how fast the model is
+//! Scheduling is tuned by one [`CspmConfig`] knob, `threads` (scoring
+//! worker count, `0` = auto). It changes only how fast the model is
 //! found, never which model; see the [`engine`] docs for the
 //! determinism guarantees.
 //!
@@ -57,10 +55,9 @@
 //! assert!(warm.final_dl <= warm.initial_dl);
 //! ```
 //!
-//! The one-shot free functions ([`cspm_partial`] & friends) remain for
-//! single runs; they are documented wrappers over a throwaway session.
+//! A single run needs no session: [`mine`] builds the database, runs
+//! the merge loop on it and keeps nothing.
 
-mod basic;
 mod config;
 mod decode;
 mod dynamic;
@@ -68,60 +65,48 @@ pub mod engine;
 mod inverted;
 mod metrics;
 mod model;
-mod partial;
 pub mod pool;
 pub mod positions;
 pub mod registry;
 pub mod session;
 mod stats;
 
-pub use basic::cspm_basic;
 pub use config::{CoresetMode, CspmConfig, GainPolicy, IterationStat, RunStats};
 pub use decode::{decode_neighborhood, true_neighborhood, verify_lossless, LossError};
 pub use dynamic::{mine_dynamic, DynamicResult, TemporalOccurrences};
-pub use engine::{CandidateScheduler, CspmResult, ProgressObserver, SchedulePolicy};
+pub use engine::{CandidateScheduler, CspmResult, ProgressObserver, Variant};
 pub use inverted::{
     Coreset, CoresetId, GainView, InvertedDb, LeafsetId, MergeOutcome, PatchError, PatchStats,
     RestoreError,
 };
 pub use model::{MinedAStar, MinedModel};
-pub use partial::cspm_partial;
 pub use pool::{PoolError, WorkerPool};
 pub use positions::{PostingPolicy, PostingReprStats, PostingStore, PostingView, RowId};
 pub use registry::{PressureOutcome, ResidentFootprint, SessionRegistry};
 pub use session::{DeltaStats, FnObserver, Miner, MiningSession, SessionError};
 pub use stats::ModelSummary;
 
+use std::time::Instant;
+
 use cspm_graph::AttributedGraph;
 
-/// Which CSPM variant to run. Both variants are scheduling policies of
-/// the same [`engine`]; see [`SchedulePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Variant {
-    /// CSPM-Basic (Algorithm 1): full candidate regeneration each
-    /// iteration.
-    Basic,
-    /// CSPM-Partial (Algorithm 3): partial candidate updates via `rdict`.
-    /// The default, as in the paper's applications ("CSPM-Partial is
-    /// adopted for the two applications owing to its efficiency").
-    #[default]
-    Partial,
-}
-
-impl Variant {
-    /// The engine scheduling policy this variant compiles down to.
-    pub fn policy(self) -> SchedulePolicy {
-        match self {
-            Variant::Basic => SchedulePolicy::FullRegeneration,
-            Variant::Partial => SchedulePolicy::Incremental,
-        }
-    }
-}
-
-/// High-level entry point: runs the selected variant through the
-/// unified [`engine`].
+/// Mines `g` once with the given variant and retains nothing: builds
+/// the inverted database, hands it to a session that consumes it
+/// ([`MiningSession::run_detached`], so nothing is cloned), and charges
+/// the build plus the merge loop to `stats.elapsed_secs`. Keep a
+/// [`MiningSession`] of your own (via [`Miner`]) when the graph evolves
+/// or you want progress callbacks and cancellation.
 pub fn mine(g: &AttributedGraph, variant: Variant, config: CspmConfig) -> CspmResult {
-    engine::mine_with_policy(g, variant.policy(), config)
+    let started = Instant::now();
+    let mut session = Miner::from_config(config).variant(variant).build();
+    session.adopt_db(InvertedDb::build(
+        g,
+        config.coreset_mode,
+        config.gain_policy,
+    ));
+    let mut result = session.run_detached().expect("session was just loaded");
+    result.stats.elapsed_secs = started.elapsed().as_secs_f64();
+    result
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@ pub(crate) struct EngineMetrics {
     gain_evals: Counter,
     pruned_pairs: Counter,
     cancelled: Counter,
-    delegated: Counter,
     mine_seconds: Histogram,
     sparse_rows: Gauge,
     bitmap_rows: Gauge,
@@ -46,10 +45,6 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
             cancelled: r.counter(
                 "cspm_engine_cancelled_total",
                 "Runs cancelled cooperatively by a progress observer.",
-            ),
-            delegated: r.counter(
-                "cspm_engine_delegated_total",
-                "FullRegeneration runs delegated to the incremental policy.",
             ),
             mine_seconds: r.histogram(
                 "cspm_engine_mine_seconds",
@@ -92,9 +87,6 @@ pub(crate) fn record_run(merges: usize, stats: &RunStats) {
     m.pruned_pairs.add(stats.pruned_pairs);
     if stats.cancelled {
         m.cancelled.inc();
-    }
-    if stats.delegated {
-        m.delegated.inc();
     }
     m.mine_seconds.observe(stats.elapsed_secs);
     m.sparse_rows.set(stats.posting.sparse_rows as u64);

@@ -1,11 +1,10 @@
 //! Long-lived mining sessions: the primary API of `cspm-core`.
 //!
-//! The one-shot entry points ([`cspm_basic`](crate::cspm_basic),
-//! [`cspm_partial`](crate::cspm_partial), [`mine`](crate::mine)) build
-//! an inverted database, run the merge loop once, and throw the warm
-//! state away. The workloads the paper's dynamic application (§VI) and
-//! this repo's roadmap care about look different: the graph *evolves*,
-//! and the miner is asked again and again. A [`MiningSession`] keeps
+//! The one-shot entry point [`mine`](crate::mine) builds an inverted
+//! database, runs the merge loop once, and throws the warm state away.
+//! The workloads the paper's dynamic application (§VI) and this repo's
+//! roadmap care about look different: the graph *evolves*, and the
+//! miner is asked again and again. A [`MiningSession`] keeps
 //! the expensive state alive between calls:
 //!
 //! * the **current graph**, so evolution arrives as [`GraphDelta`]s —
@@ -61,25 +60,25 @@ use cspm_graph::dynamic::GraphDelta;
 use cspm_graph::{AttributedGraph, GraphError, VertexId};
 
 use crate::config::CspmConfig;
-use crate::engine::{run_loop, CspmResult, ProgressObserver, RunToCompletion, SchedulePolicy};
+use crate::engine::{run_loop, CspmResult, ProgressObserver, RunToCompletion, Variant};
 use crate::inverted::{InvertedDb, PatchError, PatchStats};
-use crate::{CoresetMode, GainPolicy, Variant};
+use crate::{CoresetMode, GainPolicy};
 
 /// Builder for [`MiningSession`]s.
 ///
 /// ```
-/// use cspm_core::Miner;
+/// use cspm_core::{Miner, Variant};
 /// use cspm_graph::fixtures::paper_example;
 ///
 /// let (graph, _) = paper_example();
-/// let mut session = Miner::new().threads(4).full_regen_cap(Some(10_000)).build();
+/// let mut session = Miner::new().threads(4).variant(Variant::Basic).build();
 /// let result = session.mine(&graph);
 /// assert!(result.final_dl <= result.initial_dl);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Miner {
     config: CspmConfig,
-    policy: SchedulePolicy,
+    variant: Variant,
     compact_above: f64,
     compact_after_releases: Option<u32>,
 }
@@ -104,7 +103,7 @@ impl Miner {
     pub const DEFAULT_COMPACT_AFTER_RELEASES: u32 = 8;
 
     /// A builder with the paper-default configuration (the same
-    /// defaults as [`CspmConfig::default`], incremental scheduling).
+    /// defaults as [`CspmConfig::default`], [`Variant::Partial`]).
     pub fn new() -> Self {
         Self::from_config(CspmConfig::default())
     }
@@ -113,7 +112,7 @@ impl Miner {
     pub fn from_config(config: CspmConfig) -> Self {
         Self {
             config,
-            policy: SchedulePolicy::default(),
+            variant: Variant::default(),
             compact_above: Self::DEFAULT_COMPACT_ABOVE,
             compact_after_releases: Some(Self::DEFAULT_COMPACT_AFTER_RELEASES),
         }
@@ -126,23 +125,11 @@ impl Miner {
         self
     }
 
-    /// Candidate-pair count past which full regeneration delegates to
-    /// the incremental policy (`None` disables; see
-    /// [`CspmConfig::full_regen_max_pairs`]).
-    pub fn full_regen_cap(mut self, cap: Option<usize>) -> Self {
-        self.config.full_regen_max_pairs = cap;
+    /// CSPM variant the merge loop runs ([`Variant::Partial`] by
+    /// default).
+    pub fn variant(mut self, variant: Variant) -> Self {
+        self.variant = variant;
         self
-    }
-
-    /// Scheduling policy ([`SchedulePolicy::Incremental`] by default).
-    pub fn policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Convenience: scheduling policy via the paper's variant names.
-    pub fn variant(self, variant: Variant) -> Self {
-        self.policy(variant.policy())
     }
 
     /// Gain accounting policy (see [`GainPolicy`]).
@@ -209,7 +196,7 @@ impl Miner {
     pub fn build(self) -> MiningSession {
         MiningSession {
             config: self.config,
-            policy: self.policy,
+            variant: self.variant,
             compact_above: self.compact_above,
             compact_after_releases: self.compact_after_releases,
             release_heavy_deltas: 0,
@@ -291,7 +278,7 @@ pub struct DeltaStats {
 #[derive(Debug, Clone)]
 pub struct MiningSession {
     config: CspmConfig,
-    policy: SchedulePolicy,
+    variant: Variant,
     compact_above: f64,
     compact_after_releases: Option<u32>,
     /// Release-heavy deltas absorbed since the last compaction (or
@@ -324,8 +311,9 @@ impl MiningSession {
 
     /// Adopts a pre-built database as the session's pristine state.
     /// The session has no graph afterwards, so deltas are unavailable
-    /// ([`SessionError::NoGraph`]) — this is the entry point the
-    /// [`run_on_db`](crate::engine::run_on_db) wrapper uses.
+    /// ([`SessionError::NoGraph`]). To time the merge loop apart from
+    /// database construction, adopt a pre-built database and consume it
+    /// with [`Self::run_detached`], as [`mine`](crate::mine) does.
     pub fn adopt_db(&mut self, db: InvertedDb) {
         self.pristine = Some(db);
         self.graph = None;
@@ -572,16 +560,21 @@ impl MiningSession {
         observer: &mut dyn ProgressObserver,
     ) -> Result<CspmResult, SessionError> {
         let db = self.pristine.as_ref().ok_or(SessionError::Empty)?;
-        Ok(run_loop(db.clone(), self.policy, self.config, observer))
+        Ok(run_loop(db.clone(), self.variant, self.config, observer))
     }
 
     /// Runs the merge loop by **consuming** the retained database —
-    /// the no-copy path for one-shot use (the free-function wrappers
-    /// route through here). The session is unloaded afterwards.
+    /// the no-copy path for one-shot use ([`mine`](crate::mine) routes
+    /// through here). The session is unloaded afterwards.
     pub fn run_detached(&mut self) -> Option<CspmResult> {
         let db = self.pristine.take()?;
         self.graph = None;
-        Some(run_loop(db, self.policy, self.config, &mut RunToCompletion))
+        Some(run_loop(
+            db,
+            self.variant,
+            self.config,
+            &mut RunToCompletion,
+        ))
     }
 }
 
@@ -623,7 +616,6 @@ mod tests {
     fn builder_round_trips_config() {
         let m = Miner::new()
             .threads(3)
-            .full_regen_cap(None)
             .gain_policy(GainPolicy::DataOnly)
             .max_merges(Some(7))
             .collect_stats(true)
@@ -631,11 +623,10 @@ mod tests {
             .compact_above(4.0)
             .compact_after_releases(Some(5));
         assert_eq!(m.config().threads, 3);
-        assert_eq!(m.config().full_regen_max_pairs, None);
         assert_eq!(m.config().gain_policy, GainPolicy::DataOnly);
         assert_eq!(m.config().max_merges, Some(7));
         assert!(m.config().collect_stats);
-        assert_eq!(m.policy, SchedulePolicy::FullRegeneration);
+        assert_eq!(m.variant, Variant::Basic);
         assert_eq!(m.compact_above, 4.0);
         assert_eq!(m.compact_after_releases, Some(5));
         assert_eq!(
@@ -680,7 +671,7 @@ mod tests {
         let (g, _) = paper_example();
         let mut s = Miner::new().build();
         let session = s.mine(&g);
-        let free = crate::cspm_partial(&g, CspmConfig::default());
+        let free = crate::mine(&g, Variant::Partial, CspmConfig::default());
         assert_eq!(session.final_dl, free.final_dl);
         assert_eq!(session.merges, free.merges);
         assert!(s.is_loaded(), "warm state is retained");

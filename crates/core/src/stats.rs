@@ -77,13 +77,13 @@ impl std::fmt::Display for ModelSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cspm_partial, CspmConfig};
+    use crate::{mine, CspmConfig, Variant};
     use cspm_graph::fixtures::paper_example;
 
     #[test]
     fn summary_of_paper_example() {
         let (g, _) = paper_example();
-        let res = cspm_partial(&g, CspmConfig::default());
+        let res = mine(&g, Variant::Partial, CspmConfig::default());
         let s = ModelSummary::new(&res.db, &res.model);
         assert_eq!(s.n_astars, res.model.len());
         assert_eq!(s.n_coresets, 3);
@@ -98,8 +98,9 @@ mod tests {
     #[test]
     fn mean_size_of_unmerged_model_is_one() {
         let (g, _) = paper_example();
-        let res = cspm_partial(
+        let res = mine(
             &g,
+            Variant::Partial,
             CspmConfig {
                 max_merges: Some(0),
                 ..Default::default()

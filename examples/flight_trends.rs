@@ -8,7 +8,7 @@
 //! cargo run --release --example flight_trends
 //! ```
 
-use cspm::core::{cspm_partial, CspmConfig};
+use cspm::core::{mine, CspmConfig, Variant};
 use cspm::datasets::{usflight_like, Scale};
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
         g.attr_count()
     );
 
-    let result = cspm_partial(g, CspmConfig::default());
+    let result = mine(g, Variant::Partial, CspmConfig::default());
     println!(
         "DL {:.0} -> {:.0} bits in {} merges; {} a-stars\n",
         result.initial_dl,

@@ -4,7 +4,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use cspm::core::{cspm_basic, cspm_partial, CspmConfig, Variant};
+use cspm::core::{mine, CspmConfig, Variant};
 use cspm::graph::fixtures::paper_example;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     );
 
     // CSPM is parameter-free: the default config reproduces the paper.
-    let result = cspm_partial(&graph, CspmConfig::default());
+    let result = mine(&graph, Variant::Partial, CspmConfig::default());
     println!(
         "CSPM-Partial: DL {:.2} -> {:.2} bits ({} merges, ratio {:.3})",
         result.initial_dl,
@@ -32,7 +32,7 @@ fn main() {
     // The Basic variant regenerates all candidates each iteration; it can
     // squeeze out a few extra merges that Partial's rdict heuristic skips
     // (§V), at a much higher cost on large graphs.
-    let basic = cspm_basic(&graph, CspmConfig::default());
+    let basic = mine(&graph, Variant::Basic, CspmConfig::default());
     println!(
         "\nCSPM-Basic final DL: {:.2} bits in {} merges (default variant: {:?})",
         basic.final_dl,

@@ -6,7 +6,7 @@
 //! cargo run --release --example social_network
 //! ```
 
-use cspm::core::{cspm_partial, CspmConfig};
+use cspm::core::{mine, CspmConfig, Variant};
 use cspm::datasets::{pokec_like, Scale};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
         g.attr_count()
     );
 
-    let result = cspm_partial(g, CspmConfig::default());
+    let result = mine(g, Variant::Partial, CspmConfig::default());
     println!(
         "mined {} a-stars ({} merges), DL {:.0} -> {:.0} bits\n",
         result.model.len(),

@@ -11,7 +11,7 @@
 //! | [`graph`] | `cspm-graph` | attributed graphs, stars, a-stars, I/O |
 //! | [`mdl`] | `cspm-mdl` | code tables, entropy, universal codes |
 //! | [`itemset`] | `cspm-itemset` | transactions, Eclat, Krimp, SLIM |
-//! | [`core`] | `cspm-core` | the CSPM mining engine: flat posting store, candidate scheduler, Basic/Partial policies |
+//! | [`core`] | `cspm-core` | the CSPM mining engine: flat posting store, candidate scheduler, Basic/Partial variants |
 //! | [`datasets`] | `cspm-datasets` | seeded benchmark generators |
 //! | [`nn`] | `cspm-nn` | minimal neural-network substrate |
 //! | [`completion`] | `cspm-completion` | node attribute completion (Table IV) |
@@ -24,7 +24,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use cspm::core::{cspm_partial, CspmConfig};
+//! use cspm::core::{mine, CspmConfig, Variant};
 //! use cspm::graph::GraphBuilder;
 //!
 //! // A toy social network: smokers' friends tend to smoke.
@@ -43,7 +43,7 @@
 //!
 //! // Parameter-free mining: the model is the set of a-stars that best
 //! // compress the graph.
-//! let result = cspm_partial(&g, CspmConfig::default());
+//! let result = mine(&g, Variant::Partial, CspmConfig::default());
 //! assert!(result.final_dl <= result.initial_dl);
 //! for pattern in result.model.astars().iter().take(5) {
 //!     println!("{}  ({:.2} bits)", pattern.astar.display(g.attrs()), pattern.code_len);

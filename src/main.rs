@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cspm mine <graph-file> [--basic] [--data-only] [--top K] [--multi-core krimp|slim]
-//!                        [--threads N] [--full-regen-cap N|none] [--store <path>] [--json]
+//!                        [--threads N] [--store <path>] [--json]
 //! cspm mine --input <dump> [--format pokec|dblp|usflight|native|auto] [mine flags…]
 //! cspm mine --store <path> [mine flags…]
 //! cspm stats <graph-file> [--json]
@@ -27,12 +27,10 @@
 //! summary, compression ratio, and the top patterns — as a single JSON
 //! document on stdout (progress/ingest chatter moves to stderr).
 //!
-//! Scheduling knobs (speed only — mined output is bit-identical at any
+//! Scheduling knob (speed only — mined output is bit-identical at any
 //! setting): `--threads N` sets the candidate-scoring worker count
-//! (default 0 = one per core, capped at 8); `--full-regen-cap N` sets
-//! the candidate-pair count past which `--basic` (full regeneration)
-//! delegates to the incremental policy (`none` disables delegation and
-//! always honours `--basic`; default 10000).
+//! (default 0 = one per core, capped at 8). `--basic` runs CSPM-Basic
+//! (Algorithm 1) instead of the default CSPM-Partial.
 //!
 //! `--store <path>` makes the session durable (crash-safe snapshot +
 //! delta WAL, [`cspm::store`]): `mine` seeds an empty store from the
@@ -66,7 +64,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   cspm mine <graph-file> [--basic] [--data-only] [--top K] [--multi-core krimp|slim]
-                         [--threads N] [--full-regen-cap N|none] [--store <path>] [--json]
+                         [--threads N] [--store <path>] [--json]
   cspm mine --input <dump> [--format pokec|dblp|usflight|native|auto] [mine flags...]
   cspm mine --store <path> [mine flags...]
   cspm stats <graph-file> [--json]
@@ -89,10 +87,11 @@ machine-readable output:
                        model summary, compression ratio, top patterns);
                        progress/ingest notes go to stderr
 
-mine scheduling knobs (tune speed, never the mined model):
-  --threads N          candidate-scoring worker threads (0 = auto, default)
-  --full-regen-cap N   delegate --basic to the incremental policy past N
-                       initial candidate pairs ('none' disables; default 10000)
+mine variant and scheduling:
+  --basic              run CSPM-Basic (Algorithm 1: regenerate every candidate
+                       gain after each merge) instead of CSPM-Partial
+  --threads N          candidate-scoring worker threads (0 = auto, default);
+                       tunes speed, never the mined model
 
 durable sessions (crash-safe snapshot + delta WAL, docs/FORMATS.md):
   --store <path>       mine: persist the session at <path> — an empty store
@@ -275,16 +274,6 @@ fn mine(args: &[String]) -> Result<(), String> {
                     .and_then(|s| s.parse().ok())
                     .ok_or("--threads needs a number (0 = auto)")?;
             }
-            "--full-regen-cap" => {
-                config.full_regen_max_pairs = match it.next().map(String::as_str) {
-                    Some("none") => None,
-                    Some(s) => Some(
-                        s.parse()
-                            .map_err(|_| "--full-regen-cap needs a number or 'none'")?,
-                    ),
-                    None => return Err("--full-regen-cap needs a number or 'none'".into()),
-                };
-            }
             other if !other.starts_with('-') && graph_file.is_none() => graph_file = Some(a),
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -314,11 +303,9 @@ fn mine(args: &[String]) -> Result<(), String> {
         (None, Some(dump)) => ingest_input(dump, format.as_deref().unwrap_or("auto"), json)?,
         _ => return Err("mine needs a graph file, --input <dump>, or --store <path>".into()),
     };
-    // One-shot CLI run: `cspm::core::mine` is the session API's
-    // detached wrapper (build → run, nothing cloned, nothing
-    // retained) — the right shape for a process that exits afterwards.
-    // Both paper variants are scheduling policies of the same session
-    // engine.
+    // One-shot CLI run: `cspm::core::mine` builds the database and
+    // consumes it (nothing cloned, nothing retained) — the right shape
+    // for a process that exits afterwards.
     let result = cspm::core::mine(&g, variant, config);
     report_mine(&g, variant, &result, top, json, None);
     Ok(())
@@ -421,12 +408,6 @@ fn report_mine(
         println!("{}", mine_json(g, variant, result, top, durable));
         return;
     }
-    if result.stats.delegated {
-        println!(
-            "note: full regeneration delegated to the incremental policy \
-             (initial candidate pairs exceeded --full-regen-cap)"
-        );
-    }
     println!(
         "mined {} a-stars in {} merges; DL {:.1} -> {:.1} bits (ratio {:.3})",
         result.model.len(),
@@ -481,7 +462,6 @@ fn mine_json(
         .field_int("merges", result.merges as u64)
         .field_int("total_gain_evals", result.stats.total_gain_evals)
         .field_int("pruned_pairs", result.stats.pruned_pairs)
-        .field_bool("delegated", result.stats.delegated)
         .field_bool("cancelled", result.stats.cancelled)
         .field_num("elapsed_secs", result.stats.elapsed_secs)
         .field_int(

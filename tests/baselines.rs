@@ -2,7 +2,7 @@
 //! (the Table III protocol) and multi-value coresets via Krimp/SLIM
 //! (§IV-F Step 1).
 
-use cspm::core::{cspm_partial, CoresetMode, CspmConfig, GainPolicy, InvertedDb};
+use cspm::core::{mine, CoresetMode, CspmConfig, GainPolicy, InvertedDb, Variant};
 use cspm::datasets::{dblp_like, Scale};
 use cspm::graph::AttributedGraph;
 use cspm::itemset::{slim, SlimConfig, TransactionDb};
@@ -43,7 +43,7 @@ fn cspm_and_slim_find_related_structure() {
     // additionally localises the correlations into (core, leaf) roles.
     let d = dblp_like(Scale::Tiny, 3);
     let slim_res = slim(&graph_to_transactions(&d.graph), SlimConfig::default());
-    let cspm_res = cspm_partial(&d.graph, CspmConfig::default());
+    let cspm_res = mine(&d.graph, Variant::Partial, CspmConfig::default());
     assert!(slim_res.compression_ratio() < 1.0);
     assert!(cspm_res.compression_ratio() < 1.0);
     assert!(cspm_res.model.non_trivial(2).count() > 0);
@@ -74,7 +74,7 @@ fn multi_value_coresets_via_krimp_and_slim() {
             coreset_mode: mode,
             ..Default::default()
         };
-        let res = cspm_partial(&g, cfg);
+        let res = mine(&g, Variant::Partial, cfg);
         assert!(res.final_dl <= res.initial_dl + 1e-9);
     }
     // The sparse DBLP-like graph still mines end to end in both modes
@@ -85,7 +85,7 @@ fn multi_value_coresets_via_krimp_and_slim() {
             coreset_mode: mode,
             ..Default::default()
         };
-        let res = cspm_partial(&d.graph, cfg);
+        let res = mine(&d.graph, Variant::Partial, cfg);
         assert!(res.final_dl <= res.initial_dl + 1e-9, "{mode:?}");
     }
 }

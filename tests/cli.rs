@@ -86,19 +86,6 @@ fn scheduling_knobs_change_speed_not_output() {
     assert!(ok);
     assert_eq!(one, four, "mined output must be thread-count invariant");
 
-    // A tiny delegation cap reroutes --basic through the incremental
-    // policy and says so.
-    let (ok, out, _) = cspm(&["mine", path_str, "--basic", "--full-regen-cap", "1"]);
-    assert!(ok);
-    assert!(out.contains("delegated"), "delegation note missing: {out}");
-    // 'none' disables delegation.
-    let (ok, out, _) = cspm(&["mine", path_str, "--basic", "--full-regen-cap", "none"]);
-    assert!(ok);
-    assert!(!out.contains("delegated"));
-
-    let (ok, _, stderr) = cspm(&["mine", path_str, "--full-regen-cap", "nope"]);
-    assert!(!ok);
-    assert!(stderr.contains("full-regen-cap"));
     let (ok, _, stderr) = cspm(&["mine", path_str, "--threads"]);
     assert!(!ok);
     assert!(stderr.contains("--threads"));
@@ -280,7 +267,6 @@ fn mine_json_emits_one_machine_readable_document() {
         "\"merges\":",
         "\"total_gain_evals\":",
         "\"pruned_pairs\":",
-        "\"delegated\":false",
         "\"cancelled\":false",
         "\"posting_sparse_rows\":",
         "\"posting_bitmap_rows\":",

@@ -1,19 +1,19 @@
 //! Equivalence tests for the unified mining engine: CSPM-Basic and
-//! CSPM-Partial are two scheduling policies of the same merge loop, and
-//! the flat posting-list store must behave exactly like the reference
+//! CSPM-Partial are two variants of the same merge loop, and the flat
+//! posting-list store must behave exactly like the reference
 //! sorted-slice algebra.
 
-use cspm::core::engine::run_on_db;
 use cspm::core::positions::{difference_inplace, intersect, intersect_count, union};
 use cspm::core::{
-    cspm_basic, cspm_partial, mine, verify_lossless, CoresetMode, CspmConfig, GainPolicy,
-    InvertedDb, PostingPolicy, PostingStore, SchedulePolicy, Variant,
+    mine, verify_lossless, CoresetMode, CspmConfig, CspmResult, GainPolicy, InvertedDb, Miner,
+    PostingPolicy, PostingStore, Variant,
 };
-use cspm::datasets::{planted_astars, PlantedConfig};
+use cspm::datasets::{dblp_trend_like, planted_astars, PlantedConfig, Scale};
 use cspm::graph::fixtures::paper_example;
+use cspm::graph::GraphBuilder;
 use proptest::prelude::*;
 
-/// Data-only pricing: the setting under which both policies provably
+/// Data-only pricing: the setting under which both variants provably
 /// take the same greedy path (under `Total`, Algorithm 3's candidate
 /// restriction may legitimately stop earlier; see `engine` docs).
 fn equiv_config() -> CspmConfig {
@@ -23,17 +23,35 @@ fn equiv_config() -> CspmConfig {
     }
 }
 
+/// The one-shot `mine` and a `Miner`-built session run the same
+/// engine: per variant they agree to the bit, and the variant is
+/// honoured (Basic re-scores far more pairs than Partial).
 #[test]
 fn variants_dispatch_through_the_shared_engine() {
-    assert_eq!(Variant::Basic.policy(), SchedulePolicy::FullRegeneration);
-    assert_eq!(Variant::Partial.policy(), SchedulePolicy::Incremental);
+    let (g, _) = paper_example();
+    let mut evals = Vec::new();
+    for variant in [Variant::Basic, Variant::Partial] {
+        let one_shot = mine(&g, variant, equiv_config());
+        let session = Miner::from_config(equiv_config())
+            .variant(variant)
+            .build()
+            .mine(&g);
+        assert_eq!(one_shot.final_dl.to_bits(), session.final_dl.to_bits());
+        assert_eq!(one_shot.merges, session.merges);
+        assert_eq!(
+            one_shot.stats.total_gain_evals,
+            session.stats.total_gain_evals
+        );
+        evals.push(one_shot.stats.total_gain_evals);
+    }
+    assert!(evals[0] > evals[1], "Basic must re-sweep: {evals:?}");
 }
 
 #[test]
 fn engine_policies_reach_identical_dl_on_paper_example() {
     let (g, _) = paper_example();
-    let basic = cspm_basic(&g, equiv_config());
-    let partial = cspm_partial(&g, equiv_config());
+    let basic = mine(&g, Variant::Basic, equiv_config());
+    let partial = mine(&g, Variant::Partial, equiv_config());
     assert!(
         (basic.final_dl - partial.final_dl).abs() < 1e-9,
         "basic {} vs partial {}",
@@ -46,9 +64,29 @@ fn engine_policies_reach_identical_dl_on_paper_example() {
     assert!(verify_lossless(&g, &partial.db).is_empty());
 }
 
+/// On the paper example CSPM-Partial takes CSPM-Basic's greedy path
+/// merge for merge, so both mine the same a-stars with the same
+/// occurrences.
+#[test]
+fn partial_matches_basic_on_paper_example() {
+    let (g, _) = paper_example();
+    let basic = mine(&g, Variant::Basic, equiv_config());
+    let partial = mine(&g, Variant::Partial, equiv_config());
+    assert_eq!(basic.merges, partial.merges);
+    assert!((basic.final_dl - partial.final_dl).abs() < 1e-6);
+    let patterns = |r: &CspmResult| {
+        r.model
+            .astars()
+            .iter()
+            .map(|m| (m.astar.clone(), m.positions.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(patterns(&basic), patterns(&partial));
+}
+
 #[test]
 fn engine_policies_reach_identical_dl_on_planted_patterns() {
-    // Seeded, noise-free planted instance on which the two policies'
+    // Seeded, noise-free planted instance on which the two variants'
     // greedy paths coincide exactly (verified over a seed sweep; under
     // attribute noise the paths may legitimately diverge by a fraction
     // of a percent — see `both_variants_compress` in tests/properties.rs
@@ -84,7 +122,7 @@ fn engine_policies_reach_identical_dl_on_planted_patterns() {
 }
 
 /// Parallel incremental scoring must be exact, not approximately
-/// deterministic: at threads ∈ {1, 2, 8} both policies produce
+/// deterministic: at threads ∈ {1, 2, 8} both variants produce
 /// bit-identical final description lengths, merge counts, and
 /// evaluation totals on a planted instance large enough to fan out.
 #[test]
@@ -127,43 +165,62 @@ fn mining_is_bit_identical_at_threads_1_2_8() {
     }
 }
 
-/// The full-regeneration scale escape hatch: past the candidate-pair
-/// threshold the run delegates to the incremental policy and matches it
-/// exactly; with delegation disabled the policy is honoured.
+/// `Variant::Basic` is Algorithm 1 at every scale: after each merge it
+/// re-scores every sharing pair, however many there are. Two merges
+/// therefore cost exactly two sweeps — the initial pairs plus the pairs
+/// left after the first merge — on a graph with well over 10,000
+/// initial pairs.
 #[test]
-fn full_regeneration_delegates_and_matches_incremental() {
-    let (g, _) = planted_astars(
-        &[(&["doctor"], &["flu", "fever"])],
-        PlantedConfig {
-            occurrences_per_pattern: 15,
-            background_vertices: 40,
-            background_attrs: 8,
-            noise_labels_per_vertex: 0.0,
-            seed: 7,
-        },
+fn basic_sweeps_every_pair_on_large_graphs() {
+    let g = dblp_trend_like(Scale::Paper, 2023).graph;
+    let capped = |merges| CspmConfig {
+        max_merges: Some(merges),
+        ..Default::default()
+    };
+    let initial = InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::Total)
+        .sharing_pairs()
+        .len() as u64;
+    assert!(initial > 10_000, "fixture has only {initial} pairs");
+    let after_first = mine(&g, Variant::Basic, capped(1)).db.sharing_pairs().len() as u64;
+    let two = mine(&g, Variant::Basic, capped(2));
+    assert_eq!(two.merges, 2);
+    assert_eq!(two.stats.total_gain_evals, initial + after_first);
+    assert_eq!(two.stats.pruned_pairs, 0, "the Basic sweep never prunes");
+}
+
+/// CSPM-Partial's rdict updates spend fewer gain evaluations than
+/// CSPM-Basic's full regeneration on a graph with several independent
+/// planted patterns, and both reach equally good models.
+#[test]
+fn partial_spends_fewer_gain_evals_than_basic() {
+    let mut b = GraphBuilder::new();
+    let mut prev = None;
+    for i in 0..30 {
+        let hub = b.add_vertex([format!("core{}", i % 3)]);
+        let u = b.add_vertex([format!("p{}", i % 3)]);
+        let w = b.add_vertex([format!("q{}", i % 3)]);
+        b.add_edge(hub, u).unwrap();
+        b.add_edge(hub, w).unwrap();
+        if let Some(p) = prev {
+            b.add_edge(p, hub).unwrap();
+        }
+        prev = Some(hub);
+    }
+    let g = b.build().unwrap();
+    let basic = mine(&g, Variant::Basic, CspmConfig::instrumented());
+    let partial = mine(&g, Variant::Partial, CspmConfig::instrumented());
+    assert!(
+        basic.merges >= 2,
+        "expected several merges, got {}",
+        basic.merges
     );
-    let delegated = mine(
-        &g,
-        Variant::Basic,
-        CspmConfig {
-            full_regen_max_pairs: Some(1),
-            ..equiv_config()
-        },
+    assert!(
+        partial.stats.total_gain_evals < basic.stats.total_gain_evals,
+        "partial {} evals vs basic {}",
+        partial.stats.total_gain_evals,
+        basic.stats.total_gain_evals
     );
-    assert!(delegated.stats.delegated);
-    let incremental = mine(&g, Variant::Partial, equiv_config());
-    assert_eq!(delegated.final_dl, incremental.final_dl);
-    assert_eq!(delegated.merges, incremental.merges);
-    let honoured = mine(
-        &g,
-        Variant::Basic,
-        CspmConfig {
-            full_regen_max_pairs: None,
-            ..equiv_config()
-        },
-    );
-    assert!(!honoured.stats.delegated);
-    assert!(verify_lossless(&g, &delegated.db).is_empty());
+    assert!((basic.final_dl - partial.final_dl).abs() / basic.final_dl < 0.05);
 }
 
 /// Strategy: a sorted, duplicate-free position list.
@@ -229,7 +286,7 @@ fn dense_planted() -> cspm::graph::AttributedGraph {
 /// The adaptive posting layout is a pure representation change: mining
 /// on a `SparseOnly` store and on the default `Adaptive` store must be
 /// bit-identical — same merges, same final DL, same evaluation and
-/// pruning counts — at every thread count and under both policies.
+/// pruning counts — at every thread count and under both variants.
 #[test]
 fn adaptive_and_sparse_only_stores_mine_bit_identically() {
     let g = dense_planted();
@@ -254,16 +311,14 @@ fn adaptive_and_sparse_only_stores_mine_bit_identically() {
                 }
                 .with_threads(threads);
                 let run = |posting| {
-                    run_on_db(
-                        InvertedDb::build_with_posting(
-                            &g,
-                            config.coreset_mode,
-                            config.gain_policy,
-                            posting,
-                        ),
-                        variant.policy(),
-                        config,
-                    )
+                    let mut session = Miner::from_config(config).variant(variant).build();
+                    session.adopt_db(InvertedDb::build_with_posting(
+                        &g,
+                        config.coreset_mode,
+                        config.gain_policy,
+                        posting,
+                    ));
+                    session.run_detached().expect("adopted database mines")
                 };
                 let sparse = run(PostingPolicy::SparseOnly);
                 let adaptive = run(PostingPolicy::Adaptive);
@@ -423,12 +478,12 @@ proptest! {
         prop_assert_eq!(stats.flips_to_bitmap, 0);
     }
 
-    /// Per-policy engine guarantees on small random graphs: runs are
-    /// deterministic (bit-identical DL when repeated), the
-    /// full-regeneration policy truly converges (no positive-gain pair
-    /// survives in its final database), and both policies compress.
-    /// Cross-policy *equality* is deliberately not asserted here — the
-    /// greedy paths may differ on noisy inputs (§V).
+    /// Per-variant engine guarantees on small random graphs: runs are
+    /// deterministic (bit-identical DL when repeated), CSPM-Basic truly
+    /// converges (no positive-gain pair survives in its final
+    /// database), and both variants compress. Cross-variant *equality*
+    /// is deliberately not asserted here — the greedy paths may differ
+    /// on noisy inputs (§V).
     #[test]
     fn engine_guarantees_on_random_graphs(n in 4usize..16, k in 2usize..5, seed in 0u64..5000) {
         let mut state = seed | 1;
@@ -438,7 +493,7 @@ proptest! {
             state ^= state << 17;
             state
         };
-        let mut b = cspm::graph::GraphBuilder::new();
+        let mut b = GraphBuilder::new();
         for _ in 0..n {
             b.add_vertex([format!("a{}", next() as usize % k)]);
         }
@@ -452,14 +507,14 @@ proptest! {
             }
         }
         let g = b.build().unwrap();
-        let basic = cspm_basic(&g, equiv_config());
-        let partial = cspm_partial(&g, equiv_config());
-        prop_assert_eq!(cspm_basic(&g, equiv_config()).final_dl, basic.final_dl);
-        prop_assert_eq!(cspm_partial(&g, equiv_config()).final_dl, partial.final_dl);
+        let basic = mine(&g, Variant::Basic, equiv_config());
+        let partial = mine(&g, Variant::Partial, equiv_config());
+        prop_assert_eq!(mine(&g, Variant::Basic, equiv_config()).final_dl, basic.final_dl);
+        prop_assert_eq!(mine(&g, Variant::Partial, equiv_config()).final_dl, partial.final_dl);
         // (Total-DL compression under GainPolicy::Total is asserted in
         // tests/properties.rs; under DataOnly only the data cost is
         // monotone, so no compression claim is made here.)
-        // Full regeneration converged: no remaining positive pair.
+        // CSPM-Basic converged: no remaining positive pair.
         for &(x, y) in basic.db.sharing_pairs().iter() {
             prop_assert!(
                 basic.db.pair_gain(x, y) <= 1e-9,

@@ -2,7 +2,7 @@
 //! dynamic attributed graphs and graph classification.
 
 use cspm::classify::{labeled_graph_collection, train_classifier, CollectionConfig};
-use cspm::core::{mine_dynamic, verify_lossless, CspmConfig, Variant};
+use cspm::core::{mine, mine_dynamic, verify_lossless, CspmConfig, Variant};
 use cspm::datasets::{usflight_like, Scale};
 use cspm::graph::dynamic::SnapshotSequence;
 use cspm::nn::NetConfig;
@@ -78,7 +78,7 @@ fn lossless_verification_on_every_benchmark() {
     // The §IV-A losslessness claim, end to end, on all four (tiny)
     // benchmark generators.
     for d in cspm::datasets::benchmark_suite(Scale::Tiny, 1234) {
-        let result = cspm::core::cspm_partial(&d.graph, CspmConfig::default());
+        let result = mine(&d.graph, Variant::Partial, CspmConfig::default());
         let errors = verify_lossless(&d.graph, &result.db);
         assert!(
             errors.is_empty(),

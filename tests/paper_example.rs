@@ -1,7 +1,7 @@
 //! End-to-end reproduction of the paper's running example (Fig. 1–4)
 //! through the public facade API.
 
-use cspm::core::{cspm_basic, cspm_partial, CoresetMode, CspmConfig, GainPolicy, InvertedDb};
+use cspm::core::{mine, CoresetMode, CspmConfig, CspmResult, GainPolicy, InvertedDb, Variant};
 use cspm::graph::fixtures::paper_example;
 use cspm::graph::AStar;
 
@@ -42,8 +42,8 @@ fn fig4_merge_appears_in_final_model() {
     let (g, at) = paper_example();
     // Both variants merge {b} and {c} under coreset {a} (§IV-E).
     for result in [
-        cspm_basic(&g, CspmConfig::default()),
-        cspm_partial(&g, CspmConfig::default()),
+        mine(&g, Variant::Basic, CspmConfig::default()),
+        mine(&g, Variant::Partial, CspmConfig::default()),
     ] {
         assert!(result.merges >= 1);
         assert!(result.final_dl < result.initial_dl);
@@ -59,7 +59,7 @@ fn fig4_merge_appears_in_final_model() {
 #[test]
 fn output_is_ranked_by_code_length() {
     let (g, _) = paper_example();
-    let result = cspm_partial(&g, CspmConfig::default());
+    let result = mine(&g, Variant::Partial, CspmConfig::default());
     let lens: Vec<f64> = result.model.astars().iter().map(|m| m.code_len).collect();
     assert!(lens.windows(2).all(|w| w[0] <= w[1] + 1e-12));
 }
@@ -69,8 +69,9 @@ fn conditional_entropy_drops_with_merging() {
     let (g, _) = paper_example();
     let before =
         InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::DataOnly).conditional_entropy();
-    let after = cspm_basic(
+    let after = mine(
         &g,
+        Variant::Basic,
         CspmConfig {
             gain_policy: GainPolicy::DataOnly,
             ..Default::default()
@@ -82,4 +83,79 @@ fn conditional_entropy_drops_with_merging() {
         after <= before + 1e-9,
         "H(Y|X) should not increase: {before} -> {after}"
     );
+}
+
+#[test]
+fn basic_converges_on_paper_example() {
+    let (g, at) = paper_example();
+    let res = mine(
+        &g,
+        Variant::Basic,
+        CspmConfig {
+            gain_policy: GainPolicy::DataOnly,
+            ..CspmConfig::instrumented()
+        },
+    );
+    assert!(res.final_dl <= res.initial_dl + 1e-9);
+    // §IV-E: merging {b} and {c} compresses the example database, so
+    // at least one merge happens and a {b,c} leafset pattern exists.
+    assert!(res.merges >= 1);
+    let has_bc = res
+        .model
+        .astars()
+        .iter()
+        .any(|m| m.astar.leafset() == [at.b.min(at.c), at.b.max(at.c)]);
+    assert!(has_bc, "expected a ({{a}},{{b,c}})-style pattern");
+}
+
+/// Walks a run's per-merge trace: every accepted merge gains, the DL
+/// never increases, and the trace ends at the reported final DL.
+fn assert_monotone_trace(res: &CspmResult) {
+    let mut prev = res.initial_dl;
+    for it in &res.stats.iterations {
+        assert!(it.dl_after < prev + 1e-9, "DL must never increase");
+        assert!(it.accepted_gain > 0.0);
+        prev = it.dl_after;
+    }
+    assert!((prev - res.final_dl).abs() < 1e-9);
+}
+
+#[test]
+fn basic_dl_trace_is_monotone_decreasing() {
+    let (g, _) = paper_example();
+    let res = mine(&g, Variant::Basic, CspmConfig::instrumented());
+    assert_monotone_trace(&res);
+    for it in &res.stats.iterations {
+        assert!(it.update_ratio() <= 1.0);
+    }
+}
+
+#[test]
+fn partial_dl_is_monotone() {
+    let (g, _) = paper_example();
+    assert_monotone_trace(&mine(&g, Variant::Partial, CspmConfig::instrumented()));
+}
+
+#[test]
+fn partial_update_ratio_stays_below_one_after_warmup() {
+    let (g, _) = paper_example();
+    let res = mine(&g, Variant::Partial, CspmConfig::instrumented());
+    for it in &res.stats.iterations {
+        assert!(it.update_ratio() <= 1.0);
+    }
+}
+
+#[test]
+fn max_merges_cap_is_respected() {
+    let (g, _) = paper_example();
+    let res = mine(
+        &g,
+        Variant::Basic,
+        CspmConfig {
+            max_merges: Some(0),
+            ..Default::default()
+        },
+    );
+    assert_eq!(res.merges, 0);
+    assert!((res.final_dl - res.initial_dl).abs() < 1e-12);
 }

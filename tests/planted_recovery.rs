@@ -1,7 +1,7 @@
 //! Pattern-recovery integration tests: CSPM must rediscover planted
 //! a-stars and rank them highly (the qualitative claim behind Fig. 6).
 
-use cspm::core::{cspm_partial, CspmConfig, Variant};
+use cspm::core::{mine, CspmConfig, Variant};
 use cspm::datasets::{planted_astars, pokec_like, usflight_like, PlantedConfig, Scale};
 
 #[test]
@@ -17,7 +17,7 @@ fn planted_astars_are_rediscovered_and_ranked_high() {
             ..Default::default()
         },
     );
-    let result = cspm_partial(&g, CspmConfig::default());
+    let result = mine(&g, Variant::Partial, CspmConfig::default());
 
     // Every planted correlation appears in some mined leafset under the
     // right coreset.
@@ -55,7 +55,7 @@ fn pokec_music_pattern_shape() {
     // whose leafsets bundle several of the young genres together.
     let d = pokec_like(Scale::Tiny, 77);
     let g = &d.graph;
-    let result = cspm_partial(g, CspmConfig::default());
+    let result = mine(g, Variant::Partial, CspmConfig::default());
     let young: Vec<u32> = ["rap", "rock", "metal", "pop", "sladaky"]
         .iter()
         .filter_map(|s| g.attrs().get(s))
@@ -83,7 +83,7 @@ fn usflight_trend_pattern_is_found() {
     // §VI-B(2): ({NbDepart-}, {NbDepart+, DelayArriv-}).
     let d = usflight_like(Scale::Paper, 5);
     let g = &d.graph;
-    let result = cspm::core::mine(g, Variant::Partial, CspmConfig::default());
+    let result = mine(g, Variant::Partial, CspmConfig::default());
     let dm = g.attrs().get("NbDepart-").unwrap();
     let dp = g.attrs().get("NbDepart+").unwrap();
     let da = g.attrs().get("DelayArriv-").unwrap();
@@ -109,7 +109,7 @@ fn unique_labels_yield_no_frequent_patterns() {
         b.add_edge(i - 1, i).unwrap();
     }
     let g = b.build().unwrap();
-    let result = cspm_partial(&g, CspmConfig::default());
+    let result = mine(&g, Variant::Partial, CspmConfig::default());
     assert!(result.final_dl <= result.initial_dl);
     for m in result.model.astars() {
         assert_eq!(
@@ -118,4 +118,46 @@ fn unique_labels_yield_no_frequent_patterns() {
             m.astar
         );
     }
+}
+
+/// Hub vertices labelled "core" whose leaves carry l0 and l1 together:
+/// CSPM-Basic must merge {l0} and {l1} and rank the merged pattern high.
+#[test]
+fn basic_discovers_planted_leafset() {
+    let mut b = cspm::graph::GraphBuilder::new();
+    let mut prev_hub = None;
+    for _ in 0..12 {
+        let hub = b.add_vertex(["core"]);
+        let u = b.add_vertex(["l0"]);
+        let w = b.add_vertex(["l1"]);
+        b.add_edge(hub, u).unwrap();
+        b.add_edge(hub, w).unwrap();
+        if let Some(p) = prev_hub {
+            b.add_edge(p, hub).unwrap();
+        }
+        prev_hub = Some(hub);
+    }
+    let g = b.build().unwrap();
+    let res = mine(&g, Variant::Basic, CspmConfig::default());
+    assert!(res.merges >= 1);
+    let l0 = g.attrs().get("l0").unwrap();
+    let l1 = g.attrs().get("l1").unwrap();
+    // The planted correlation must surface: some mined leafset carries
+    // l0 and l1 together (further merges may grow it, e.g. adding the
+    // hub's own "core" value seen through hub–hub edges).
+    let planted = res
+        .model
+        .astars()
+        .iter()
+        .find(|m| m.astar.leafset().contains(&l0) && m.astar.leafset().contains(&l1));
+    assert!(planted.is_some(), "planted {{l0,l1}} correlation not found");
+    // A merged (multi-leaf) pattern should rank among the most
+    // informative entries of the model.
+    let rank = res
+        .model
+        .astars()
+        .iter()
+        .position(|m| m.astar.leafset().len() >= 2)
+        .unwrap();
+    assert!(rank < 10, "planted pattern ranked too low: {rank}");
 }

@@ -1,9 +1,7 @@
 //! Property-based tests of the core invariants, on random attributed
 //! graphs and random transaction databases.
 
-use cspm::core::{
-    cspm_basic, cspm_partial, CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner,
-};
+use cspm::core::{mine, CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner, Variant};
 use cspm::graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm::graph::{AttributedGraph, GraphBuilder};
 use cspm::itemset::{eclat, krimp, slim, KrimpConfig, SlimConfig, TransactionDb};
@@ -58,8 +56,8 @@ proptest! {
     fn dl_decreases_monotonically(g in arb_graph(), data_only in any::<bool>()) {
         let policy = if data_only { GainPolicy::DataOnly } else { GainPolicy::Total };
         for result in [
-            cspm_basic(&g, CspmConfig { gain_policy: policy, ..CspmConfig::instrumented() }),
-            cspm_partial(&g, CspmConfig { gain_policy: policy, ..CspmConfig::instrumented() }),
+            mine(&g, Variant::Basic, CspmConfig { gain_policy: policy, ..CspmConfig::instrumented() }),
+            mine(&g, Variant::Partial, CspmConfig { gain_policy: policy, ..CspmConfig::instrumented() }),
         ] {
             let mut prev = result.initial_dl;
             let mut prev_data = f64::INFINITY;
@@ -113,7 +111,7 @@ proptest! {
     /// (Eq. 8's Σ l_ij = c_j), before and after mining.
     #[test]
     fn coreset_frequency_conservation(g in arb_graph()) {
-        let result = cspm_partial(&g, CspmConfig::default());
+        let result = mine(&g, Variant::Partial, CspmConfig::default());
         let db = &result.db;
         for e in 0..db.coreset_count() as u32 {
             let sum: u64 = db
@@ -129,7 +127,7 @@ proptest! {
     /// losslessness of the inverted representation.
     #[test]
     fn mined_patterns_occur_at_positions(g in arb_graph()) {
-        let result = cspm_basic(&g, CspmConfig::default());
+        let result = mine(&g, Variant::Basic, CspmConfig::default());
         for m in result.model.astars() {
             for &v in &m.positions {
                 prop_assert!(m.astar.matches_at(&g, v),
@@ -146,8 +144,8 @@ proptest! {
     /// cross-variant dominance is asserted, only soundness of each.
     #[test]
     fn both_variants_compress(g in arb_graph()) {
-        let basic = cspm_basic(&g, CspmConfig::default());
-        let partial = cspm_partial(&g, CspmConfig::default());
+        let basic = mine(&g, Variant::Basic, CspmConfig::default());
+        let partial = mine(&g, Variant::Partial, CspmConfig::default());
         prop_assert!(basic.final_dl <= basic.initial_dl + 1e-9);
         prop_assert!(partial.final_dl <= partial.initial_dl + 1e-9);
         prop_assert!(basic.compression_ratio() <= 1.0 + 1e-12);

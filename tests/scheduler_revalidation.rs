@@ -1,18 +1,18 @@
 //! Property tests for `CandidateScheduler` lazy revalidation: a stale
 //! queue entry whose gain changed sign must never be applied — under
-//! both scheduling policies and under the parallel scorer.
+//! both CSPM variants and under the parallel scorer.
 //!
 //! The observable invariant is the monotone-DL guarantee: every
 //! *applied* merge carries a strictly positive gain validated against
-//! the database state at application time. Under `Incremental` that is
+//! the database state at application time. Under `Partial` that is
 //! enforced by revalidating each popped entry (stale sign-flips are
 //! dropped on pop — see `engine::pop_next_positive` and its unit test);
-//! under `FullRegeneration` by rebuilding the queue from exact gains
-//! after every merge. If either mechanism let one stale entry through,
+//! under `Basic` by rebuilding the queue from exact gains after every
+//! merge. If either mechanism let one stale entry through,
 //! the accepted gain would disagree with the realised DL delta and the
 //! per-iteration DL trace would rise.
 
-use cspm::core::{mine, CspmConfig, GainPolicy, SchedulePolicy, Variant};
+use cspm::core::{mine, CspmConfig, GainPolicy, Variant};
 use cspm::graph::GraphBuilder;
 use proptest::prelude::*;
 
@@ -51,7 +51,7 @@ fn random_graph(n: usize, k: usize, seed: u64) -> cspm::graph::AttributedGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Both policies, both pricing models, threads ∈ {1, 4}: every
+    /// Both variants, both pricing models, threads ∈ {1, 4}: every
     /// accepted merge has positive validated gain, the total DL under
     /// `Total` pricing is strictly monotone (the direct consequence of
     /// "no stale sign-flipped entry is ever applied"), and the parallel
@@ -98,13 +98,5 @@ proptest! {
                 prop_assert_eq!(traces[0], traces[1]);
             }
         }
-    }
-
-    /// Sanity for the policy mapping used above.
-    #[test]
-    fn variant_policy_mapping(seed in 0u64..2) {
-        let _ = seed;
-        prop_assert_eq!(Variant::Basic.policy(), SchedulePolicy::FullRegeneration);
-        prop_assert_eq!(Variant::Partial.policy(), SchedulePolicy::Incremental);
     }
 }

@@ -6,10 +6,10 @@
 //! `CSPM_CHURN_SEED` (CI pins a seed matrix); a fixed seed reproduces
 //! the exact sweep.
 
-use cspm::core::engine::{run_on_db, CspmResult};
+use cspm::core::engine::CspmResult;
 use cspm::core::{
     CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner, MiningSession, PostingPolicy,
-    ProgressObserver, Variant,
+    ProgressObserver,
 };
 use cspm::graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm::graph::{AttributedGraph, GraphBuilder};
@@ -237,14 +237,18 @@ fn patched_databases_mine_bit_identically_under_both_posting_policies() {
                         ..Default::default()
                     }
                     .with_threads(threads);
-                    let warm = run_on_db(db.clone(), Variant::Partial.policy(), config);
-                    let fresh = InvertedDb::build_with_posting(
+                    let run = |db| {
+                        let mut session = Miner::from_config(config).build();
+                        session.adopt_db(db);
+                        session.run_detached().expect("adopted database mines")
+                    };
+                    let warm = run(db.clone());
+                    let cold = run(InvertedDb::build_with_posting(
                         &rolling,
                         CoresetMode::SingleValue,
                         gain_policy,
                         posting,
-                    );
-                    let cold = run_on_db(fresh, Variant::Partial.policy(), config);
+                    ));
                     assert_bit_identical(
                         &warm,
                         &cold,
