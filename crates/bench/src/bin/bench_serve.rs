@@ -23,8 +23,8 @@
 //! scheduling), plus `serve/req_interval_mean` (inverse throughput, so
 //! smaller is better like every other timing). `bench_compare` reports
 //! `serve/…` records but never gates on them: round-trip latency on a
-//! shared 1-core CI runner is dominated by scheduling jitter, not the
-//! merge loop.
+//! shared CI runner is dominated by scheduling jitter, not the merge
+//! loop.
 
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::UnixStream;

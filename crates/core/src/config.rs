@@ -33,8 +33,11 @@ pub enum CoresetMode {
 }
 
 /// CSPM configuration. The defaults reproduce the paper's parameter-free
-/// setting; nothing here tunes *what* is found, only instrumentation and
-/// safety valves — the thread count changes how fast the answer is
+/// setting. Three fields change *what* is found: `gain_policy` (how a
+/// merge is priced), `coreset_mode` (which coresets exist) and
+/// `max_merges` (where mining stops). The other two change only
+/// instrumentation and speed: `collect_stats` records per-merge
+/// statistics, and the thread count changes how fast the answer is
 /// computed, never which answer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CspmConfig {
@@ -106,21 +109,26 @@ pub struct RunStats {
     /// Per-iteration records (empty unless `collect_stats`).
     pub iterations: Vec<IterationStat>,
     /// Total pair-gain evaluations across the run (always tracked).
-    /// Counts *attempted* scores; evaluations answered by the
-    /// Algorithm 2 upper bound without an exact computation are also
-    /// tallied in [`Self::pruned_pairs`].
+    /// Every evaluation is an exact gain.
     pub total_gain_evals: u64,
-    /// Candidate pairs dismissed by the Algorithm 2 pruning bound
-    /// before an exact gain evaluation. Only CSPM-Partial's queue
-    /// scoring applies the bound; CSPM-Basic's sweep evaluates every
-    /// pair exactly, so its runs always report 0.
+    /// Always 0: every candidate pair is scored exactly, none is
+    /// dismissed early. The field stays only because the repository
+    /// benchmark under `perfbench/` reads it; remove it together with
+    /// that reader.
     pub pruned_pairs: u64,
     /// Whether the run was cancelled cooperatively by a
     /// [`ProgressObserver`](crate::ProgressObserver) returning
     /// `ControlFlow::Break`. A cancelled result is still a valid model
     /// — just with fewer merges applied.
     pub cancelled: bool,
-    /// Wall-clock seconds spent mining (excluding graph construction).
+    /// Wall-clock seconds spent mining. [`mine`](crate::mine),
+    /// [`MiningSession::mine_with`](crate::MiningSession::mine_with) and
+    /// [`MiningSession::apply_delta_with`](crate::MiningSession::apply_delta_with)
+    /// also count building (or delta-patching) the `InvertedDb`;
+    /// [`MiningSession::run_with`](crate::MiningSession::run_with),
+    /// [`MiningSession::run_detached`](crate::MiningSession::run_detached)
+    /// and the `cspm_engine_mine_seconds` histogram time the merge loop
+    /// alone.
     pub elapsed_secs: f64,
     /// Final posting-row representation mix (sparse vs bitmap rows) and
     /// flip counters, captured from the store when the run ends — the

@@ -31,28 +31,24 @@
 //! so the hot path of §IV-E runs over contiguous `(offset, len)` slices
 //! rather than per-row heap allocations.
 //!
-//! # Parallel candidate scoring
+//! # Candidate scoring
 //!
-//! Between merges the database is immutable, and every candidate score
-//! is a pure function of it — so both variants evaluate their candidate
-//! batches across a `std::thread::scope` worker pool. Workers share the
-//! posting arena read-only through [`GainView`] snapshots (no row is
-//! cloned); batches are split into contiguous chunks and results are
-//! reduced deterministically — per-pair gains are reassembled in input
-//! order, and Algorithm 1's sweep reduces per-chunk winners by best
-//! gain with ties broken towards the smallest candidate pair id.
+//! Between merges the database is immutable, and every candidate gain
+//! is a pure function of it ([`InvertedDb::pair_gain`], always exact).
+//! Both variants score their candidate batches through one routine that
+//! fans a batch out across a `std::thread::scope` worker pool once it
+//! reaches a per-variant size floor (Algorithm 1's sweeps need a far
+//! larger batch than Algorithm 4's updates to pay for the workers).
+//! Workers share the posting arena read-only (no row is cloned);
+//! batches are split into contiguous chunks and the per-pair gains
+//! reassembled in input order. Algorithm 1 then keeps the sweep's best
+//! pair, with gain ties broken towards the smallest candidate pair id.
 //! Mining output is therefore **bit-identical at every thread count**.
 //!
 //! One knob on [`CspmConfig`] controls scheduling, and it tunes *speed*,
 //! never *what* is mined: [`CspmConfig::threads`], the scoring worker
 //! count (`0` = one per available core, capped at
 //! [`CspmConfig::MAX_AUTO_THREADS`]).
-//!
-//! CSPM-Partial's queue scoring additionally applies the pruning bound
-//! of the paper's Algorithm 2 ([`GainView::pair_gain_upper_bound`]):
-//! pairs whose cheap length-only upper bound is non-positive are
-//! dismissed before their exact gain — and before they ever enter the
-//! queue.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
@@ -276,14 +272,7 @@ pub(crate) fn run_loop(
     // merge cap skips the sweep entirely.
     if !cap_reached(merges) {
         let pairs = db.sharing_pairs();
-        stats.total_gain_evals += seed_pairs(
-            &db,
-            &pairs,
-            &mut scheduler,
-            variant,
-            threads,
-            &mut stats.pruned_pairs,
-        );
+        stats.total_gain_evals += seed_pairs(&db, &pairs, &mut scheduler, variant, threads);
     }
 
     while !cap_reached(merges) {
@@ -333,14 +322,7 @@ pub(crate) fn run_loop(
                 // merge — the loop is about to break on the cap anyway.
                 if !cap_reached(merges) {
                     let pairs = db.sharing_pairs();
-                    gain_evals += seed_pairs(
-                        &db,
-                        &pairs,
-                        &mut scheduler,
-                        variant,
-                        threads,
-                        &mut stats.pruned_pairs,
-                    );
+                    gain_evals += seed_pairs(&db, &pairs, &mut scheduler, variant, threads);
                 }
             }
             Variant::Partial => {
@@ -380,8 +362,7 @@ pub(crate) fn run_loop(
                     }
                 }
                 gain_evals += updates.len() as u64;
-                let (gains, pruned) = score_pairs(&db, &updates, threads);
-                stats.pruned_pairs += pruned;
+                let gains = score_pairs(&db, &updates, threads, PARTIAL_FANOUT_FLOOR);
                 for (i, (&(a, b), &gain)) in updates.iter().zip(&gains).enumerate() {
                     if gain > GAIN_EPS {
                         scheduler.upsert(a, b, gain);
@@ -460,7 +441,8 @@ fn resolve_threads(requested: usize) -> usize {
 
 /// Fills the scheduler from the given sharing pairs. Returns the number
 /// of gain evaluations charged. Under `Basic` only the best pair is
-/// retained (Algorithm 2 reduced on the fly); under `Partial` every
+/// retained (Algorithm 2's candidate generation reduced to its argmax,
+/// gain ties going to the smallest pair); under `Partial` every
 /// positive pair is stored.
 fn seed_pairs(
     db: &InvertedDb,
@@ -468,36 +450,41 @@ fn seed_pairs(
     scheduler: &mut CandidateScheduler,
     variant: Variant,
     threads: usize,
-    pruned: &mut u64,
 ) -> u64 {
-    let evals = pairs.len() as u64;
+    let floor = match variant {
+        Variant::Basic => BASIC_FANOUT_FLOOR,
+        Variant::Partial => PARTIAL_FANOUT_FLOOR,
+    };
+    let gains = score_pairs(db, pairs, threads, floor);
+    let positive = pairs
+        .iter()
+        .zip(&gains)
+        .filter(|&(_, &gain)| gain > GAIN_EPS)
+        .map(|(&(x, y), &gain)| (x, y, gain));
     match variant {
         Variant::Basic => {
-            if let Some((x, y, gain)) = best_pair(db, pairs, threads) {
+            if let Some((x, y, gain)) = positive.fold(None, better) {
                 scheduler.upsert(x, y, gain);
             }
         }
-        Variant::Partial => {
-            let (gains, p) = score_pairs(db, pairs, threads);
-            *pruned += p;
-            for (&(x, y), &gain) in pairs.iter().zip(&gains) {
-                if gain > GAIN_EPS {
-                    scheduler.upsert(x, y, gain);
-                }
-            }
-        }
+        Variant::Partial => positive.for_each(|(x, y, gain)| scheduler.upsert(x, y, gain)),
     }
-    evals
+    pairs.len() as u64
 }
 
-/// Batches below this size are scored inline — spawning workers costs
-/// more than the evaluation itself.
-const PARALLEL_SCORE_THRESHOLD: usize = 64;
+/// Fan-out floor for CSPM-Partial's scoring (its seed and every
+/// Algorithm 4 update batch): smaller batches are scored inline, where
+/// spawning workers costs more than the evaluations. On a 2-core host a
+/// floor of 8,192 made the pokec-Small mine about 5% slower.
+const PARTIAL_FANOUT_FLOOR: usize = 64;
+
+/// Fan-out floor for CSPM-Basic's full sweeps. On a 2-core host a floor
+/// of 64 made Basic 16–19% slower on DBLP-Small and USFlight-Small.
+const BASIC_FANOUT_FLOOR: usize = 8_192;
 
 /// Scores every pair against the current (immutable) database state,
-/// fanning out to scoped worker threads for large batches. Returns the
-/// per-pair gains in input order plus the number of pairs answered by
-/// the Algorithm 2 upper bound without an exact evaluation.
+/// fanning out to scoped worker threads once the batch reaches `floor`
+/// pairs. Returns the exact per-pair gains in input order.
 ///
 /// Deterministic at every thread count: each gain is a pure function of
 /// the database, chunks are contiguous, and results are reassembled in
@@ -507,8 +494,9 @@ fn score_pairs(
     db: &InvertedDb,
     pairs: &[(LeafsetId, LeafsetId)],
     threads: usize,
-) -> (Vec<f64>, u64) {
-    if threads <= 1 || pairs.len() < PARALLEL_SCORE_THRESHOLD {
+    floor: usize,
+) -> Vec<f64> {
+    if threads <= 1 || pairs.len() < floor {
         return score_chunk(db.gain_view(), pairs);
     }
     let chunk = pairs.len().div_ceil(threads);
@@ -521,56 +509,20 @@ fn score_pairs(
             })
             .collect();
         let mut gains = Vec::with_capacity(pairs.len());
-        let mut pruned = 0u64;
         for h in handles {
-            let (g, p) = h.join().expect("gain worker must not panic");
-            gains.extend_from_slice(&g);
-            pruned += p;
+            gains.extend(h.join().expect("gain worker must not panic"));
         }
-        (gains, pruned)
+        gains
     })
 }
 
 /// Sequential scoring of one contiguous chunk through a read-only view.
-/// Pairs dismissed by the pruning bound score as 0 ("no improvement") —
-/// the bound guarantees their true gain is ≤ [`GAIN_EPS`], so the
-/// scheduler state after applying the results is identical either way.
-fn score_chunk(view: GainView<'_>, pairs: &[(LeafsetId, LeafsetId)]) -> (Vec<f64>, u64) {
-    let mut pruned = 0u64;
-    let mut scratch = Vec::new();
-    let gains = pairs
-        .iter()
-        .map(
-            |&(x, y)| match view.gain_pruned(x, y, GAIN_EPS, &mut scratch) {
-                Some(gain) => gain,
-                None => {
-                    pruned += 1;
-                    0.0
-                }
-            },
-        )
-        .collect();
-    (gains, pruned)
+fn score_chunk(view: GainView<'_>, pairs: &[(LeafsetId, LeafsetId)]) -> Vec<f64> {
+    pairs.iter().map(|&(x, y)| view.pair_gain(x, y)).collect()
 }
 
-/// Candidate sweeps beyond this size are evaluated across threads.
-const PARALLEL_THRESHOLD: usize = 8_192;
-
-/// The pair with the maximum positive gain, ties broken towards the
-/// smallest `(x, y)` — identical selection in the sequential and
-/// parallel paths, so CSPM-Basic mining stays deterministic.
-fn best_pair(
-    db: &InvertedDb,
-    pairs: &[(LeafsetId, LeafsetId)],
-    threads: usize,
-) -> Option<(LeafsetId, LeafsetId, f64)> {
-    if threads > 1 && pairs.len() >= PARALLEL_THRESHOLD {
-        best_pair_parallel(db, pairs, threads)
-    } else {
-        best_pair_sequential(db.gain_view(), pairs)
-    }
-}
-
+/// Keeps the better of the running best pair and `candidate`: the
+/// higher gain, with equal gains going to the smallest `(x, y)`.
 fn better(
     current: Option<(LeafsetId, LeafsetId, f64)>,
     candidate: (LeafsetId, LeafsetId, f64),
@@ -583,52 +535,6 @@ fn better(
             Some(if replace { candidate } else { (cx, cy, cg) })
         }
     }
-}
-
-fn best_pair_sequential(
-    view: GainView<'_>,
-    pairs: &[(LeafsetId, LeafsetId)],
-) -> Option<(LeafsetId, LeafsetId, f64)> {
-    let mut best: Option<(LeafsetId, LeafsetId, f64)> = None;
-    let mut scratch = Vec::new();
-    for &(x, y) in pairs {
-        // No Algorithm 2 bound here: the sweep retains only its best
-        // pair, which the bound can never prune, and paying it for
-        // every candidate measurably slows the sweep down. Queue-entry
-        // scoring (score_chunk) is where the bound earns its keep.
-        let gain = view.gain_with(x, y, &mut scratch);
-        if gain > GAIN_EPS {
-            best = better(best, (x, y, gain));
-        }
-    }
-    best
-}
-
-/// Parallel candidate sweep (a shared-memory step towards the paper's
-/// future-work item (3), a distributed CSPM): the inverted database is
-/// read-only during gain evaluation, so chunks of the pair list are
-/// scored on scoped worker threads and the per-thread winners reduced
-/// with the same tie-breaking as the sequential sweep.
-fn best_pair_parallel(
-    db: &InvertedDb,
-    pairs: &[(LeafsetId, LeafsetId)],
-    threads: usize,
-) -> Option<(LeafsetId, LeafsetId, f64)> {
-    let chunk = pairs.len().div_ceil(threads);
-    let locals = std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .map(|slice| {
-                let view = db.gain_view();
-                scope.spawn(move || best_pair_sequential(view, slice))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("gain worker must not panic"))
-            .collect::<Vec<_>>()
-    });
-    locals.into_iter().flatten().fold(None, better)
 }
 
 #[cfg(test)]
@@ -700,22 +606,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_sweep_matches_sequential_selection() {
-        let d = cspm_graph::fixtures::labelled_path(60, 5);
-        let db = InvertedDb::build(&d, CoresetMode::SingleValue, GainPolicy::Total);
-        let pairs = db.sharing_pairs();
-        assert!(!pairs.is_empty());
-        let seq = best_pair_sequential(db.gain_view(), &pairs);
-        for threads in [2, 4, 8] {
-            let par = best_pair_parallel(&db, &pairs, threads);
-            assert_eq!(seq.map(|(x, y, _)| (x, y)), par.map(|(x, y, _)| (x, y)));
-            if let (Some(s), Some(p)) = (seq, par) {
-                assert!((s.2 - p.2).abs() < 1e-12);
-            }
-        }
-    }
-
     /// A connected graph with `k` interleaved label families, dense
     /// enough in distinct leafset pairs to exercise the parallel
     /// scoring fan-out.
@@ -742,75 +632,15 @@ mod tests {
         let db = InvertedDb::build(&d, CoresetMode::SingleValue, GainPolicy::Total);
         let pairs = db.sharing_pairs();
         assert!(
-            pairs.len() >= PARALLEL_SCORE_THRESHOLD,
+            pairs.len() >= PARTIAL_FANOUT_FLOOR,
             "need a batch large enough to fan out ({} pairs)",
             pairs.len()
         );
-        let (seq, seq_pruned) = score_chunk(db.gain_view(), &pairs);
+        let seq = score_chunk(db.gain_view(), &pairs);
         for threads in [1, 2, 4, 8] {
-            let (par, par_pruned) = score_pairs(&db, &pairs, threads);
+            let par = score_pairs(&db, &pairs, threads, PARTIAL_FANOUT_FLOOR);
             assert_eq!(seq, par, "gains must be bit-identical at {threads} threads");
-            assert_eq!(seq_pruned, par_pruned);
         }
-    }
-
-    #[test]
-    fn pruned_pairs_truly_have_no_positive_gain() {
-        // The pruning bound may only dismiss pairs whose exact gain is
-        // non-positive; anything else would change the mining path.
-        let d = many_label_graph(240, 16);
-        let db = InvertedDb::build(&d, CoresetMode::SingleValue, GainPolicy::Total);
-        let view = db.gain_view();
-        for &(x, y) in db.sharing_pairs().iter() {
-            if view.pair_gain_upper_bound(x, y) <= GAIN_EPS {
-                assert!(view.pair_gain(x, y) <= GAIN_EPS);
-            }
-        }
-    }
-
-    /// Under Total pricing the Algorithm 2 bound must actually dismiss
-    /// pairs whose union row would cost more ST bits than the data side
-    /// can possibly save. Constructed instance: a tiny-overlap pair
-    /// (`rx` row of length 1, globally rare `ry`) under a small "hub"
-    /// coreset, padded with an off-coreset chain that inflates `ry`'s
-    /// standard code without growing the hub coreset's frequency.
-    #[test]
-    fn pruning_bound_dismisses_uneconomic_pairs() {
-        let mut b = cspm_graph::GraphBuilder::new();
-        let hubs: Vec<u32> = (0..4).map(|_| b.add_vertex(["hub"])).collect();
-        for w in hubs.windows(2) {
-            b.add_edge(w[0], w[1]).unwrap();
-        }
-        let u = b.add_vertex(["rx"]);
-        b.add_edge(u, hubs[0]).unwrap();
-        let v1 = b.add_vertex(["ry"]);
-        let v2 = b.add_vertex(["ry"]);
-        b.add_edge(v1, hubs[0]).unwrap();
-        b.add_edge(v1, hubs[1]).unwrap();
-        b.add_edge(v2, hubs[2]).unwrap();
-        b.add_edge(v2, hubs[3]).unwrap();
-        // Padding chain: boosts every rare value's ST code length while
-        // touching the hub coreset through a single bridge edge.
-        let pads: Vec<u32> = (0..100).map(|_| b.add_vertex(["pad"])).collect();
-        for w in pads.windows(2) {
-            b.add_edge(w[0], w[1]).unwrap();
-        }
-        b.add_edge(pads[0], hubs[3]).unwrap();
-        let g = b.build().unwrap();
-        let db = InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::Total);
-        let view = db.gain_view();
-        let rx = g.attrs().get("rx").unwrap();
-        let ry = g.attrs().get("ry").unwrap();
-        let find = |a| {
-            db.live_leafsets()
-                .into_iter()
-                .find(|&l| db.leafset_items(l) == [a])
-                .expect("singleton leafset")
-        };
-        let (lx, ly) = (find(rx), find(ry));
-        let ub = view.pair_gain_upper_bound(lx, ly);
-        assert!(ub <= GAIN_EPS, "bound should dismiss (rx, ry), got {ub}");
-        assert!(view.pair_gain(lx, ly) <= GAIN_EPS, "and the prune is sound");
     }
 
     /// A stale queue entry whose gain flipped non-positive must never be
@@ -823,8 +653,9 @@ mod tests {
         let mut db = InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::Total);
         // Stale the pool: merge the globally best pair directly, behind
         // the scheduler's back.
-        let pairs = db.sharing_pairs();
-        let (bx, by, _) = best_pair_sequential(db.gain_view(), &pairs).expect("a positive pair");
+        let mut best = CandidateScheduler::default();
+        seed_pairs(&db, &db.sharing_pairs(), &mut best, Variant::Basic, 1);
+        let (bx, by, _) = best.pop_max().expect("a positive pair");
         db.merge(bx, by);
         // Poison the queue with entries whose *stored* gain is huge but
         // whose true post-merge gain is non-positive.
@@ -849,7 +680,7 @@ mod tests {
 
     /// Algorithm 1 re-scores every sharing pair after every merge: a
     /// converged Basic run spends the initial sweep plus one sweep of
-    /// the pairs left after each merge, and never prunes.
+    /// the pairs left after each merge.
     #[test]
     fn basic_spends_one_full_sweep_per_merge() {
         let d = many_label_graph(60, 6);
@@ -865,7 +696,6 @@ mod tests {
         assert!(run.merges >= 2, "fixture merged only {} times", run.merges);
         let sweeps: u64 = (0..=run.merges).map(pairs_after).sum();
         assert_eq!(run.stats.total_gain_evals, sweeps);
-        assert_eq!(run.stats.pruned_pairs, 0);
     }
 
     #[test]
@@ -881,7 +711,6 @@ mod tests {
                 );
                 assert_eq!(base.merges, run.merges);
                 assert_eq!(base.stats.total_gain_evals, run.stats.total_gain_evals);
-                assert_eq!(base.stats.pruned_pairs, run.stats.pruned_pairs);
             }
         }
     }

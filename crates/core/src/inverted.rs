@@ -853,23 +853,30 @@ impl InvertedDb {
     /// A read-only scoring handle borrowing this database; see
     /// [`GainView`]. Cheap (two borrows), `Copy`, and safe to hand to
     /// any number of scoped worker threads.
-    pub fn gain_view(&self) -> GainView<'_> {
+    pub(crate) fn gain_view(&self) -> GainView<'_> {
         GainView {
             db: self,
             store: self.store.view(),
         }
     }
 
-    /// Gain `ΔL` of merging leafsets `x` and `y`; see
-    /// [`GainView::pair_gain`], to which this delegates.
+    /// Gain `ΔL` of merging leafsets `x` and `y` (Eq. 9 with the case
+    /// analysis of Eq. 10–15, all cases unified by the `0·log 0 = 0`
+    /// convention), minus the model-cost delta under
+    /// [`GainPolicy::Total`]. Positive gain = merging reduces the DL.
+    ///
+    /// The paper's formulas assume the union leafset produces a *new*
+    /// row; when a row for `x ∪ y` already exists under a shared coreset
+    /// (possible after earlier merges) the common positions fold into it
+    /// instead, and this function computes the exact delta for that case
+    /// too — so the returned gain always equals the true DL reduction
+    /// and accepted merges are guaranteed to decrease the DL.
+    ///
+    /// Returns 0 for nested pairs and for pairs that never co-occur.
+    /// The engine scores candidates through this same function, so it
+    /// agrees to the bit with every mined gain.
     pub fn pair_gain(&self, x: LeafsetId, y: LeafsetId) -> f64 {
         self.gain_view().pair_gain(x, y)
-    }
-
-    /// Cheap upper bound on [`Self::pair_gain`]; see
-    /// [`GainView::pair_gain_upper_bound`], to which this delegates.
-    pub fn pair_gain_upper_bound(&self, x: LeafsetId, y: LeafsetId) -> f64 {
-        self.gain_view().pair_gain_upper_bound(x, y)
     }
 
     /// Merges leafsets `x` and `y` (§IV-E): at every shared coreset the
@@ -1000,95 +1007,29 @@ impl InvertedDb {
 /// costs but never mutates the database. This type makes that contract
 /// explicit — it borrows the database immutably (rows through a
 /// [`PostingView`] over the shared arena, nothing cloned) and is
-/// `Copy + Send + Sync`, so the engine's parallel scorer can give every
-/// worker thread its own view of one immutable database between merges.
-/// All scoring used by the engine goes through here, in the sequential
-/// and the parallel path alike, so gains are bit-identical at any
-/// thread count.
+/// `Copy + Send + Sync`, so the engine's fan-out can give every worker
+/// thread its own view of one immutable database between merges.
 #[derive(Debug, Clone, Copy)]
-pub struct GainView<'a> {
+pub(crate) struct GainView<'a> {
     db: &'a InvertedDb,
     store: PostingView<'a>,
 }
 
 impl GainView<'_> {
-    /// Gain `ΔL` of merging leafsets `x` and `y` (Eq. 9 with the case
-    /// analysis of Eq. 10–15, all cases unified by the `0·log 0 = 0`
-    /// convention), minus the model-cost delta under
-    /// [`GainPolicy::Total`]. Positive gain = merging reduces the DL.
-    ///
-    /// The paper's formulas assume the union leafset produces a *new*
-    /// row; when a row for `x ∪ y` already exists under a shared coreset
-    /// (possible after earlier merges) the common positions fold into it
-    /// instead, and this function computes the exact delta for that case
-    /// too — so the returned gain always equals the true DL reduction
-    /// and accepted merges are guaranteed to decrease the DL.
-    ///
-    /// Returns 0 for nested pairs and for pairs that never co-occur.
-    pub fn pair_gain(&self, x: LeafsetId, y: LeafsetId) -> f64 {
-        if x == y || self.db.is_nested_pair(x, y) {
-            return 0.0;
-        }
-        let p = self.prelude(x, y);
-        let mut shared = Vec::new();
-        self.collect_shared(x, y, p.union_id, &mut shared);
-        self.exact_gain(&p, &shared)
-    }
-
-    /// Scores one pair, consulting the Algorithm 2 bound first (under
-    /// [`GainPolicy::Total`]; under `DataOnly` the bound provably never
-    /// prunes, so it is skipped outright). Returns `None` — without
-    /// touching a position list — when the bound shows the gain cannot
-    /// exceed `eps`. Otherwise the exact gain.
-    ///
-    /// `scratch` is a caller-owned buffer reused across pairs so the
-    /// per-coreset row lookups happen exactly once per pair: the
-    /// collect pass fills it, the bound reads lengths from it, and the
-    /// exact pass consumes it — an unpruned score costs no more hash
-    /// lookups than a plain [`Self::pair_gain`].
-    pub(crate) fn gain_pruned(
-        &self,
-        x: LeafsetId,
-        y: LeafsetId,
-        eps: f64,
-        scratch: &mut Vec<SharedRow>,
-    ) -> Option<f64> {
-        if x == y || self.db.is_nested_pair(x, y) {
-            return Some(0.0);
-        }
-        let p = self.prelude(x, y);
-        self.collect_shared(x, y, p.union_id, scratch);
-        if self.db.gain_policy == GainPolicy::Total && self.bound(&p, scratch) <= eps {
-            return None;
-        }
-        Some(self.exact_gain(&p, scratch))
-    }
-
-    /// The exact gain through a caller-owned scratch buffer — the cost
-    /// profile of [`Self::pair_gain`] without its per-call allocation.
-    /// Used by CSPM-Basic's regeneration sweep, where the bound cannot pay
-    /// for itself: the sweep keeps only the single best pair, and the
-    /// bound can never prune the best pair by construction.
-    pub(crate) fn gain_with(
-        &self,
-        x: LeafsetId,
-        y: LeafsetId,
-        scratch: &mut Vec<SharedRow>,
-    ) -> f64 {
-        if x == y || self.db.is_nested_pair(x, y) {
-            return 0.0;
-        }
-        let p = self.prelude(x, y);
-        self.collect_shared(x, y, p.union_id, scratch);
-        self.exact_gain(&p, scratch)
-    }
-
-    /// Per-pair scoring context shared by the bound and the exact gain.
-    fn prelude(&self, x: LeafsetId, y: LeafsetId) -> PairPrelude {
+    /// The exact gain; see [`InvertedDb::pair_gain`] for the contract.
+    /// This is the only gain function: the sequential and the parallel
+    /// scoring paths both call it, so gains are bit-identical at any
+    /// thread count.
+    pub(crate) fn pair_gain(&self, x: LeafsetId, y: LeafsetId) -> f64 {
         let db = self.db;
+        if x == y || db.is_nested_pair(x, y) {
+            return 0.0;
+        }
         let items = union_items(&db.leafsets[x as usize], &db.leafsets[y as usize]);
         let union_id = db.leafset_index.get(&items).copied();
-        let (union_st_cost, st_x, st_y) = if db.gain_policy == GainPolicy::Total {
+        let total = db.gain_policy == GainPolicy::Total;
+        // Model-side costs are priced only under Total.
+        let (union_st_cost, st_x, st_y) = if total {
             (
                 db.st.set_cost(items.iter().map(|&a| a as usize)),
                 db.leafset_st_cost(x),
@@ -1097,54 +1038,19 @@ impl GainView<'_> {
         } else {
             (0.0, 0.0, 0.0)
         };
-        PairPrelude {
-            union_id,
-            union_st_cost,
-            st_x,
-            st_y,
-        }
-    }
-
-    /// Resolves the pair's shared coresets to row handles (clearing
-    /// `out` first): a two-pointer walk over the sorted membership
-    /// lists, with one hash lookup per row — the only lookups any
-    /// scoring path performs for this pair.
-    fn collect_shared(
-        &self,
-        x: LeafsetId,
-        y: LeafsetId,
-        union_id: Option<LeafsetId>,
-        out: &mut Vec<SharedRow>,
-    ) {
-        let db = self.db;
-        out.clear();
+        let (mut p1, mut p2) = (0.0f64, 0.0f64);
+        let mut model_delta = 0.0f64;
+        let mut merged_any = false;
         for e in shared_iter(
             &db.leafset_coresets[x as usize],
             &db.leafset_coresets[y as usize],
         ) {
-            let rx = db.rows[e as usize][&x];
-            let Some(&ry) = db.rows[e as usize].get(&y) else {
+            let rows = &db.rows[e as usize];
+            let rx = rows[&x];
+            let Some(&ry) = rows.get(&y) else {
                 continue;
             };
-            let rn = union_id.and_then(|n| db.rows[e as usize].get(&n)).copied();
-            out.push(SharedRow { e, rx, ry, rn });
-        }
-    }
-
-    /// The exact gain of Eq. 9/10–15 over collected shared rows; see
-    /// [`Self::pair_gain`] for the contract.
-    fn exact_gain(&self, pre: &PairPrelude, shared: &[SharedRow]) -> f64 {
-        let db = self.db;
-        let PairPrelude {
-            union_st_cost,
-            st_x,
-            st_y,
-            ..
-        } = *pre;
-        let (mut p1, mut p2) = (0.0f64, 0.0f64);
-        let mut model_delta = 0.0f64;
-        let mut merged_any = false;
-        for &SharedRow { e, rx, ry, rn } in shared {
+            let rn = union_id.and_then(|n| rows.get(&n)).copied();
             let (xy, grown) = match rn {
                 // Collision path: need the union row's actual growth.
                 Some(r) => {
@@ -1175,7 +1081,7 @@ impl GainView<'_> {
             p1 += xlog2x(fe) - xlog2x(fe - 2.0 * xy + grown);
             // Eq. 12–15 unified: vanished rows contribute xlog2x(0) = 0.
             p2 += xlog2x(xe) + xlog2x(ye) - (xlog2x(xe - xy) + xlog2x(ye - xy) + xlog2x(xy));
-            if db.gain_policy == GainPolicy::Total {
+            if total {
                 let code_e = db.coresets[e as usize].code_len;
                 if rn.is_none() {
                     model_delta += union_st_cost + code_e;
@@ -1197,115 +1103,6 @@ impl GainView<'_> {
             GainPolicy::Total => data_gain - model_delta,
         }
     }
-
-    /// Upper bound on [`Self::pair_gain`] from row *lengths* alone — no
-    /// position list is ever scanned, so the bound costs O(shared
-    /// coresets) against the gain's O(total positions). This is the
-    /// pruning bound of the paper's Algorithm 2: candidate pairs whose
-    /// bound is non-positive provably cannot improve the description
-    /// length and are dismissed before they enter the queue.
-    ///
-    /// Derivation, per shared coreset `e` with row lengths `xe`, `ye`,
-    /// `m = min(xe, ye)` and `F = xlog2x` (non-decreasing over the
-    /// integers, `F(0) = F(1) = 0`): the true overlap `xy` lies in
-    /// `[1, m]` when the rows co-occur, so
-    ///
-    /// * fresh union row: `p1 = F(fe) − F(fe − xy) ≤ F(fe) − F(fe − m)`
-    ///   and `−p2 ≤ F(xy) ≤ F(m)` (the parent brackets
-    ///   `F(xe) − F(xe − xy)` are non-negative and dropped);
-    /// * existing union row of length `pn`: `p1 ≤ F(fe) − F(fe − 2m)`
-    ///   and `−p2 ≤ F(merged) − F(pn) ≤ F(pn + m) − F(pn)`.
-    ///
-    /// Under [`GainPolicy::Total`] the model delta is bounded below by
-    /// charging the new row's materialisation (fresh case only) and
-    /// crediting every parent removal that is feasible (`xy = xe`
-    /// requires `xe ≤ ye`, and vice versa). Coresets where the rows may
-    /// simply not co-occur contribute `max(0, bound_e)` — a pair's true
-    /// gain only sums over co-occurring coresets, so the clamp keeps
-    /// the total an upper bound in every overlap scenario.
-    ///
-    /// Under [`GainPolicy::DataOnly`] the per-coreset bound is always
-    /// positive, so nothing is ever pruned (documented behaviour: the
-    /// data side alone cannot prove a merge unprofitable without
-    /// counting the actual overlap).
-    pub fn pair_gain_upper_bound(&self, x: LeafsetId, y: LeafsetId) -> f64 {
-        if x == y || self.db.is_nested_pair(x, y) {
-            return 0.0;
-        }
-        let p = self.prelude(x, y);
-        let mut shared = Vec::new();
-        self.collect_shared(x, y, p.union_id, &mut shared);
-        self.bound(&p, &shared)
-    }
-
-    /// The Algorithm 2 bound over collected shared rows; see
-    /// [`Self::pair_gain_upper_bound`] for the derivation. Reads only
-    /// row *lengths* — no position list is scanned.
-    fn bound(&self, pre: &PairPrelude, shared: &[SharedRow]) -> f64 {
-        let db = self.db;
-        let total = db.gain_policy == GainPolicy::Total;
-        let PairPrelude {
-            union_st_cost,
-            st_x,
-            st_y,
-            ..
-        } = *pre;
-        let mut bound = 0.0f64;
-        for &SharedRow { e, rx, ry, rn } in shared {
-            let xe = self.store.len(rx) as f64;
-            let ye = self.store.len(ry) as f64;
-            let m = xe.min(ye);
-            let fe = db.coreset_freq[e as usize] as f64;
-            let existing = rn.map(|r| self.store.len(r) as f64);
-            let mut ub = match existing {
-                Some(pn) => xlog2x(fe) - xlog2x(fe - 2.0 * m) + xlog2x(pn + m) - xlog2x(pn),
-                None => xlog2x(fe) - xlog2x(fe - m) + xlog2x(m),
-            };
-            if total {
-                let code_e = db.coresets[e as usize].code_len;
-                if existing.is_none() {
-                    ub -= union_st_cost + code_e;
-                }
-                if xe <= ye {
-                    ub += st_x + code_e;
-                }
-                if ye <= xe {
-                    ub += st_y + code_e;
-                }
-            }
-            if ub > 0.0 {
-                bound += ub;
-            }
-        }
-        bound
-    }
-
-    /// Whether the leafset still has at least one row.
-    pub fn is_live(&self, lid: LeafsetId) -> bool {
-        self.db.is_live(lid)
-    }
-}
-
-/// Per-pair scoring context computed once and shared between the
-/// Algorithm 2 bound and the exact gain: the union leafset's identity
-/// and the ST costs the Total pricing needs (zeroed under `DataOnly`,
-/// where no model term is priced).
-struct PairPrelude {
-    union_id: Option<LeafsetId>,
-    union_st_cost: f64,
-    st_x: f64,
-    st_y: f64,
-}
-
-/// One shared coreset of a candidate pair, resolved to row handles by
-/// [`GainView`]'s collect pass: the parents' rows plus the union
-/// leafset's row when it already exists at this coreset.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SharedRow {
-    e: CoresetId,
-    rx: RowId,
-    ry: RowId,
-    rn: Option<RowId>,
 }
 
 /// Two-pointer intersection of two sorted coreset-id lists.
@@ -1314,8 +1111,8 @@ fn shared_sorted(a: &[CoresetId], b: &[CoresetId]) -> Vec<CoresetId> {
 }
 
 /// Allocation-free two-pointer walk over the coresets two (sorted)
-/// membership lists have in common — the inner loop of every gain and
-/// bound evaluation, linear where a `contains` filter is quadratic.
+/// membership lists have in common — the inner loop of every gain
+/// evaluation, linear where a `contains` filter is quadratic.
 fn shared_iter<'a>(a: &'a [CoresetId], b: &'a [CoresetId]) -> impl Iterator<Item = CoresetId> + 'a {
     let (mut i, mut j) = (0usize, 0usize);
     std::iter::from_fn(move || {
@@ -1570,52 +1367,11 @@ mod tests {
         assert_eq!(pairs.len(), 3);
     }
 
-    /// The Algorithm 2 pruning bound must dominate the exact gain for
-    /// every candidate pair, under both pricing policies, before and
-    /// after merges (the post-merge states exercise the existing-union-
-    /// row collision path of both formulas).
-    #[test]
-    fn gain_upper_bound_dominates_exact_gain() {
-        for policy in [GainPolicy::DataOnly, GainPolicy::Total] {
-            let (g, _) = paper_example();
-            let mut db = InvertedDb::build(&g, CoresetMode::SingleValue, policy);
-            for _round in 0..4 {
-                for &(x, y) in db.sharing_pairs().iter() {
-                    let gain = db.pair_gain(x, y);
-                    let ub = db.pair_gain_upper_bound(x, y);
-                    assert!(
-                        gain <= ub + 1e-9,
-                        "{policy:?}: pair ({x},{y}) gain {gain} exceeds bound {ub}"
-                    );
-                }
-                // Apply the best pair (if any) to reach a new state.
-                let best = db
-                    .sharing_pairs()
-                    .into_iter()
-                    .max_by(|&(a, b), &(c, d)| db.pair_gain(a, b).total_cmp(&db.pair_gain(c, d)));
-                match best {
-                    Some((x, y)) if db.pair_gain(x, y) > 0.0 => {
-                        db.merge(x, y);
-                    }
-                    _ => break,
-                }
-            }
-        }
-    }
-
+    /// Views are `Copy` and usable from worker threads: a pair scored
+    /// on its own thread matches the database's own scoring.
     #[test]
     fn gain_view_matches_database_scoring() {
         let (db, _) = build_paper_db();
-        let view = db.gain_view();
-        for &(x, y) in db.sharing_pairs().iter() {
-            assert_eq!(view.pair_gain(x, y), db.pair_gain(x, y));
-            assert_eq!(
-                view.pair_gain_upper_bound(x, y),
-                db.pair_gain_upper_bound(x, y)
-            );
-            assert!(view.is_live(x) && view.is_live(y));
-        }
-        // Views are Copy and usable from worker threads.
         let pairs = db.sharing_pairs();
         let expected: Vec<f64> = pairs.iter().map(|&(x, y)| db.pair_gain(x, y)).collect();
         std::thread::scope(|s| {
@@ -1743,10 +1499,6 @@ mod tests {
             // Every candidate pair scores identically on both.
             for &(x, y) in fresh.sharing_pairs().iter() {
                 assert_eq!(db.pair_gain(x, y), fresh.pair_gain(x, y));
-                assert_eq!(
-                    db.pair_gain_upper_bound(x, y),
-                    fresh.pair_gain_upper_bound(x, y)
-                );
             }
         }
     }

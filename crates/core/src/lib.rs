@@ -18,7 +18,7 @@
 //! | Layer | Module | Role |
 //! |---|---|---|
 //! | storage | [`positions`] | sorted-slice set algebra + the flat [`PostingStore`] arena backing every row (+ [`PostingView`], its shared read-only snapshot; `compact()` repacks a fragmented arena) |
-//! | database | [`InvertedDb`] | §IV-B rows over the arena, exact DL bookkeeping, the §IV-E merge, in-place graph-delta patching; [`GainView`] scores candidates read-only (exact gain + the Algorithm 2 pruning bound) |
+//! | database | [`InvertedDb`] | §IV-B rows over the arena, exact DL bookkeeping, the §IV-E merge, in-place graph-delta patching; [`InvertedDb::pair_gain`] is the one exact, read-only candidate score |
 //! | engine | [`engine`] | the greedy merge loop + [`CandidateScheduler`]; Algorithm 1 and Algorithm 3 are its two [`Variant`]s; candidate batches are scored across a scoped worker pool, deterministically at every thread count; a [`ProgressObserver`] rides along for per-merge callbacks and cancellation |
 //! | **sessions** | [`session`] | the primary API: a [`Miner`]-built [`MiningSession`] owns the database + arena across calls, absorbs [`GraphDelta`](cspm_graph::dynamic::GraphDelta)s incrementally, re-mines warm (bit-identically), and compacts the arena under pressure |
 //! | one-shot | [`mine`] / [`mine_dynamic`] | single runs that retain no state |
@@ -76,8 +76,7 @@ pub use decode::{decode_neighborhood, true_neighborhood, verify_lossless, LossEr
 pub use dynamic::{mine_dynamic, DynamicResult, TemporalOccurrences};
 pub use engine::{CandidateScheduler, CspmResult, ProgressObserver, Variant};
 pub use inverted::{
-    Coreset, CoresetId, GainView, InvertedDb, LeafsetId, MergeOutcome, PatchError, PatchStats,
-    RestoreError,
+    Coreset, CoresetId, InvertedDb, LeafsetId, MergeOutcome, PatchError, PatchStats, RestoreError,
 };
 pub use model::{MinedAStar, MinedModel};
 pub use pool::{PoolError, WorkerPool};

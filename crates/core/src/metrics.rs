@@ -18,7 +18,6 @@ pub(crate) struct EngineMetrics {
     runs: Counter,
     merges: Counter,
     gain_evals: Counter,
-    pruned_pairs: Counter,
     cancelled: Counter,
     mine_seconds: Histogram,
     sparse_rows: Gauge,
@@ -37,10 +36,6 @@ pub(crate) fn engine_metrics() -> &'static EngineMetrics {
             gain_evals: r.counter(
                 "cspm_engine_gain_evals_total",
                 "Candidate pair-gain evaluations across runs.",
-            ),
-            pruned_pairs: r.counter(
-                "cspm_engine_pruned_pairs_total",
-                "Candidate pairs dismissed by the Algorithm 2 upper bound.",
             ),
             cancelled: r.counter(
                 "cspm_engine_cancelled_total",
@@ -84,7 +79,6 @@ pub(crate) fn record_run(merges: usize, stats: &RunStats) {
     m.runs.inc();
     m.merges.add(merges as u64);
     m.gain_evals.add(stats.total_gain_evals);
-    m.pruned_pairs.add(stats.pruned_pairs);
     if stats.cancelled {
         m.cancelled.inc();
     }

@@ -461,7 +461,6 @@ fn mine_json(
         .field_num("compression_ratio", result.compression_ratio())
         .field_int("merges", result.merges as u64)
         .field_int("total_gain_evals", result.stats.total_gain_evals)
-        .field_int("pruned_pairs", result.stats.pruned_pairs)
         .field_bool("cancelled", result.stats.cancelled)
         .field_num("elapsed_secs", result.stats.elapsed_secs)
         .field_int(

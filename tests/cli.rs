@@ -266,7 +266,6 @@ fn mine_json_emits_one_machine_readable_document() {
         "\"compression_ratio\":",
         "\"merges\":",
         "\"total_gain_evals\":",
-        "\"pruned_pairs\":",
         "\"cancelled\":false",
         "\"posting_sparse_rows\":",
         "\"posting_bitmap_rows\":",

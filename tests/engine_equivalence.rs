@@ -159,7 +159,6 @@ fn mining_is_bit_identical_at_threads_1_2_8() {
                 );
                 assert_eq!(base.merges, run.merges);
                 assert_eq!(base.stats.total_gain_evals, run.stats.total_gain_evals);
-                assert_eq!(base.stats.pruned_pairs, run.stats.pruned_pairs);
             }
         }
     }
@@ -169,23 +168,76 @@ fn mining_is_bit_identical_at_threads_1_2_8() {
 /// re-scores every sharing pair, however many there are. Two merges
 /// therefore cost exactly two sweeps — the initial pairs plus the pairs
 /// left after the first merge — on a graph with well over 10,000
-/// initial pairs.
+/// initial pairs. Sweeps that large also cross Basic's 8,192-pair
+/// fan-out floor, so the same two merges at 4 threads must pick the
+/// same pairs to the bit.
 #[test]
 fn basic_sweeps_every_pair_on_large_graphs() {
     let g = dblp_trend_like(Scale::Paper, 2023).graph;
-    let capped = |merges| CspmConfig {
-        max_merges: Some(merges),
-        ..Default::default()
+    let capped = |merges, threads| {
+        CspmConfig {
+            max_merges: Some(merges),
+            ..Default::default()
+        }
+        .with_threads(threads)
     };
     let initial = InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::Total)
         .sharing_pairs()
         .len() as u64;
     assert!(initial > 10_000, "fixture has only {initial} pairs");
-    let after_first = mine(&g, Variant::Basic, capped(1)).db.sharing_pairs().len() as u64;
-    let two = mine(&g, Variant::Basic, capped(2));
+    let after_first = mine(&g, Variant::Basic, capped(1, 1))
+        .db
+        .sharing_pairs()
+        .len() as u64;
+    let two = mine(&g, Variant::Basic, capped(2, 1));
     assert_eq!(two.merges, 2);
     assert_eq!(two.stats.total_gain_evals, initial + after_first);
-    assert_eq!(two.stats.pruned_pairs, 0, "the Basic sweep never prunes");
+    let fanned = mine(&g, Variant::Basic, capped(2, 4));
+    let digest = |r: &CspmResult| (r.final_dl.to_bits(), r.merges, r.stats.total_gain_evals);
+    assert_eq!(digest(&fanned), digest(&two), "Basic diverged at 4 threads");
+}
+
+/// The bit-identity contract pinned across commits. Every other
+/// differential test compares two paths within one build, so a change
+/// that moved every path the same way would pass them all; these are
+/// absolute digests (`final_dl` bits, merges, gain evaluations) of the
+/// in-memory bench generators at seed 2022, so a drift in a single
+/// gain shows here.
+///
+/// Pokec is left out: mining `pokec_like(Small, 2022)` in memory gives
+/// `4153206f098a2f74` (208 merges, 56,014 evals), not the
+/// `4153207949202dc0` (207 merges, 56,011 evals) of the same graph saved
+/// to a file and read back, which is the digest the repository
+/// benchmark gates. DBLP-Trend Basic is left out for its debug-build
+/// run time.
+#[test]
+fn bench_datasets_keep_their_digests() {
+    use cspm::datasets::{dblp_like as dblp, dblp_trend_like as trend, usflight_like as flight};
+    use Scale::{Paper, Small};
+    use Variant::{Basic, Partial};
+    let cases = [
+        (dblp(Small, 2022), Partial, "40c8c2b4fe55272c", 37, 1_098),
+        (dblp(Small, 2022), Basic, "40c7fe52f37cd648", 74, 97_704),
+        (flight(Small, 2022), Partial, "40bfc7fd61e2b280", 27, 616),
+        (flight(Small, 2022), Basic, "40bdc70255028d61", 75, 52_996),
+        (trend(Small, 2022), Partial, "40d85a78dbbc3481", 171, 4_498),
+        (dblp(Paper, 2022), Partial, "40f4ef11d02d217c", 91, 7_236),
+    ];
+    for (d, variant, dl_hex, merges, evals) in cases {
+        let run = mine(&d.graph, variant, CspmConfig::default());
+        let got = (
+            format!("{:016x}", run.final_dl.to_bits()),
+            run.merges,
+            run.stats.total_gain_evals,
+        );
+        let n = d.graph.vertex_count();
+        assert_eq!(
+            got,
+            (dl_hex.to_owned(), merges, evals),
+            "{} ({n} vertices) {variant:?}",
+            d.name
+        );
+    }
 }
 
 /// CSPM-Partial's rdict updates spend fewer gain evaluations than
@@ -285,8 +337,8 @@ fn dense_planted() -> cspm::graph::AttributedGraph {
 
 /// The adaptive posting layout is a pure representation change: mining
 /// on a `SparseOnly` store and on the default `Adaptive` store must be
-/// bit-identical — same merges, same final DL, same evaluation and
-/// pruning counts — at every thread count and under both variants.
+/// bit-identical — same merges, same final DL, same evaluation counts —
+/// at every thread count and under both variants.
 #[test]
 fn adaptive_and_sparse_only_stores_mine_bit_identically() {
     let g = dense_planted();
@@ -331,7 +383,6 @@ fn adaptive_and_sparse_only_stores_mine_bit_identically() {
                     sparse.stats.total_gain_evals,
                     adaptive.stats.total_gain_evals
                 );
-                assert_eq!(sparse.stats.pruned_pairs, adaptive.stats.pruned_pairs);
                 assert_eq!(sparse.stats.posting.bitmap_rows, 0);
                 assert_eq!(sparse.stats.posting.flips_to_bitmap, 0);
                 assert!(verify_lossless(&g, &adaptive.db).is_empty());
