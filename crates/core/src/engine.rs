@@ -58,7 +58,7 @@ use std::time::Instant;
 use cspm_mdl::OrdF64;
 
 use crate::config::{CspmConfig, IterationStat, RunStats};
-use crate::inverted::{GainView, InvertedDb, LeafsetId};
+use crate::inverted::{InvertedDb, LeafsetId};
 use crate::model::MinedModel;
 
 /// Gains this close to zero are treated as "no improvement".
@@ -497,16 +497,13 @@ fn score_pairs(
     floor: usize,
 ) -> Vec<f64> {
     if threads <= 1 || pairs.len() < floor {
-        return score_chunk(db.gain_view(), pairs);
+        return score_chunk(db, pairs);
     }
     let chunk = pairs.len().div_ceil(threads);
     std::thread::scope(|scope| {
         let handles: Vec<_> = pairs
             .chunks(chunk)
-            .map(|slice| {
-                let view = db.gain_view();
-                scope.spawn(move || score_chunk(view, slice))
-            })
+            .map(|slice| scope.spawn(move || score_chunk(db, slice)))
             .collect();
         let mut gains = Vec::with_capacity(pairs.len());
         for h in handles {
@@ -516,9 +513,9 @@ fn score_pairs(
     })
 }
 
-/// Sequential scoring of one contiguous chunk through a read-only view.
-fn score_chunk(view: GainView<'_>, pairs: &[(LeafsetId, LeafsetId)]) -> Vec<f64> {
-    pairs.iter().map(|&(x, y)| view.pair_gain(x, y)).collect()
+/// Sequential scoring of one contiguous chunk.
+fn score_chunk(db: &InvertedDb, pairs: &[(LeafsetId, LeafsetId)]) -> Vec<f64> {
+    pairs.iter().map(|&(x, y)| db.pair_gain(x, y)).collect()
 }
 
 /// Keeps the better of the running best pair and `candidate`: the
@@ -636,7 +633,7 @@ mod tests {
             "need a batch large enough to fan out ({} pairs)",
             pairs.len()
         );
-        let seq = score_chunk(db.gain_view(), &pairs);
+        let seq = score_chunk(&db, &pairs);
         for threads in [1, 2, 4, 8] {
             let par = score_pairs(&db, &pairs, threads, PARTIAL_FANOUT_FLOOR);
             assert_eq!(seq, par, "gains must be bit-identical at {threads} threads");

@@ -30,7 +30,7 @@ use cspm_itemset::{krimp, slim, KrimpConfig, SlimConfig, TransactionDb};
 use cspm_mdl::{xlog2x, StandardCodeTable};
 
 use crate::config::{CoresetMode, GainPolicy};
-use crate::positions::{PostingPolicy, PostingStore, PostingView, RowId};
+use crate::positions::{PostingPolicy, PostingStore, RowId};
 
 /// Index into the coreset registry.
 pub type CoresetId = u32;
@@ -850,16 +850,6 @@ impl InvertedDb {
         small.iter().all(|i| large.binary_search(i).is_ok())
     }
 
-    /// A read-only scoring handle borrowing this database; see
-    /// [`GainView`]. Cheap (two borrows), `Copy`, and safe to hand to
-    /// any number of scoped worker threads.
-    pub(crate) fn gain_view(&self) -> GainView<'_> {
-        GainView {
-            db: self,
-            store: self.store.view(),
-        }
-    }
-
     /// Gain `ΔL` of merging leafsets `x` and `y` (Eq. 9 with the case
     /// analysis of Eq. 10–15, all cases unified by the `0·log 0 = 0`
     /// convention), minus the model-cost delta under
@@ -874,9 +864,90 @@ impl InvertedDb {
     ///
     /// Returns 0 for nested pairs and for pairs that never co-occur.
     /// The engine scores candidates through this same function, so it
-    /// agrees to the bit with every mined gain.
+    /// agrees to the bit with every mined gain. Scoring only reads the
+    /// database, so the engine's fan-out shares one `&InvertedDb`
+    /// across its scoped worker threads between merges.
     pub fn pair_gain(&self, x: LeafsetId, y: LeafsetId) -> f64 {
-        self.gain_view().pair_gain(x, y)
+        if x == y || self.is_nested_pair(x, y) {
+            return 0.0;
+        }
+        let items = union_items(&self.leafsets[x as usize], &self.leafsets[y as usize]);
+        let union_id = self.leafset_index.get(&items).copied();
+        let total = self.gain_policy == GainPolicy::Total;
+        // Model-side costs are priced only under Total.
+        let (union_st_cost, st_x, st_y) = if total {
+            (
+                self.st.set_cost(items.iter().map(|&a| a as usize)),
+                self.leafset_st_cost(x),
+                self.leafset_st_cost(y),
+            )
+        } else {
+            (0.0, 0.0, 0.0)
+        };
+        let (mut p1, mut p2) = (0.0f64, 0.0f64);
+        let mut model_delta = 0.0f64;
+        let mut merged_any = false;
+        for e in shared_iter(
+            &self.leafset_coresets[x as usize],
+            &self.leafset_coresets[y as usize],
+        ) {
+            let rows = &self.rows[e as usize];
+            let rx = rows[&x];
+            let Some(&ry) = rows.get(&y) else {
+                continue;
+            };
+            let rn = union_id.and_then(|n| rows.get(&n)).copied();
+            let (xy, grown) = match rn {
+                // Collision path: need the union row's actual growth.
+                Some(r) => {
+                    let common = self.store.intersect(rx, ry);
+                    if common.is_empty() {
+                        continue;
+                    }
+                    let pn_len = self.store.len(r);
+                    let merged_len =
+                        pn_len + common.len() - self.store.intersect_count_slice(r, &common);
+                    // Union-row term2 change replaces the fresh-row term.
+                    p2 += xlog2x(pn_len as f64) - xlog2x(merged_len as f64)
+                        + xlog2x(common.len() as f64);
+                    (common.len() as f64, (merged_len - pn_len) as f64)
+                }
+                None => {
+                    let xy = self.store.intersect_count(rx, ry) as f64;
+                    if xy == 0.0 {
+                        continue;
+                    }
+                    (xy, xy)
+                }
+            };
+            merged_any = true;
+            let (xe, ye) = (self.store.len(rx) as f64, self.store.len(ry) as f64);
+            let fe = self.coreset_freq[e as usize] as f64;
+            // Eq. 10 (with the exact post-merge coreset frequency).
+            p1 += xlog2x(fe) - xlog2x(fe - 2.0 * xy + grown);
+            // Eq. 12–15 unified: vanished rows contribute xlog2x(0) = 0.
+            p2 += xlog2x(xe) + xlog2x(ye) - (xlog2x(xe - xy) + xlog2x(ye - xy) + xlog2x(xy));
+            if total {
+                let code_e = self.coresets[e as usize].code_len;
+                if rn.is_none() {
+                    model_delta += union_st_cost + code_e;
+                }
+                if xy == xe {
+                    model_delta -= st_x + code_e;
+                }
+                if xy == ye {
+                    model_delta -= st_y + code_e;
+                }
+            }
+        }
+        if !merged_any {
+            return 0.0;
+        }
+        let data_gain = p1 - p2;
+        match self.gain_policy {
+            GainPolicy::DataOnly => data_gain,
+            GainPolicy::Total => data_gain - model_delta,
+        }
     }
 
     /// Merges leafsets `x` and `y` (§IV-E): at every shared coreset the
@@ -998,110 +1069,6 @@ impl InvertedDb {
             }
         }
         pairs.into_iter().collect()
-    }
-}
-
-/// Read-only gain scorer over an [`InvertedDb`].
-///
-/// Candidate scoring is pure: it reads rows, frequencies and code-table
-/// costs but never mutates the database. This type makes that contract
-/// explicit — it borrows the database immutably (rows through a
-/// [`PostingView`] over the shared arena, nothing cloned) and is
-/// `Copy + Send + Sync`, so the engine's fan-out can give every worker
-/// thread its own view of one immutable database between merges.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GainView<'a> {
-    db: &'a InvertedDb,
-    store: PostingView<'a>,
-}
-
-impl GainView<'_> {
-    /// The exact gain; see [`InvertedDb::pair_gain`] for the contract.
-    /// This is the only gain function: the sequential and the parallel
-    /// scoring paths both call it, so gains are bit-identical at any
-    /// thread count.
-    pub(crate) fn pair_gain(&self, x: LeafsetId, y: LeafsetId) -> f64 {
-        let db = self.db;
-        if x == y || db.is_nested_pair(x, y) {
-            return 0.0;
-        }
-        let items = union_items(&db.leafsets[x as usize], &db.leafsets[y as usize]);
-        let union_id = db.leafset_index.get(&items).copied();
-        let total = db.gain_policy == GainPolicy::Total;
-        // Model-side costs are priced only under Total.
-        let (union_st_cost, st_x, st_y) = if total {
-            (
-                db.st.set_cost(items.iter().map(|&a| a as usize)),
-                db.leafset_st_cost(x),
-                db.leafset_st_cost(y),
-            )
-        } else {
-            (0.0, 0.0, 0.0)
-        };
-        let (mut p1, mut p2) = (0.0f64, 0.0f64);
-        let mut model_delta = 0.0f64;
-        let mut merged_any = false;
-        for e in shared_iter(
-            &db.leafset_coresets[x as usize],
-            &db.leafset_coresets[y as usize],
-        ) {
-            let rows = &db.rows[e as usize];
-            let rx = rows[&x];
-            let Some(&ry) = rows.get(&y) else {
-                continue;
-            };
-            let rn = union_id.and_then(|n| rows.get(&n)).copied();
-            let (xy, grown) = match rn {
-                // Collision path: need the union row's actual growth.
-                Some(r) => {
-                    let common = self.store.intersect(rx, ry);
-                    if common.is_empty() {
-                        continue;
-                    }
-                    let pn_len = self.store.len(r);
-                    let merged_len =
-                        pn_len + common.len() - self.store.intersect_count_slice(r, &common);
-                    // Union-row term2 change replaces the fresh-row term.
-                    p2 += xlog2x(pn_len as f64) - xlog2x(merged_len as f64)
-                        + xlog2x(common.len() as f64);
-                    (common.len() as f64, (merged_len - pn_len) as f64)
-                }
-                None => {
-                    let xy = self.store.intersect_count(rx, ry) as f64;
-                    if xy == 0.0 {
-                        continue;
-                    }
-                    (xy, xy)
-                }
-            };
-            merged_any = true;
-            let (xe, ye) = (self.store.len(rx) as f64, self.store.len(ry) as f64);
-            let fe = db.coreset_freq[e as usize] as f64;
-            // Eq. 10 (with the exact post-merge coreset frequency).
-            p1 += xlog2x(fe) - xlog2x(fe - 2.0 * xy + grown);
-            // Eq. 12–15 unified: vanished rows contribute xlog2x(0) = 0.
-            p2 += xlog2x(xe) + xlog2x(ye) - (xlog2x(xe - xy) + xlog2x(ye - xy) + xlog2x(xy));
-            if total {
-                let code_e = db.coresets[e as usize].code_len;
-                if rn.is_none() {
-                    model_delta += union_st_cost + code_e;
-                }
-                if xy == xe {
-                    model_delta -= st_x + code_e;
-                }
-                if xy == ye {
-                    model_delta -= st_y + code_e;
-                }
-            }
-        }
-        if !merged_any {
-            return 0.0;
-        }
-        let data_gain = p1 - p2;
-        match db.gain_policy {
-            GainPolicy::DataOnly => data_gain,
-            GainPolicy::Total => data_gain - model_delta,
-        }
     }
 }
 
@@ -1367,10 +1334,10 @@ mod tests {
         assert_eq!(pairs.len(), 3);
     }
 
-    /// Views are `Copy` and usable from worker threads: a pair scored
-    /// on its own thread matches the database's own scoring.
+    /// One `&InvertedDb` is shared by scoped worker threads: a pair
+    /// scored on its own thread matches the database's own scoring.
     #[test]
-    fn gain_view_matches_database_scoring() {
+    fn worker_threads_score_like_the_database() {
         let (db, _) = build_paper_db();
         let pairs = db.sharing_pairs();
         let expected: Vec<f64> = pairs.iter().map(|&(x, y)| db.pair_gain(x, y)).collect();
@@ -1378,8 +1345,8 @@ mod tests {
             let handles: Vec<_> = pairs
                 .iter()
                 .map(|&(x, y)| {
-                    let v = db.gain_view();
-                    s.spawn(move || v.pair_gain(x, y))
+                    let db = &db;
+                    s.spawn(move || db.pair_gain(x, y))
                 })
                 .collect();
             for (h, want) in handles.into_iter().zip(&expected) {

@@ -17,7 +17,7 @@
 //!
 //! | Layer | Module | Role |
 //! |---|---|---|
-//! | storage | [`positions`] | sorted-slice set algebra + the flat [`PostingStore`] arena backing every row (+ [`PostingView`], its shared read-only snapshot; `compact()` repacks a fragmented arena) |
+//! | storage | [`positions`] | sorted-slice set algebra + the flat [`PostingStore`] arena backing every row (read through `&self`, so scoring threads share it; `compact()` repacks a fragmented arena) |
 //! | database | [`InvertedDb`] | §IV-B rows over the arena, exact DL bookkeeping, the §IV-E merge, in-place graph-delta patching; [`InvertedDb::pair_gain`] is the one exact, read-only candidate score |
 //! | engine | [`engine`] | the greedy merge loop + [`CandidateScheduler`]; Algorithm 1 and Algorithm 3 are its two [`Variant`]s; candidate batches are scored across a scoped worker pool, deterministically at every thread count; a [`ProgressObserver`] rides along for per-merge callbacks and cancellation |
 //! | **sessions** | [`session`] | the primary API: a [`Miner`]-built [`MiningSession`] owns the database + arena across calls, absorbs [`GraphDelta`](cspm_graph::dynamic::GraphDelta)s incrementally, re-mines warm (bit-identically), and compacts the arena under pressure |
@@ -79,8 +79,8 @@ pub use inverted::{
     Coreset, CoresetId, InvertedDb, LeafsetId, MergeOutcome, PatchError, PatchStats, RestoreError,
 };
 pub use model::{MinedAStar, MinedModel};
-pub use pool::{PoolError, WorkerPool};
-pub use positions::{PostingPolicy, PostingReprStats, PostingStore, PostingView, RowId};
+pub use pool::WorkerPool;
+pub use positions::{PostingPolicy, PostingReprStats, PostingStore, RowId};
 pub use registry::{PressureOutcome, ResidentFootprint, SessionRegistry};
 pub use session::{DeltaStats, FnObserver, Miner, MiningSession, SessionError};
 pub use stats::ModelSummary;

@@ -8,18 +8,21 @@
 //! [`WorkerPool`] is that bound — a fixed set of threads draining one
 //! queue of boxed jobs.
 //!
-//! Jobs are opaque `FnOnce()` closures; the blocking [`WorkerPool::run`]
-//! wrapper ships a closure over, waits for its result, and surfaces a
-//! worker death (a panicked job) as [`PoolError`] instead of hanging the
-//! caller. The pool joins its workers on drop, so owning one is enough
-//! to guarantee no thread outlives it.
+//! Jobs are opaque `FnOnce()` closures handed to [`WorkerPool::submit`];
+//! a job reports back over a channel it owns. A panicking job is
+//! contained to that job: the unwind drops its sender, so the caller's
+//! `recv` sees a disconnected channel instead of hanging, and the worker
+//! keeps serving. The pool joins its workers on drop, so owning one is
+//! enough to guarantee no thread outlives it.
 //!
 //! ```
 //! use cspm_core::pool::WorkerPool;
+//! use std::sync::mpsc::channel;
 //!
 //! let pool = WorkerPool::new(2);
-//! let doubled = pool.run(|| 21 * 2).unwrap();
-//! assert_eq!(doubled, 42);
+//! let (tx, rx) = channel();
+//! pool.submit(move || tx.send(21 * 2).unwrap());
+//! assert_eq!(rx.recv(), Ok(42));
 //! ```
 
 use std::sync::mpsc::{channel, Sender};
@@ -27,19 +30,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// The job queue died before producing a result: the worker executing
-/// the job panicked, or the pool was torn down mid-flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolError;
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker pool job did not complete (worker died)")
-    }
-}
-
-impl std::error::Error for PoolError {}
 
 /// A fixed-size pool of worker threads draining a shared job queue in
 /// submission order. See the [module docs](self).
@@ -78,8 +68,8 @@ impl WorkerPool {
                         match job {
                             // Contain a panicking job to that job: the
                             // worker survives, the queue stays drained,
-                            // and the blocked `run` caller sees a
-                            // PoolError (its result sender died in the
+                            // and the waiting caller sees its channel
+                            // disconnect (the job's sender died in the
                             // unwind) instead of a hung daemon.
                             Ok(job) => {
                                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
@@ -110,28 +100,6 @@ impl WorkerPool {
             .send(Box::new(job))
             .expect("workers outlive the sender");
     }
-
-    /// Runs `job` on the pool and blocks until its result arrives.
-    /// Queueing discipline is shared with [`Self::submit`]: the call
-    /// waits behind earlier jobs when all workers are busy.
-    ///
-    /// # Errors
-    ///
-    /// [`PoolError`] when the job died without producing a result —
-    /// in practice, when the closure panicked on the worker.
-    pub fn run<R, F>(&self, job: F) -> Result<R, PoolError>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        let (tx, rx) = channel();
-        self.submit(move || {
-            // A panic inside `job` unwinds past the send, dropping `tx`
-            // and turning the caller's recv into a clean PoolError.
-            let _ = tx.send(job());
-        });
-        rx.recv().map_err(|_| PoolError)
-    }
 }
 
 impl Drop for WorkerPool {
@@ -139,9 +107,9 @@ impl Drop for WorkerPool {
         // Disconnect the queue, then wait for in-flight jobs to finish.
         drop(self.tx.take());
         for worker in self.workers.drain(..) {
-            // A worker that panicked already delivered its PoolError to
-            // the waiting caller; swallowing the join error keeps drop
-            // from double-panicking during unwinding.
+            // A job that panicked already disconnected its caller's
+            // channel; swallowing the join error keeps drop from
+            // double-panicking during unwinding.
             let _ = worker.join();
         }
     }
@@ -156,15 +124,24 @@ mod tests {
     fn runs_jobs_and_returns_results() {
         let pool = WorkerPool::new(4);
         assert_eq!(pool.threads(), 4);
-        let results: Vec<usize> = (0..32).map(|i| pool.run(move || i * i).unwrap()).collect();
-        assert_eq!(results, (0..32).map(|i| i * i).collect::<Vec<_>>());
+        let (tx, rx) = channel();
+        for i in 0..32usize {
+            let tx = tx.clone();
+            pool.submit(move || tx.send((i, i * i)).unwrap());
+        }
+        drop(tx);
+        let mut results: Vec<(usize, usize)> = rx.iter().collect();
+        results.sort_unstable();
+        assert_eq!(results, (0..32).map(|i| (i, i * i)).collect::<Vec<_>>());
     }
 
     #[test]
     fn zero_threads_is_promoted_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.run(|| 7).unwrap(), 7);
+        let (tx, rx) = channel();
+        pool.submit(move || tx.send(7).unwrap());
+        assert_eq!(rx.recv(), Ok(7));
     }
 
     #[test]
@@ -183,34 +160,23 @@ mod tests {
         assert_eq!(counter.load(Ordering::SeqCst), 64);
     }
 
-    #[test]
-    fn concurrent_blocking_runs_make_progress() {
-        // Two jobs that each need the other's side effect would deadlock
-        // on a 1-thread pool; on 2 threads they run concurrently. Keep
-        // it simpler: N blocking runs from N caller threads against a
-        // 2-worker pool all complete.
-        let pool = Arc::new(WorkerPool::new(2));
-        let handles: Vec<_> = (0..8)
-            .map(|i| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || pool.run(move || i + 1).unwrap())
-            })
-            .collect();
-        let mut out: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        out.sort_unstable();
-        assert_eq!(out, (1..=8).collect::<Vec<_>>());
-    }
-
+    /// A panicking job disconnects its caller's channel (the error the
+    /// caller reports) instead of leaving it to hang, and the worker
+    /// that ran it keeps serving.
     #[test]
     fn panicked_job_reports_pool_error_not_hang() {
-        let pool = WorkerPool::new(2);
-        let err = pool
-            .run(|| -> usize { panic!("job exploded") })
-            .unwrap_err();
-        assert_eq!(err, PoolError);
-        // The panic is contained to the job: both workers survive and
-        // the pool keeps serving.
-        assert_eq!(pool.run(|| 5).unwrap(), 5);
-        assert_eq!(pool.run(|| 6).unwrap(), 6);
+        let pool = WorkerPool::new(1);
+        let (tx, rx) = channel::<usize>();
+        pool.submit(move || {
+            // Own the sender like a reporting job, so the unwind drops it.
+            let _tx = tx;
+            panic!("job exploded");
+        });
+        assert!(rx.recv().is_err(), "the unwind must drop the sender");
+        for want in [5, 6] {
+            let (tx, rx) = channel();
+            pool.submit(move || tx.send(want).unwrap());
+            assert_eq!(rx.recv(), Ok(want));
+        }
     }
 }

@@ -15,11 +15,10 @@
 //!   ([`RowId`]), with in-place difference/union over spans and a
 //!   free-list for recycled rows. This is the merge loop's backing
 //!   store: rows shrink or die in place and only union rows ever move,
-//!   so steady-state mining allocates nothing per merge;
-//! * [`PostingView`] — a borrowed, read-only snapshot of the arena.
-//!   Gain scoring only ever *reads* rows, so the engine's parallel
-//!   scorer hands each worker thread a `PostingView` and all workers
-//!   share the one arena without cloning a single row.
+//!   so steady-state mining allocates nothing per merge. Gain scoring
+//!   only ever *reads* rows through `&self`, so the engine's parallel
+//!   scorer shares the one arena across its worker threads without
+//!   cloning a single row.
 //!
 //! # Adaptive row representation
 //!
@@ -445,17 +444,6 @@ const EMPTY_SLOT: Slot = Slot {
     repr: Repr::Sparse,
 };
 
-fn row_kind<'a>(data: &'a [VertexId], slots: &'a [Slot], row: RowId) -> RowKind<'a> {
-    let s = &slots[row.0 as usize];
-    match s.repr {
-        Repr::Sparse => RowKind::Sparse(&data[s.offset..s.offset + s.len]),
-        Repr::Bitmap { base, words } => RowKind::Bitmap {
-            base,
-            bits: &data[s.offset..s.offset + words],
-        },
-    }
-}
-
 /// Row-representation policy for a [`PostingStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PostingPolicy {
@@ -482,89 +470,6 @@ pub struct PostingReprStats {
     /// Bitmap→sparse transitions (hysteresis shrink or a union whose
     /// widened range dilutes the row below the keep threshold).
     pub flips_to_sparse: u64,
-}
-
-/// A read-only view of a [`PostingStore`].
-///
-/// Borrowing the arena and the slot table (and nothing mutable), a view
-/// is `Copy + Send + Sync`, so scoped worker threads evaluating merge
-/// gains can all read the same arena concurrently — no row is cloned,
-/// no lock is taken. The borrow checker guarantees the store cannot be
-/// mutated while any view is alive, which is exactly the invariant the
-/// parallel scorer needs: gains are only ever computed between merges,
-/// when the database is immutable.
-///
-/// All set operations dispatch on each row's layout, identically to the
-/// owning store's kernels.
-#[derive(Debug, Clone, Copy)]
-pub struct PostingView<'a> {
-    data: &'a [VertexId],
-    slots: &'a [Slot],
-}
-
-impl<'a> PostingView<'a> {
-    /// The row's positions as a borrowed slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row is bitmap-encoded — use [`Self::positions`]
-    /// when the caller cannot guarantee a sparse row.
-    pub fn get(&self, row: RowId) -> &'a [VertexId] {
-        let s = self.slots[row.0 as usize];
-        match s.repr {
-            Repr::Sparse => &self.data[s.offset..s.offset + s.len],
-            Repr::Bitmap { .. } => panic!("PostingView::get on a bitmap row; use positions()"),
-        }
-    }
-
-    /// The row's positions as sorted ids, borrowed when sparse and
-    /// decoded when bitmap.
-    pub fn positions(&self, row: RowId) -> Cow<'a, [VertexId]> {
-        let s = self.slots[row.0 as usize];
-        match s.repr {
-            Repr::Sparse => Cow::Borrowed(&self.data[s.offset..s.offset + s.len]),
-            Repr::Bitmap { base, words } => {
-                Cow::Owned(decode_bitmap(base, &self.data[s.offset..s.offset + words]))
-            }
-        }
-    }
-
-    /// The row's length (`fL`), without touching the arena.
-    pub fn len(&self, row: RowId) -> usize {
-        self.slots[row.0 as usize].len
-    }
-
-    /// Whether the row is empty.
-    pub fn is_empty(&self, row: RowId) -> bool {
-        self.len(row) == 0
-    }
-
-    /// `|row(a) ∩ row(b)|`.
-    pub fn intersect_count(&self, a: RowId, b: RowId) -> usize {
-        kind_intersect_count(
-            row_kind(self.data, self.slots, a),
-            row_kind(self.data, self.slots, b),
-        )
-    }
-
-    /// `row(a) ∩ row(b)` as sorted ids.
-    pub fn intersect(&self, a: RowId, b: RowId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        kind_intersect_into(
-            row_kind(self.data, self.slots, a),
-            row_kind(self.data, self.slots, b),
-            &mut out,
-        );
-        out
-    }
-
-    /// `|row ∩ ids|` for an external sorted slice.
-    pub fn intersect_count_slice(&self, row: RowId, ids: &[VertexId]) -> usize {
-        match row_kind(self.data, self.slots, row) {
-            RowKind::Sparse(x) => intersect_count(x, ids),
-            RowKind::Bitmap { base, bits } => sparse_bitmap_count(ids, base, bits),
-        }
-    }
 }
 
 /// Arena-backed flat storage for sorted posting lists.
@@ -684,7 +589,14 @@ impl PostingStore {
     }
 
     fn kind(&self, row: RowId) -> RowKind<'_> {
-        row_kind(&self.data, &self.slots, row)
+        let s = &self.slots[row.0 as usize];
+        match s.repr {
+            Repr::Sparse => RowKind::Sparse(&self.data[s.offset..s.offset + s.len]),
+            Repr::Bitmap { base, words } => RowKind::Bitmap {
+                base,
+                bits: &self.data[s.offset..s.offset + words],
+            },
+        }
     }
 
     /// Copies a sorted position list into the arena; sparse spans are
@@ -736,14 +648,6 @@ impl PostingStore {
                 self.slots.push(slot);
                 RowId(self.slots.len() as u32 - 1)
             }
-        }
-    }
-
-    /// A read-only view sharing this store's arena; see [`PostingView`].
-    pub fn view(&self) -> PostingView<'_> {
-        PostingView {
-            data: &self.data,
-            slots: &self.slots,
         }
     }
 
@@ -823,23 +727,6 @@ impl PostingStore {
         match self.kind(row) {
             RowKind::Sparse(x) => intersect_count(x, ids),
             RowKind::Bitmap { base, bits } => sparse_bitmap_count(ids, base, bits),
-        }
-    }
-
-    /// The members of `candidates` **not** already present in the row,
-    /// in `candidates` order (membership probes, layout-dispatched).
-    pub fn filter_missing(&self, row: RowId, candidates: &[VertexId]) -> Vec<VertexId> {
-        match self.kind(row) {
-            RowKind::Sparse(ids) => candidates
-                .iter()
-                .copied()
-                .filter(|v| ids.binary_search(v).is_err())
-                .collect(),
-            RowKind::Bitmap { base, bits } => candidates
-                .iter()
-                .copied()
-                .filter(|&v| !bitmap_contains(base, bits, v))
-                .collect(),
         }
     }
 
@@ -1485,25 +1372,6 @@ mod tests {
         assert_eq!(st.live_len(), 6);
     }
 
-    #[test]
-    fn view_matches_store_reads() {
-        let mut st = PostingStore::new();
-        let a = st.insert(&[1, 3, 5, 7]);
-        let b = st.insert(&[2, 3, 5, 8]);
-        st.difference(a, &[5]);
-        let v = st.view();
-        assert_eq!(v.get(a), st.get(a));
-        assert_eq!(v.get(b), st.get(b));
-        assert_eq!(v.len(a), 3);
-        assert!(!v.is_empty(a));
-        assert_eq!(v.intersect_count(a, b), st.intersect_count(a, b));
-        // Views are Copy and shareable across threads.
-        let copy = v;
-        std::thread::scope(|s| {
-            s.spawn(move || assert_eq!(copy.get(b), &[2, 3, 5, 8]));
-        });
-    }
-
     /// Regression test for the segregated free-list clamp: a span filed
     /// one size class too high must never be handed out to a larger
     /// request (the copy into it would clobber a neighbouring row).
@@ -1688,7 +1556,6 @@ mod tests {
         assert!(is_bitmap(&st, r), "512 ids over a 968-id range are dense");
         assert_eq!(st.len(r), 512);
         assert_eq!(st.positions(r).as_ref(), ids.as_slice());
-        assert_eq!(st.view().positions(r).as_ref(), ids.as_slice());
         let stats = st.repr_stats();
         assert_eq!((stats.sparse_rows, stats.bitmap_rows), (0, 1));
         // Direct insert is a layout choice, not a flip.
@@ -1737,8 +1604,6 @@ mod tests {
             assert_eq!(adaptive.intersect_count(aa, ab), want.len());
             assert_eq!(sparse.intersect(sa, sb), want, "sparse×sparse");
             assert_eq!(adaptive.intersect_count_slice(aa, &b), want.len());
-            assert_eq!(adaptive.view().intersect(aa, ab), want);
-            assert_eq!(adaptive.view().intersect_count_slice(aa, &b), want.len());
             let mut out = Vec::new();
             adaptive.intersect_into(aa, ab, &mut out);
             assert_eq!(out, want);
@@ -1974,22 +1839,5 @@ mod tests {
         st.union_in_place(b1, &[100_000]);
         let fresh = st.insert(&dense(0, 512));
         assert_eq!(st.positions(fresh).as_ref(), dense(0, 512).as_slice());
-    }
-
-    #[test]
-    fn filter_missing_matches_reference_in_both_layouts() {
-        let mut st = PostingStore::new();
-        let bitmap = st.insert(&dense(64, 512));
-        let sparse = st.insert(&[10, 20, 30]);
-        let candidates = [0, 63, 64, 100, 575, 576, 20, 25];
-        for row in [bitmap, sparse] {
-            let have = st.positions(row).into_owned();
-            let want: Vec<VertexId> = candidates
-                .iter()
-                .copied()
-                .filter(|v| have.binary_search(v).is_err())
-                .collect();
-            assert_eq!(st.filter_missing(row, &candidates), want);
-        }
     }
 }

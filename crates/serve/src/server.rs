@@ -3,9 +3,11 @@
 //!
 //! One thread per connection reads request lines (bounded by
 //! [`MAX_FRAME`] even mid-line, so a hostile client cannot balloon the
-//! process) and answers one response line each. Mining runs on a shared
-//! [`WorkerPool`] sized by `--threads` — connections are cheap, CPU is
-//! the bounded resource — with per-request deadlines enforced through
+//! process) and answers one response line each. `mine` and `subscribe`
+//! are one job on a shared [`WorkerPool`] sized by `--threads` —
+//! connections are cheap, CPU is the bounded resource — differing only
+//! in whether progress lines stream ahead of the terminal line, with
+//! per-request deadlines enforced through
 //! the engine's own [`ProgressObserver`] cancellation: an expired
 //! deadline answers `deadline_exceeded` and leaves the tenant's warm
 //! state untouched (mining always works on a clone of the pristine
@@ -270,24 +272,6 @@ fn lock_registry(m: &Mutex<SessionRegistry<Tenant>>) -> MutexGuard<'_, SessionRe
         .lock_wait_seconds
         .observe(started.elapsed().as_secs_f64());
     guard
-}
-
-/// Cancels mining when the request deadline passes.
-struct DeadlineObserver {
-    deadline: Option<Instant>,
-    hit: bool,
-}
-
-impl ProgressObserver for DeadlineObserver {
-    fn on_iteration(&mut self, _stat: &IterationStat) -> ControlFlow<()> {
-        match self.deadline {
-            Some(at) if Instant::now() >= at => {
-                self.hit = true;
-                ControlFlow::Break(())
-            }
-            _ => ControlFlow::Continue(()),
-        }
-    }
 }
 
 /// A running daemon spawned in-process (tests, benches, `cspm serve`
@@ -574,33 +558,28 @@ fn handle_connection(shared: Arc<Shared>, stream: UnixStream) {
             Ok(o) => o,
             Err(_) => return,
         };
-        let response = match outcome {
+        let dispatched = match outcome {
             LineOutcome::Poll => continue,
             LineOutcome::Eof => return,
-            LineOutcome::Oversized => {
-                shared.counters.bump(&shared.counters.errors);
-                ProtoError::new(
-                    ErrorCode::OversizedFrame,
-                    format!("request line exceeds {MAX_FRAME} bytes"),
-                )
-                .to_line()
-            }
+            LineOutcome::Oversized => Err(ProtoError::new(
+                ErrorCode::OversizedFrame,
+                format!("request line exceeds {MAX_FRAME} bytes"),
+            )),
             LineOutcome::Line(line) if line.trim().is_empty() => continue,
             LineOutcome::Line(line) => {
                 shared.counters.bump(&shared.counters.requests);
-                match dispatch_on(&shared, &line, &mut writer) {
-                    Ok(Dispatched::Respond(resp)) => resp,
-                    // The subscribe handler wrote its whole exchange
-                    // already; a write error there closes the
-                    // connection just like one here would.
-                    Ok(Dispatched::Streamed(Ok(()))) => continue,
-                    Ok(Dispatched::Streamed(Err(_))) => return,
-                    Err(e) => {
-                        shared.counters.bump(&shared.counters.errors);
-                        serve_metrics().errors.inc();
-                        e.to_line()
-                    }
-                }
+                dispatch_on(&shared, &line, &mut writer)
+            }
+        };
+        // Every error line is counted here, once, in both the `stats`
+        // counters and the metrics scrape.
+        let response = match dispatched {
+            Ok(Dispatched::Respond(resp)) => resp,
+            Ok(Dispatched::Hangup) => return,
+            Err(e) => {
+                shared.counters.bump(&shared.counters.errors);
+                serve_metrics().errors.inc();
+                e.to_line()
             }
         };
         if write_line(&mut writer, &response).is_err() {
@@ -618,18 +597,19 @@ fn write_line(w: &mut UnixStream, line: &str) -> io::Result<()> {
 
 /// What one dispatched request produced.
 enum Dispatched {
-    /// A complete response line for the caller to write.
+    /// The response line for the caller to write (for `subscribe`, the
+    /// terminal line after its progress events).
     Respond(String),
-    /// A streaming op wrote everything itself; the payload is whether
-    /// the connection is still usable.
-    Streamed(io::Result<()>),
+    /// A `subscribe` client went away mid-stream: close the connection
+    /// without a terminal line.
+    Hangup,
 }
 
 /// Parses and executes one request line; `Ok` is the dispatch outcome,
 /// `Err` becomes a typed error line. Never panics on any input —
 /// connection threads have no one to report a panic to. The connection
-/// writer is passed through so streaming ops (`subscribe`) can answer
-/// with more than one line.
+/// writer is passed through so `subscribe` can stream progress lines
+/// ahead of its terminal line.
 fn dispatch_on(
     shared: &Arc<Shared>,
     line: &str,
@@ -661,18 +641,12 @@ fn dispatch_on(
             session,
             deadline_ms,
             top,
-        } => do_mine(shared, &session, deadline_ms, top).map(Dispatched::Respond),
+        } => do_mine(shared, &session, deadline_ms, top, None),
         Request::Subscribe {
             session,
             deadline_ms,
             top,
-        } => Ok(Dispatched::Streamed(do_subscribe(
-            shared,
-            writer,
-            &session,
-            deadline_ms,
-            top,
-        ))),
+        } => do_mine(shared, &session, deadline_ms, top, Some(writer)),
         Request::Stats { session } => do_stats(shared, session.as_deref()).map(Dispatched::Respond),
         Request::Metrics => Ok(Dispatched::Respond(do_metrics())),
         Request::Close { session } => do_close(shared, &session).map(Dispatched::Respond),
@@ -817,78 +791,15 @@ pub fn dl_bits(dl: f64) -> String {
     format!("{:016x}", dl.to_bits())
 }
 
-fn do_mine(
-    shared: &Arc<Shared>,
-    name: &str,
-    deadline_ms: Option<u64>,
-    top: Option<usize>,
-) -> Result<String, ProtoError> {
-    shared.counters.bump(&shared.counters.mines);
-    let handle = lock_registry(&shared.registry)
-        .checkout(name)
-        .ok_or_else(|| unknown_session(name))?;
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let started = Instant::now();
-    let job_name = name.to_string();
-    // Pin the tenant across the pooled run *and* budget enforcement.
-    let pin = Arc::clone(&handle);
-    // The pool bounds mining CPU across all connections; the closure
-    // locks the tenant only once a worker picks it up. Latency is
-    // measured from request receipt, so it includes queue wait — that
-    // is what the client experiences.
-    let outcome = shared
-        .pool
-        .run(move || {
-            let mut tenant = lock(&handle);
-            let mut obs = DeadlineObserver {
-                deadline,
-                hit: false,
-            };
-            let result = tenant.run_with(&mut obs);
-            let rendered = result.map(|r| {
-                render_mine(
-                    "mine",
-                    false,
-                    &job_name,
-                    &tenant,
-                    &r,
-                    top,
-                    started.elapsed().as_millis() as u64,
-                )
-            });
-            (rendered, obs.hit)
-        })
-        .map_err(|_| {
-            ProtoError::new(
-                ErrorCode::Internal,
-                "mining job panicked; session state was not persisted",
-            )
-        })?;
-    match outcome {
-        (Ok(rendered), hit) => {
-            if hit {
-                shared.counters.bump(&shared.counters.deadline_hits);
-                serve_metrics().deadline_expiries.inc();
-                return Err(deadline_error(deadline_ms));
-            }
-            shared.enforce_budget();
-            drop(pin);
-            Ok(rendered)
-        }
-        (Err(e), _) => Err(e),
-    }
-}
-
 /// How many progress events may sit unread between the mining worker
 /// and the connection thread. Past this the observer *drops* events
 /// (counted in `cspm_serve_subscribe_dropped_total`) rather than
 /// blocking the merge loop on a slow client.
 const SUBSCRIBE_BUFFER: usize = 64;
 
-/// One message from the mining worker to the streaming connection
-/// thread.
-enum SubEvent {
-    /// A per-merge progress snapshot.
+/// One message from the mining worker to the connection thread.
+enum MineEvent {
+    /// A per-merge progress snapshot (`subscribe` only).
     Progress(IterationStat),
     /// The run finished: the fully rendered terminal line (or the
     /// error that should become one) plus whether the deadline fired.
@@ -898,35 +809,36 @@ enum SubEvent {
     },
 }
 
-/// The subscribe op's observer: deadline enforcement like
-/// [`DeadlineObserver`], plus progress fan-out and client-gone
-/// cancellation. `try_send` keeps the merge loop non-blocking — a full
-/// buffer loses an event, never a merge.
-struct StreamingObserver {
+/// The observer of every pooled mine: enforces the request deadline,
+/// stops once the client is gone, and for `subscribe` forwards each
+/// accepted merge as a progress event. `try_send` keeps the merge loop
+/// non-blocking — a full buffer loses an event, never a merge.
+struct MineObserver {
     deadline: Option<Instant>,
     hit: bool,
     cancelled: Arc<AtomicBool>,
-    tx: SyncSender<SubEvent>,
+    /// The progress sink: `Some` for `subscribe`, `None` for `mine`.
+    progress: Option<SyncSender<MineEvent>>,
     dropped: u64,
 }
 
-impl ProgressObserver for StreamingObserver {
+impl ProgressObserver for MineObserver {
     fn on_iteration(&mut self, stat: &IterationStat) -> ControlFlow<()> {
         if self.cancelled.load(Ordering::Relaxed) {
             return ControlFlow::Break(());
         }
-        if let Some(at) = self.deadline {
-            if Instant::now() >= at {
-                self.hit = true;
-                return ControlFlow::Break(());
-            }
+        if self.deadline.is_some_and(|at| Instant::now() >= at) {
+            self.hit = true;
+            return ControlFlow::Break(());
         }
-        match self.tx.try_send(SubEvent::Progress(*stat)) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => self.dropped += 1,
-            // Receiver gone means the connection thread is gone;
-            // nothing is listening, so stop mining this request.
-            Err(TrySendError::Disconnected(_)) => return ControlFlow::Break(()),
+        if let Some(tx) = &self.progress {
+            match tx.try_send(MineEvent::Progress(*stat)) {
+                Ok(()) => {}
+                Err(TrySendError::Full(_)) => self.dropped += 1,
+                // Receiver gone means the connection thread is gone;
+                // nothing is listening, so stop mining this request.
+                Err(TrySendError::Disconnected(_)) => return ControlFlow::Break(()),
+            }
         }
         ControlFlow::Continue(())
     }
@@ -952,57 +864,56 @@ fn render_progress(name: &str, iteration: u64, stat: &IterationStat) -> String {
     j.finish()
 }
 
-/// The `subscribe` op: mines like [`do_mine`] but writes progress
-/// event lines on the connection as merges are accepted, then the
-/// terminal line. The whole exchange is written here; the returned
-/// `io::Result` says whether the connection survived.
+/// The `mine` and `subscribe` ops: one tenant mine as a pooled job.
+/// `progress` is the subscriber's connection — `Some` writes one event
+/// line per accepted merge as the run goes, `None` (plain `mine`)
+/// streams nothing. Either way the terminal line (or typed error) is
+/// returned for the caller to write.
+///
+/// The pool bounds mining CPU across all connections; the job locks
+/// the tenant only once a worker picks it up. Latency is measured from
+/// request receipt, so it includes queue wait — that is what the
+/// client experiences.
 ///
 /// Cancellation safety: if a progress write fails, the client is gone
 /// — the observer's `cancelled` flag stops the merge loop at the next
 /// iteration, and this thread keeps *draining* the channel (without
 /// writing) so the worker's blocking `Done` send can never wedge. A
-/// worker panic drops the channel sender, which surfaces here as a
+/// worker panic drops the channel's senders, which surfaces here as a
 /// terminal internal error rather than a hang.
-fn do_subscribe(
+fn do_mine(
     shared: &Arc<Shared>,
-    writer: &mut UnixStream,
     name: &str,
     deadline_ms: Option<u64>,
     top: Option<usize>,
-) -> io::Result<()> {
-    shared.counters.bump(&shared.counters.subscribes);
-    let fail = |w: &mut UnixStream, e: ProtoError| {
-        shared.counters.bump(&shared.counters.errors);
-        serve_metrics().errors.inc();
-        write_line(w, &e.to_line())
-    };
-    let Some(handle) = lock_registry(&shared.registry).checkout(name) else {
-        return fail(writer, unknown_session(name));
-    };
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    mut progress: Option<&mut UnixStream>,
+) -> Result<Dispatched, ProtoError> {
+    let stream = progress.is_some();
+    let c = &shared.counters;
+    c.bump(if stream { &c.subscribes } else { &c.mines });
+    let handle = lock_registry(&shared.registry)
+        .checkout(name)
+        .ok_or_else(|| unknown_session(name))?;
     let started = Instant::now();
     let job_name = name.to_string();
     let cancelled = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = sync_channel::<SubEvent>(SUBSCRIBE_BUFFER);
+    let (tx, rx) = sync_channel::<MineEvent>(SUBSCRIBE_BUFFER);
+    let mut obs = MineObserver {
+        deadline: deadline_ms.map(|ms| started + Duration::from_millis(ms)),
+        hit: false,
+        cancelled: Arc::clone(&cancelled),
+        progress: stream.then(|| tx.clone()),
+        dropped: 0,
+    };
 
-    // Pin the tenant across the pooled run *and* budget enforcement,
-    // exactly like `do_mine`.
+    // Pin the tenant across the pooled run *and* budget enforcement.
     let pin = Arc::clone(&handle);
-    let cancel_flag = Arc::clone(&cancelled);
     shared.pool.submit(move || {
         let mut tenant = lock(&handle);
-        let mut obs = StreamingObserver {
-            deadline,
-            hit: false,
-            cancelled: cancel_flag,
-            tx: tx.clone(),
-            dropped: 0,
-        };
         let result = tenant.run_with(&mut obs);
         let rendered = result.map(|r| {
             render_mine(
-                "subscribe",
-                true,
+                stream,
                 &job_name,
                 &tenant,
                 &r,
@@ -1017,7 +928,7 @@ fn do_subscribe(
         // Blocking send is safe: the connection thread drains until it
         // sees `Done` (or the channel closes), even after a write
         // failure.
-        let _ = tx.send(SubEvent::Done {
+        let _ = tx.send(MineEvent::Done {
             rendered,
             deadline_hit: obs.hit,
         });
@@ -1028,17 +939,19 @@ fn do_subscribe(
     let mut outcome = None;
     for event in rx.iter() {
         match event {
-            SubEvent::Progress(stat) => {
+            MineEvent::Progress(stat) => {
                 iteration += 1;
-                if !conn_alive {
+                let Some(writer) = progress.as_deref_mut() else {
                     continue;
-                }
-                if write_line(writer, &render_progress(name, iteration, &stat)).is_err() {
+                };
+                if conn_alive
+                    && write_line(writer, &render_progress(name, iteration, &stat)).is_err()
+                {
                     conn_alive = false;
                     cancelled.store(true, Ordering::Relaxed);
                 }
             }
-            SubEvent::Done {
+            MineEvent::Done {
                 rendered,
                 deadline_hit,
             } => {
@@ -1056,7 +969,7 @@ fn do_subscribe(
         }
         Some((Ok(rendered), false)) => {
             shared.enforce_budget();
-            Ok(rendered)
+            Ok(Dispatched::Respond(rendered))
         }
         Some((Err(e), false)) => Err(e),
         // Channel closed without a Done: the mining job panicked.
@@ -1067,15 +980,9 @@ fn do_subscribe(
     };
     drop(pin);
     if !conn_alive {
-        return Err(io::Error::new(
-            ErrorKind::BrokenPipe,
-            "subscribe client went away mid-stream",
-        ));
+        return Ok(Dispatched::Hangup);
     }
-    match terminal {
-        Ok(rendered) => write_line(writer, &rendered),
-        Err(e) => fail(writer, e),
-    }
+    terminal
 }
 
 fn deadline_error(deadline_ms: Option<u64>) -> ProtoError {
@@ -1089,12 +996,11 @@ fn deadline_error(deadline_ms: Option<u64>) -> ProtoError {
 }
 
 /// Renders a mine response under the tenant lock (star display needs
-/// the graph's attribute table). `subscribe` reuses the same payload
-/// as its terminal line, tagged `"event":"done"` so a streaming client
-/// can tell it from the progress events that preceded it.
+/// the graph's attribute table). `subscribe` (`stream`) reuses the same
+/// payload as its terminal line, tagged `"event":"done"` so a streaming
+/// client can tell it from the progress events that preceded it.
 fn render_mine(
-    op: &str,
-    done_event: bool,
+    stream: bool,
     name: &str,
     tenant: &Tenant,
     result: &CspmResult,
@@ -1103,9 +1009,11 @@ fn render_mine(
 ) -> String {
     let mut j = Json::new();
     j.begin_obj();
-    j.field_bool("ok", true).field_str("op", op);
-    if done_event {
-        j.field_str("event", "done");
+    j.field_bool("ok", true);
+    if stream {
+        j.field_str("op", "subscribe").field_str("event", "done");
+    } else {
+        j.field_str("op", "mine");
     }
     j.field_str("session", name)
         .field_num("initial_dl", result.initial_dl)

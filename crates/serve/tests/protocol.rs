@@ -129,6 +129,9 @@ fn daemon_mining_is_bit_identical_to_one_shot() {
         Some(one_shot_bits(&g).as_str()),
         "daemon DL must be bit-identical to a one-shot mine"
     );
+    // `mine` shares `subscribe`'s job but answers in its own shape.
+    assert_eq!(mined.get("op").and_then(Value::as_str), Some("mine"));
+    assert!(mined.get("event").is_none(), "{}", mined.to_json());
     // Warm re-mine: same bits again.
     let again = c.mine("t1");
     assert_eq!(
@@ -240,6 +243,13 @@ fn malformed_input_gets_typed_errors_and_never_wedges_the_connection() {
         c.request_err(r#"{"op":"delta","session":"ghost","add_labels":[[0,"x"]]}"#),
         "unknown_session"
     );
+    // `subscribe` refuses an unknown session exactly like `mine`: one
+    // typed line, and the connection keeps serving.
+    assert_eq!(
+        c.request_err(r#"{"op":"subscribe","session":"ghost"}"#),
+        "unknown_session"
+    );
+    c.request(r#"{"op":"ping"}"#);
     assert_eq!(
         c.request_err(r#"{"op":"delta","session":"t1","add_edges":[[0,{"new":9}]]}"#),
         "bad_delta"
@@ -310,6 +320,13 @@ fn expired_deadline_cancels_cleanly_and_preserves_the_session() {
     c.open_with_graph("t1", &g);
     assert_eq!(
         c.request_err(r#"{"op":"mine","session":"t1","deadline_ms":0}"#),
+        "deadline_exceeded"
+    );
+    // `subscribe` hits the same deadline before sending any progress
+    // event, so its whole answer is the one `deadline_exceeded` line:
+    // the next line read below must be the plain mine's.
+    assert_eq!(
+        c.request_err(r#"{"op":"subscribe","session":"t1","deadline_ms":0}"#),
         "deadline_exceeded"
     );
     // The pristine database is untouched: a deadline-free mine still

@@ -491,9 +491,6 @@ proptest! {
         prop_assert_eq!(store.intersect_count_slice(ra, &b), intersect_count(&a, &b));
         let got_a = store.positions(ra).into_owned();
         prop_assert_eq!(&got_a, &a);
-        let absent: Vec<u32> =
-            c.iter().copied().filter(|x| a.binary_search(x).is_err()).collect();
-        prop_assert_eq!(store.filter_missing(ra, &c), absent);
         // Mutating kernels: difference on a, union on b, both vs c.
         let mut ref_a = a.clone();
         difference_inplace(&mut ref_a, &c);

@@ -7,6 +7,8 @@
 //! lives in `crates/serve/tests/protocol.rs`; this suite only exercises
 //! what needs real binaries and real signals.
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
@@ -45,6 +47,28 @@ fn json_str_field(doc: &str, key: &str) -> Option<String> {
     let start = doc.find(&needle)? + needle.len();
     let end = doc[start..].find('"')?;
     Some(doc[start..start + end].to_string())
+}
+
+/// The integer value of `"key":N` in a JSON line.
+fn json_u64_field(doc: &str, key: &str) -> Option<u64> {
+    let needle = format!("\"{key}\":");
+    let start = doc.find(&needle)? + needle.len();
+    let digits: String = doc[start..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().ok()
+}
+
+/// Writes one raw request line to the daemon and returns its one-line
+/// answer — for frames the client binary would never send.
+fn raw_exchange(stream: &mut UnixStream, line: &[u8]) -> String {
+    stream.write_all(line).unwrap();
+    stream.write_all(b"\n").unwrap();
+    stream.flush().unwrap();
+    let mut answer = String::new();
+    BufReader::new(&*stream).read_line(&mut answer).unwrap();
+    answer
 }
 
 struct Daemon {
@@ -273,6 +297,35 @@ fn daemon_reports_typed_errors_and_sigterm_shutdown_is_clean() {
     assert_eq!(code, Some(1), "daemon refusal must exit 1: {err}");
     assert!(resp.contains("\"unknown_session\""), "stdout: {resp}");
     assert!(err.contains("unknown_session"), "stderr: {err}");
+
+    // Two refusals the client binary cannot produce: a line one byte
+    // over the 8 MiB frame cap, then an unknown op. Both are answered
+    // and counted, and the connection stays usable between them.
+    let mut raw = UnixStream::connect(&daemon.socket).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let oversized = vec![b'x'; 8 * 1024 * 1024 + 1];
+    let answer = raw_exchange(&mut raw, &oversized);
+    assert!(answer.contains("\"oversized_frame\""), "answer: {answer}");
+    let answer = raw_exchange(&mut raw, br#"{"op":"explode"}"#);
+    assert!(answer.contains("\"unknown_op\""), "answer: {answer}");
+    drop(raw);
+
+    // The stats counter and the scrape count the same errors.
+    let (ok, stats, err) = cspm(&["client", "stats", "--socket", sock]);
+    assert!(ok, "stats: {err}");
+    let (ok, text, err) = cspm(&["client", "metrics", "--socket", sock]);
+    assert!(ok, "metrics: {err}");
+    let scraped: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("cspm_serve_errors_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no cspm_serve_errors_total sample: {text}"));
+    assert_eq!(
+        json_u64_field(&stats, "errors"),
+        Some(scraped),
+        "stats: {stats}"
+    );
+    assert_eq!(scraped, 3, "ghost mine + oversized frame + unknown op");
 
     // No daemon at all: exit code 2, no usage banner — a transport
     // failure is neither a usage mistake nor a server-side refusal.
