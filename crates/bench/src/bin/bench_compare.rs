@@ -18,12 +18,6 @@
 //! must not fail the job; its timing becomes gate-relevant once the
 //! refreshed baseline is committed. A record absent from the fresh run
 //! is reported as **removed**.
-//!
-//! `serve/…` records (the `bench_serve` load driver: daemon round-trip
-//! latencies, dominated by socket scheduling rather than the merge
-//! loop) are never gated regardless of name — they report as `new` or
-//! `info` only, so a fresh `BENCH_serve.json` can ride through the gate
-//! before any serve baseline exists.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -154,7 +148,7 @@ fn compare(
     names.sort();
     names.dedup();
     for name in names {
-        let gated = name.contains("merge_loop") && !name.starts_with("serve/");
+        let gated = name.contains("merge_loop");
         let (b, f) = (baseline.get(name).copied(), fresh.get(name).copied());
         let verdict = match (b, f) {
             (Some(b), Some(f)) => {
@@ -266,34 +260,6 @@ mod tests {
         assert_eq!(warm.verdict, Verdict::New);
         assert!(warm.markdown().contains("| new |"));
         assert!(warm.markdown().contains("| — |"), "no baseline column");
-    }
-
-    /// Daemon round-trip latencies jitter with socket scheduling, so
-    /// `serve/…` records never gate: fresh-only ones are `new`, and
-    /// even a wild swing in a record present on both sides only informs
-    /// — including names that would otherwise match the merge-loop gate.
-    #[test]
-    fn serve_records_report_but_never_gate() {
-        let baseline = timings(&[("serve/mine_merge_loop_p99", 0.010)]);
-        let fresh = timings(&[
-            ("serve/mine_merge_loop_p99", 0.100),
-            ("serve/delta_p50", 0.002),
-        ]);
-        let report = compare(&baseline, &fresh, 15.0, 0.5);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
-        assert_eq!(report.new_names, vec!["serve/delta_p50".to_string()]);
-        let p99 = report
-            .rows
-            .iter()
-            .find(|r| r.name.ends_with("p99"))
-            .unwrap();
-        assert!(matches!(p99.verdict, Verdict::Info { .. }));
-        let p50 = report
-            .rows
-            .iter()
-            .find(|r| r.name.ends_with("p50"))
-            .unwrap();
-        assert_eq!(p50.verdict, Verdict::New);
     }
 
     #[test]

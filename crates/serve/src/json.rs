@@ -365,6 +365,9 @@ impl<'a> Parser<'a> {
         }
         let hex = std::str::from_utf8(&self.bytes[self.pos..end])
             .ok()
+            // Exactly four hex digits (RFC 8259): `from_str_radix`
+            // alone would also take a leading `+`.
+            .filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()))
             .and_then(|s| u32::from_str_radix(s, 16).ok())
             .ok_or_else(|| self.err(ErrorKind::BadEscape))?;
         self.pos = end;
@@ -524,6 +527,7 @@ mod tests {
         assert_eq!(parse("").unwrap_err().kind, ErrorKind::UnexpectedEnd);
         assert_eq!(parse("{}x").unwrap_err().kind, ErrorKind::TrailingData);
         assert_eq!(parse(r#""\q""#).unwrap_err().kind, ErrorKind::BadEscape);
+        assert_eq!(parse(r#""\u+041""#).unwrap_err().kind, ErrorKind::BadEscape);
         assert_eq!(parse("1e999").unwrap_err().kind, ErrorKind::BadNumber);
         assert_eq!(
             parse(r#""\ud800x""#).unwrap_err().kind,

@@ -14,8 +14,8 @@
 //! | `metrics` | per-op counters/latency histograms on the process-wide telemetry registry, scraped via the `metrics` op |
 //!
 //! The protocol grammar is documented normatively in `docs/FORMATS.md`
-//! §7. The load-driver benchmark lives in `cspm-bench` (`bench_serve`);
-//! the CLI front-ends (`cspm serve`, `cspm client`) in the root crate.
+//! §7. The CLI front-ends (`cspm serve`, `cspm client`) live in the
+//! root crate, and the load benchmark in `perfbench/` (`tenant-churn`).
 //!
 //! # Guarantees
 //!

@@ -17,6 +17,7 @@ use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm_graph::fixtures::{labelled_path, paper_example};
 use cspm_graph::{write_graph, AttributedGraph};
 use cspm_serve::json::{parse, Value};
+use cspm_serve::proto::delta_from_value;
 use cspm_serve::server::dl_bits;
 use cspm_serve::{Server, ServerConfig};
 
@@ -350,18 +351,31 @@ fn concurrent_tenants_mine_independently() {
         .map(|i| {
             let socket = server.socket().to_path_buf();
             std::thread::spawn(move || {
-                let g = labelled_path(40 + 10 * i, 2 + i);
+                let mut replica = labelled_path(40 + 10 * i, 2 + i);
                 let name = format!("tenant-{i}");
                 let mut c = Client::connect(&socket);
-                c.open_with_graph(&name, &g);
-                let mined = c.mine(&name);
-                let got = mined
-                    .get("final_dl_bits")
-                    .unwrap()
-                    .as_str()
-                    .unwrap()
-                    .to_string();
-                assert_eq!(got, one_shot_bits(&g), "tenant {i} DL mismatch");
+                c.open_with_graph(&name, &replica);
+                // A first mine, then three rounds of one wire delta and
+                // a warm re-mine. The replica applies the same request
+                // line through the daemon's own decoder, so each digest
+                // must equal a cold mine of the replica.
+                for round in 0..=3 {
+                    if round > 0 {
+                        let anchor = (7 * round + i) % replica.vertex_count();
+                        let req = format!(
+                            r#"{{"op":"delta","session":"{name}","add_vertices":[["l{round}"]],"add_edges":[[{anchor},{{"new":0}}]]}}"#
+                        );
+                        c.request(&req);
+                        let delta = delta_from_value(&parse(&req).unwrap()).unwrap();
+                        replica = delta.apply(&replica).unwrap().graph;
+                    }
+                    let mined = c.mine(&name);
+                    assert_eq!(
+                        mined.get("final_dl_bits").unwrap().as_str(),
+                        Some(one_shot_bits(&replica).as_str()),
+                        "tenant {i} DL mismatch after {round} deltas"
+                    );
+                }
             })
         })
         .collect();
