@@ -4,12 +4,12 @@
 //! and re-mines stay warm, but "many tenants" and "bounded memory" pull
 //! in opposite directions. [`SessionRegistry`] resolves that the way the
 //! ROADMAP's storage-engine reference does: keep everything resident
-//! until a budget says otherwise, then reclaim in two escalating stages —
-//! first *compact* sessions whose posting arenas report fragmentation
-//! above the configured threshold (cheap, nothing is lost), and only
-//! then *evict* idle sessions in least-recently-used order (the eviction
-//! callback gets a last look, e.g. to checkpoint a durable session so
-//! re-open is warm).
+//! until a budget says otherwise, then *evict* idle sessions in
+//! least-recently-used order (the eviction callback gets a last look,
+//! e.g. to checkpoint a durable session so re-open is warm). The
+//! registry never compacts: every session compacts its own arena as it
+//! absorbs deltas, so none rests above
+//! [`MiningSession::COMPACT_ABOVE`](crate::MiningSession::COMPACT_ABOVE).
 //!
 //! The registry is policy, not mechanism: it never blocks on a busy
 //! session. Sessions are handed out as `Arc<Mutex<S>>`, a request holds
@@ -26,20 +26,12 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// How much memory a resident session holds and what can be done about
-/// it, as seen by [`SessionRegistry::enforce_budget`].
+/// How much memory a resident session holds, as seen by
+/// [`SessionRegistry::enforce_budget`].
 pub trait ResidentFootprint {
     /// Estimated resident bytes (heap payloads that scale with the
     /// graph; fixed-size headers are noise at eviction granularity).
     fn approx_bytes(&self) -> usize;
-
-    /// Arena fragmentation signal in `[1.0, ∞)`; `1.0` = fully dense.
-    /// See `PostingStore::fragmentation`.
-    fn fragmentation(&self) -> f64;
-
-    /// Reclaims slack in place (arena compaction). Must not change
-    /// observable mining behaviour.
-    fn compact(&mut self);
 }
 
 /// The name is already resident; returned by [`SessionRegistry::insert`].
@@ -59,11 +51,9 @@ impl std::error::Error for AlreadyResident {}
 pub struct PressureOutcome {
     /// Estimated resident bytes entering the pass.
     pub bytes_before: usize,
-    /// Estimated resident bytes after compaction + eviction.
+    /// Estimated resident bytes after eviction.
     pub bytes_after: usize,
-    /// Sessions compacted in place (stage 1), in registry order.
-    pub compacted: Vec<String>,
-    /// Sessions evicted (stage 2), least-recently-used first.
+    /// Sessions evicted, least-recently-used first.
     pub evicted: Vec<String>,
     /// Sessions that were over-budget candidates but busy (locked or
     /// checked out by a request) and therefore left alone this round.
@@ -187,13 +177,11 @@ impl<S: ResidentFootprint> SessionRegistry<S> {
         self.entries.values().map(|e| e.cached_bytes).sum()
     }
 
-    /// Brings the estimated footprint under `budget` if it can:
-    /// stage 1 compacts resident sessions whose fragmentation exceeds
-    /// `compact_above`; stage 2 evicts idle sessions LRU-first until
-    /// under budget. `on_evict` runs under the session lock before the
-    /// entry is dropped (checkpoint-to-store lives there); returning
-    /// `false` vetoes this eviction (e.g. the checkpoint failed and
-    /// dropping the session would lose data).
+    /// Brings the estimated footprint under `budget` if it can, by
+    /// evicting idle sessions LRU-first. `on_evict` runs under the
+    /// session lock before the entry is dropped (checkpoint-to-store
+    /// lives there); returning `false` vetoes this eviction (e.g. the
+    /// checkpoint failed and dropping the session would lose data).
     ///
     /// Busy sessions — lock held, or a request still holds the `Arc`
     /// from [`Self::checkout`] — are never touched, so a pass over a
@@ -201,7 +189,6 @@ impl<S: ResidentFootprint> SessionRegistry<S> {
     pub fn enforce_budget(
         &mut self,
         budget: usize,
-        compact_above: f64,
         mut on_evict: impl FnMut(&str, &mut S) -> bool,
     ) -> PressureOutcome {
         let mut out = PressureOutcome {
@@ -213,26 +200,7 @@ impl<S: ResidentFootprint> SessionRegistry<S> {
             return out;
         }
 
-        // Stage 1: compaction — free wins first, nothing is lost.
         let mut names: Vec<String> = self.entries.keys().cloned().collect();
-        names.sort();
-        for name in &names {
-            let entry = self.entries.get_mut(name).expect("name just listed");
-            let Ok(mut s) = entry.session.try_lock() else {
-                continue;
-            };
-            if s.fragmentation() > compact_above {
-                s.compact();
-                entry.cached_bytes = s.approx_bytes();
-                out.compacted.push(name.clone());
-            }
-        }
-        out.bytes_after = self.entries.values().map(|e| e.cached_bytes).sum();
-        if out.bytes_after <= budget {
-            return out;
-        }
-
-        // Stage 2: evict idle sessions, least recently used first.
         names.sort_by_key(|n| self.entries[n].last_used);
         for name in &names {
             if out.bytes_after <= budget {
@@ -278,35 +246,12 @@ impl<S> std::fmt::Debug for SessionRegistry<S> {
 mod tests {
     use super::*;
 
-    /// A fake session: `bytes` of payload, fixed fragmentation, and a
-    /// compaction that halves the payload.
-    struct Fake {
-        bytes: usize,
-        frag: f64,
-        compactions: usize,
-    }
-
-    impl Fake {
-        fn new(bytes: usize, frag: f64) -> Self {
-            Self {
-                bytes,
-                frag,
-                compactions: 0,
-            }
-        }
-    }
+    /// A fake session holding `.0` bytes of payload.
+    struct Fake(usize);
 
     impl ResidentFootprint for Fake {
         fn approx_bytes(&self) -> usize {
-            self.bytes
-        }
-        fn fragmentation(&self) -> f64 {
-            self.frag
-        }
-        fn compact(&mut self) {
-            self.bytes /= 2;
-            self.frag = 1.0;
-            self.compactions += 1;
+            self.0
         }
     }
 
@@ -314,8 +259,8 @@ mod tests {
     fn insert_checkout_remove_roundtrip() {
         let mut reg = SessionRegistry::new();
         assert!(reg.is_empty());
-        reg.insert("a", Fake::new(100, 1.0)).unwrap();
-        assert!(reg.insert("a", Fake::new(1, 1.0)).is_err());
+        reg.insert("a", Fake(100)).unwrap();
+        assert!(reg.insert("a", Fake(1)).is_err());
         assert!(reg.contains("a"));
         assert_eq!(reg.names(), vec!["a".to_string()]);
         assert!(reg.checkout("a").is_some());
@@ -327,36 +272,23 @@ mod tests {
     #[test]
     fn under_budget_pass_is_a_noop() {
         let mut reg = SessionRegistry::new();
-        reg.insert("a", Fake::new(100, 9.0)).unwrap();
-        let out = reg.enforce_budget(1000, 2.0, |_, _| true);
+        reg.insert("a", Fake(100)).unwrap();
+        let out = reg.enforce_budget(1000, |_, _| panic!("must not evict"));
         assert_eq!(out.bytes_before, 100);
         assert_eq!(out.bytes_after, 100);
-        assert!(out.compacted.is_empty() && out.evicted.is_empty());
-        // Not even compaction runs while under budget — fragmentation
-        // is only worth chasing under pressure.
+        assert!(out.evicted.is_empty());
         assert!(reg.contains("a"));
-    }
-
-    #[test]
-    fn compaction_runs_before_eviction_and_can_satisfy_the_budget() {
-        let mut reg = SessionRegistry::new();
-        reg.insert("frag", Fake::new(600, 3.0)).unwrap();
-        reg.insert("dense", Fake::new(100, 1.0)).unwrap();
-        let out = reg.enforce_budget(500, 2.0, |_, _| panic!("must not evict"));
-        assert_eq!(out.compacted, vec!["frag".to_string()]);
-        assert_eq!(out.bytes_after, 400);
-        assert_eq!(reg.len(), 2);
     }
 
     #[test]
     fn evicts_least_recently_used_first() {
         let mut reg = SessionRegistry::new();
-        reg.insert("old", Fake::new(400, 1.0)).unwrap();
-        reg.insert("mid", Fake::new(400, 1.0)).unwrap();
-        reg.insert("hot", Fake::new(400, 1.0)).unwrap();
+        reg.insert("old", Fake(400)).unwrap();
+        reg.insert("mid", Fake(400)).unwrap();
+        reg.insert("hot", Fake(400)).unwrap();
         drop(reg.checkout("old")); // bump: "mid" is now the LRU
         let mut seen = Vec::new();
-        let out = reg.enforce_budget(900, 2.0, |name, _| {
+        let out = reg.enforce_budget(900, |name, _| {
             seen.push(name.to_string());
             true
         });
@@ -369,12 +301,12 @@ mod tests {
     #[test]
     fn busy_sessions_are_skipped_not_blocked_on() {
         let mut reg = SessionRegistry::new();
-        reg.insert("busy", Fake::new(500, 1.0)).unwrap();
-        reg.insert("idle", Fake::new(500, 1.0)).unwrap();
+        reg.insert("busy", Fake(500)).unwrap();
+        reg.insert("idle", Fake(500)).unwrap();
         // A request holds the handle (and the lock) mid-operation.
         let handle = reg.checkout("busy").unwrap();
         let _guard = handle.lock().unwrap();
-        let out = reg.enforce_budget(400, 2.0, |_, _| true);
+        let out = reg.enforce_budget(400, |_, _| true);
         assert_eq!(out.evicted, vec!["idle".to_string()]);
         assert_eq!(out.skipped_busy, 1);
         assert!(reg.contains("busy") && !reg.contains("idle"));
@@ -385,10 +317,10 @@ mod tests {
     #[test]
     fn checked_out_but_unlocked_sessions_are_not_evicted() {
         let mut reg = SessionRegistry::new();
-        reg.insert("held", Fake::new(500, 1.0)).unwrap();
+        reg.insert("held", Fake(500)).unwrap();
         // The request hasn't locked yet — strong_count alone protects it.
         let _handle = reg.checkout("held").unwrap();
-        let out = reg.enforce_budget(0, 2.0, |_, _| true);
+        let out = reg.enforce_budget(0, |_, _| true);
         assert!(out.evicted.is_empty());
         assert_eq!(out.skipped_busy, 1);
         assert!(reg.contains("held"));
@@ -397,9 +329,9 @@ mod tests {
     #[test]
     fn eviction_veto_keeps_the_session_resident() {
         let mut reg = SessionRegistry::new();
-        reg.insert("precious", Fake::new(500, 1.0)).unwrap();
-        reg.insert("plain", Fake::new(500, 1.0)).unwrap();
-        let out = reg.enforce_budget(0, 2.0, |name, _| name != "precious");
+        reg.insert("precious", Fake(500)).unwrap();
+        reg.insert("plain", Fake(500)).unwrap();
+        let out = reg.enforce_budget(0, |name, _| name != "precious");
         assert_eq!(out.evicted, vec!["plain".to_string()]);
         assert!(reg.contains("precious"));
     }
@@ -407,8 +339,8 @@ mod tests {
     #[test]
     fn approx_bytes_refreshes_idle_and_keeps_cache_for_busy() {
         let mut reg = SessionRegistry::new();
-        let handle = reg.insert("a", Fake::new(100, 1.0)).unwrap();
-        handle.lock().unwrap().bytes = 900;
+        let handle = reg.insert("a", Fake(100)).unwrap();
+        handle.lock().unwrap().0 = 900;
         assert_eq!(reg.approx_bytes(), 900);
         let guard = handle.lock().unwrap();
         // Locked: the stale cache serves the total instead of blocking.

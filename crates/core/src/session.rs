@@ -17,8 +17,9 @@
 //!   a few linear refresh passes — ~8× cheaper than a rebuild on
 //!   pokec-Small — see [`InvertedDb::apply_delta`];
 //! * the **posting arena** backing those rows, which survives across
-//!   calls and is compacted when patch traffic fragments it past the
-//!   configured pressure ratio ([`Miner::compact_above`]).
+//!   calls and is compacted when patch traffic fragments it past a
+//!   fixed pressure ratio ([`MiningSession::COMPACT_ABOVE`]) or after
+//!   [`MiningSession::COMPACT_AFTER_RELEASES`] row-releasing deltas.
 //!
 //! Warm re-mining is **bit-identical** to cold re-mining: a patched
 //! database is indistinguishable from a freshly built one (same
@@ -79,8 +80,6 @@ use crate::{CoresetMode, GainPolicy};
 pub struct Miner {
     config: CspmConfig,
     variant: Variant,
-    compact_above: f64,
-    compact_after_releases: Option<u32>,
 }
 
 impl Default for Miner {
@@ -90,18 +89,6 @@ impl Default for Miner {
 }
 
 impl Miner {
-    /// Default arena-pressure ratio past which a session compacts its
-    /// posting store after a delta: twice as much arena as live data.
-    pub const DEFAULT_COMPACT_ABOVE: f64 = 2.0;
-
-    /// Default count of *release-heavy* deltas (deltas that released at
-    /// least one posting row back to the free-list) after which a
-    /// session compacts regardless of the fragmentation ratio. Removal
-    /// traffic frees rows scattered across the arena: the byte ratio
-    /// can stay under [`Self::DEFAULT_COMPACT_ABOVE`] for a long time
-    /// while the free-list keeps the arena from ever shrinking.
-    pub const DEFAULT_COMPACT_AFTER_RELEASES: u32 = 8;
-
     /// A builder with the paper-default configuration (the same
     /// defaults as [`CspmConfig::default`], [`Variant::Partial`]).
     pub fn new() -> Self {
@@ -113,8 +100,6 @@ impl Miner {
         Self {
             config,
             variant: Variant::default(),
-            compact_above: Self::DEFAULT_COMPACT_ABOVE,
-            compact_after_releases: Some(Self::DEFAULT_COMPACT_AFTER_RELEASES),
         }
     }
 
@@ -159,33 +144,6 @@ impl Miner {
         self
     }
 
-    /// Arena-pressure ratio (`arena_len / live_len`) past which the
-    /// session compacts its posting store after absorbing a delta.
-    /// Must be ≥ 1.0; pass [`f64::INFINITY`] to disable automatic
-    /// compaction (manual [`MiningSession::compact_now`] still works).
-    pub fn compact_above(mut self, ratio: f64) -> Self {
-        assert!(ratio >= 1.0, "a pressure ratio below 1.0 is unreachable");
-        self.compact_above = ratio;
-        self
-    }
-
-    /// Number of release-heavy deltas (deltas that released posting
-    /// rows to the free-list) after which the session compacts even if
-    /// the fragmentation ratio is still below
-    /// [`compact_above`](Self::compact_above). Removal-dominated
-    /// streams fragment the arena without growing it, so the ratio
-    /// alone reacts late; this counter bounds how long that state can
-    /// persist. `None` disables the trigger; must be ≥ 1 otherwise.
-    pub fn compact_after_releases(mut self, count: Option<u32>) -> Self {
-        assert!(
-            count != Some(0),
-            "a zero release threshold would compact on every delta; use Some(1) \
-             to compact after each release-heavy delta or None to disable"
-        );
-        self.compact_after_releases = count;
-        self
-    }
-
     /// The configuration this builder will hand its sessions.
     pub fn config(&self) -> &CspmConfig {
         &self.config
@@ -197,8 +155,6 @@ impl Miner {
         MiningSession {
             config: self.config,
             variant: self.variant,
-            compact_above: self.compact_above,
-            compact_after_releases: self.compact_after_releases,
             release_heavy_deltas: 0,
             graph: None,
             pristine: None,
@@ -279,8 +235,6 @@ pub struct DeltaStats {
 pub struct MiningSession {
     config: CspmConfig,
     variant: Variant,
-    compact_above: f64,
-    compact_after_releases: Option<u32>,
     /// Release-heavy deltas absorbed since the last compaction (or
     /// cold load — both leave the arena exactly packed).
     release_heavy_deltas: u32,
@@ -290,6 +244,19 @@ pub struct MiningSession {
 }
 
 impl MiningSession {
+    /// Arena-pressure ratio (`arena_len / live_len`) past which a
+    /// session compacts its posting store after absorbing a delta:
+    /// twice as much arena as live data.
+    pub const COMPACT_ABOVE: f64 = 2.0;
+
+    /// Count of *release-heavy* deltas (deltas that released at least
+    /// one posting row back to the free-list) after which a session
+    /// compacts regardless of the ratio. Removal traffic frees rows
+    /// scattered across the arena: the byte ratio can stay under
+    /// [`Self::COMPACT_ABOVE`] for a long time while the free-list
+    /// keeps the arena from ever shrinking.
+    pub const COMPACT_AFTER_RELEASES: u32 = 8;
+
     /// Cold-loads `g`: replaces any retained state with a fresh
     /// inverted database for `g`. Does not mine.
     pub fn load(&mut self, g: &AttributedGraph) {
@@ -371,13 +338,6 @@ impl MiningSession {
         }
     }
 
-    /// Release-heavy deltas (deltas that released posting rows back to
-    /// the free-list) absorbed since the last compaction — the counter
-    /// behind [`Miner::compact_after_releases`].
-    pub fn release_heavy_deltas(&self) -> u32 {
-        self.release_heavy_deltas
-    }
-
     /// Estimated resident bytes of the retained graph + pristine
     /// database (0 when unloaded). This is what a serving daemon's
     /// memory budget counts; see [`crate::registry`].
@@ -410,8 +370,9 @@ impl MiningSession {
 
     /// Absorbs `delta` into the retained graph and database **without
     /// mining**: patch rows for the delta's dirty centers, then compact
-    /// the arena if pressure exceeds the configured ratio. Use this to
-    /// batch several deltas before one [`Self::run_with`];
+    /// the arena if either pressure trigger fires
+    /// ([`Self::COMPACT_ABOVE`], [`Self::COMPACT_AFTER_RELEASES`]).
+    /// Use this to batch several deltas before one [`Self::run_with`];
     /// [`Self::apply_delta`] is the stage-and-mine convenience.
     pub fn stage_delta(&mut self, delta: &GraphDelta) -> Result<DeltaStats, SessionError> {
         self.stage_deltas(std::slice::from_ref(delta))
@@ -484,7 +445,9 @@ impl MiningSession {
 
     /// Patches (or, for unpatchable coreset modes, rebuilds) the
     /// retained database for the given dirty centers of the current
-    /// graph, then compacts under arena pressure.
+    /// graph, then compacts under arena pressure. This is the only place
+    /// that decides to compact; [`Self::compact_now`] is the manual
+    /// override.
     fn absorb_dirty(&mut self, dirty: Vec<VertexId>) -> DeltaStats {
         let graph = self.graph.as_ref().expect("caller checked");
         let db = self.pristine.as_mut().expect("caller checked");
@@ -515,10 +478,8 @@ impl MiningSession {
         // patch traffic relocates rows, growing the arena) and the
         // release counter (removal traffic frees rows without growing
         // it — the ratio reacts late, the counter does not).
-        let release_pressure = self
-            .compact_after_releases
-            .is_some_and(|n| self.release_heavy_deltas >= n);
-        if db.posting_store().fragmentation() > self.compact_above || release_pressure {
+        let release_pressure = self.release_heavy_deltas >= Self::COMPACT_AFTER_RELEASES;
+        if db.posting_store().fragmentation() > Self::COMPACT_ABOVE || release_pressure {
             db.compact_postings();
             self.compactions += 1;
             self.release_heavy_deltas = 0;
@@ -578,21 +539,12 @@ impl MiningSession {
     }
 }
 
-/// A resident session is exactly what [`crate::registry`]'s budget
-/// wants to manage: its bytes are graph + pristine database, pressure
-/// is arena fragmentation, and compaction is the session's own exact
-/// arena repack (which never changes mined output).
+/// A resident session's footprint for [`crate::registry`]'s budget is
+/// its graph + pristine database; the session keeps its own arena
+/// compact, so eviction is the registry's only lever.
 impl crate::registry::ResidentFootprint for MiningSession {
     fn approx_bytes(&self) -> usize {
         MiningSession::approx_bytes(self)
-    }
-
-    fn fragmentation(&self) -> f64 {
-        MiningSession::fragmentation(self)
-    }
-
-    fn compact(&mut self) {
-        self.compact_now();
     }
 }
 
@@ -619,20 +571,12 @@ mod tests {
             .gain_policy(GainPolicy::DataOnly)
             .max_merges(Some(7))
             .collect_stats(true)
-            .variant(Variant::Basic)
-            .compact_above(4.0)
-            .compact_after_releases(Some(5));
+            .variant(Variant::Basic);
         assert_eq!(m.config().threads, 3);
         assert_eq!(m.config().gain_policy, GainPolicy::DataOnly);
         assert_eq!(m.config().max_merges, Some(7));
         assert!(m.config().collect_stats);
         assert_eq!(m.variant, Variant::Basic);
-        assert_eq!(m.compact_above, 4.0);
-        assert_eq!(m.compact_after_releases, Some(5));
-        assert_eq!(
-            Miner::new().compact_after_releases,
-            Some(Miner::DEFAULT_COMPACT_AFTER_RELEASES)
-        );
     }
 
     #[test]
@@ -882,18 +826,31 @@ mod tests {
     #[test]
     fn pressure_triggers_compaction() {
         let (g, _) = paper_example();
-        // Threshold 1.0 + ε: any fragmentation at all triggers.
-        let mut s = Miner::new().compact_above(1.0 + 1e-9).build();
+        let mut s = Miner::new().build();
         s.mine(&g);
         let mut delta = GraphDelta::new();
         let w = delta.add_vertex(["a", "b", "c"]);
         delta.add_edge(w, DeltaVertex::Existing(0));
         delta.add_edge(w, DeltaVertex::Existing(4));
-        let stats = s.stage_delta(&delta).unwrap();
-        // Patching relocated rows inside the arena, so pressure rose
-        // above 1.0 and the session compacted back to exactly 1.0.
-        assert!(stats.compacted, "patch traffic must trigger compaction");
-        assert_eq!(stats.fragmentation, 1.0);
+        // Each copy relocates the rows it grows inside the arena; the
+        // third pushes the ratio past `COMPACT_ABOVE`, and the session
+        // compacts back to exactly 1.0.
+        let mut compacted_at = None;
+        for copy in 1..=3 {
+            let stats = s.stage_delta(&delta).unwrap();
+            assert!(stats.fragmentation <= MiningSession::COMPACT_ABOVE);
+            if stats.compacted {
+                assert_eq!(stats.fragmentation, 1.0);
+                compacted_at = Some(copy);
+                break;
+            }
+            assert!(stats.fragmentation > 1.0, "patching must fragment");
+        }
+        assert_eq!(
+            compacted_at,
+            Some(3),
+            "arena pressure must trigger compaction"
+        );
         assert_eq!(s.fragmentation(), 1.0);
         assert_eq!(s.compactions(), 1);
         // Compaction must not perturb the mining result.
@@ -930,19 +887,13 @@ mod tests {
         (b.build().unwrap(), gadgets)
     }
 
-    /// Satellite of the PR 9 follow-on: removal traffic that releases
-    /// rows without pushing the byte ratio past `compact_above` must
-    /// still compact once the configured count of release-heavy deltas
-    /// accumulates.
+    /// Removal traffic that releases rows without pushing the byte
+    /// ratio past `COMPACT_ABOVE` must still compact once
+    /// `COMPACT_AFTER_RELEASES` release-heavy deltas accumulate.
     #[test]
     fn release_heavy_deltas_trigger_compaction() {
-        let (g, gadgets) = gadget_graph(6);
-        // The byte-ratio trigger is effectively disabled; only the
-        // release counter can fire.
-        let mut s = Miner::new()
-            .compact_above(1e9)
-            .compact_after_releases(Some(3))
-            .build();
+        let (g, gadgets) = gadget_graph(10);
+        let mut s = Miner::new().build();
         s.mine(&g);
         let mut compacted_at = None;
         for (i, &(u, w)) in gadgets.iter().enumerate() {
@@ -955,13 +906,22 @@ mod tests {
                 "gadget removal must release its pair rows"
             );
             if stats.compacted {
-                compacted_at = Some(i);
+                compacted_at = Some(i + 1);
                 break;
             }
+            // The ratio alone stays far from its trigger.
+            assert!(
+                stats.fragmentation <= 1.47,
+                "removal {}: {}",
+                i + 1,
+                stats.fragmentation
+            );
         }
-        // The third release-heavy delta (index 2) trips the counter.
-        assert_eq!(compacted_at, Some(2));
-        assert_eq!(s.release_heavy_deltas(), 0, "counter resets on compaction");
+        // The eighth release-heavy delta trips the counter.
+        assert_eq!(
+            compacted_at,
+            Some(MiningSession::COMPACT_AFTER_RELEASES as usize)
+        );
         assert_eq!(s.compactions(), 1);
         // Compaction never changes mined output: the session still
         // agrees with a cold mine of its current graph.
@@ -971,37 +931,10 @@ mod tests {
         assert_eq!(warm.merges, cold.merges);
     }
 
-    /// The pre-fix behaviour, pinned: with the release trigger
-    /// disabled, the same removal traffic leaves the arena fragmented
-    /// indefinitely (the ratio alone never fires).
-    #[test]
-    fn release_trigger_disabled_leaves_arena_fragmented() {
-        let (g, gadgets) = gadget_graph(6);
-        let mut s = Miner::new()
-            .compact_above(1e9)
-            .compact_after_releases(None)
-            .build();
-        s.mine(&g);
-        let mut last = None;
-        for &(u, w) in &gadgets {
-            let mut d = GraphDelta::new();
-            d.remove_edge(u, w);
-            let stats = s.stage_delta(&d).unwrap();
-            assert!(!stats.compacted);
-            last = Some(stats);
-        }
-        assert!(s.release_heavy_deltas() >= gadgets.len() as u32);
-        assert!(
-            last.unwrap().fragmentation > 1.0,
-            "released rows must leave dead arena bytes behind"
-        );
-        assert_eq!(s.compactions(), 0);
-    }
-
     #[test]
     fn manual_compaction_counts() {
         let (g, _) = paper_example();
-        let mut s = Miner::new().compact_above(f64::INFINITY).build();
+        let mut s = Miner::new().build();
         s.mine(&g);
         s.compact_now();
         assert_eq!(s.compactions(), 1);

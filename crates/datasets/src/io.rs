@@ -1,14 +1,15 @@
-//! Saving and loading generated datasets.
+//! Saving generated datasets.
 //!
 //! Generators are deterministic, but persisting the generated graphs
 //! lets experiments pin exact inputs across machines and toolchain
-//! versions (and lets users swap in real data in the same format).
+//! versions. The file is a plain graph file, read back by
+//! [`cspm_graph::read_graph`].
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use cspm_graph::{read_graph, write_graph, GraphError};
+use cspm_graph::{write_graph, GraphError};
 
 use crate::Dataset;
 
@@ -25,50 +26,11 @@ pub fn save_dataset(d: &Dataset, path: &Path) -> Result<(), GraphError> {
     Ok(())
 }
 
-/// Loads a dataset saved by [`save_dataset`]. Unknown names map to
-/// static placeholders (the graph itself is always faithful).
-pub fn load_dataset(path: &Path) -> Result<Dataset, GraphError> {
-    let mut header_name = String::new();
-    let mut header_category = String::new();
-    {
-        let r = BufReader::new(File::open(path)?);
-        for line in r.lines().take(4) {
-            let line = line?;
-            if let Some(rest) = line.strip_prefix("#! name: ") {
-                header_name = rest.to_owned();
-            } else if let Some(rest) = line.strip_prefix("#! category: ") {
-                header_category = rest.to_owned();
-            }
-        }
-    }
-    let graph = read_graph(File::open(path)?)?;
-    Ok(Dataset {
-        name: intern_static(&header_name),
-        category: intern_static(&header_category),
-        graph,
-    })
-}
-
-/// Maps loaded names back to the static strings the generators use.
-fn intern_static(s: &str) -> &'static str {
-    const KNOWN: &[&str] = &[
-        "DBLP(synthetic)",
-        "DBLP-Trend(synthetic)",
-        "USFlight(synthetic)",
-        "Pokec(synthetic)",
-        "Citation",
-        "Airport",
-        "Music",
-        "Cora(synthetic)",
-        "Citeseer(synthetic)",
-    ];
-    KNOWN.iter().find(|&&k| k == s).copied().unwrap_or("loaded")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{dblp_like, Scale};
+    use cspm_graph::read_graph;
 
     #[test]
     fn roundtrip_preserves_graph_and_metadata() {
@@ -77,11 +39,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dblp_tiny.graph");
         save_dataset(&d, &path).unwrap();
-        let loaded = load_dataset(&path).unwrap();
-        assert_eq!(loaded.name, "DBLP(synthetic)");
-        assert_eq!(loaded.category, "Citation");
-        assert_eq!(loaded.graph.vertex_count(), d.graph.vertex_count());
-        assert_eq!(loaded.graph.edge_count(), d.graph.edge_count());
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut header = text.lines();
+        assert_eq!(header.next(), Some("#! name: DBLP(synthetic)"));
+        assert_eq!(header.next(), Some("#! category: Citation"));
+        // The metadata lines are comments: the file reads as a graph.
+        let loaded = read_graph(text.as_bytes()).unwrap();
+        assert_eq!(loaded.vertex_count(), d.graph.vertex_count());
+        assert_eq!(loaded.edge_count(), d.graph.edge_count());
         // Attribute values survive by name.
         for v in d.graph.vertices() {
             let names = |g: &cspm_graph::AttributedGraph| -> Vec<String> {
@@ -90,17 +55,11 @@ mod tests {
                     .map(|&a| g.attrs().name(a).unwrap().to_owned())
                     .collect()
             };
-            let (mut a, mut b) = (names(&d.graph), names(&loaded.graph));
+            let (mut a, mut b) = (names(&d.graph), names(&loaded));
             a.sort();
             b.sort();
             assert_eq!(a, b);
         }
         std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn unknown_names_fall_back() {
-        assert_eq!(intern_static("whatever"), "loaded");
-        assert_eq!(intern_static("Music"), "Music");
     }
 }

@@ -39,7 +39,7 @@ mod util;
 pub use citation::{dblp_like, dblp_trend_like};
 pub use completion_nets::{citation_completion, CompletionDataset, CompletionKind};
 pub use flight::usflight_like;
-pub use io::{load_dataset, save_dataset};
+pub use io::save_dataset;
 pub use planted::{planted_astars, PlantedConfig, PlantedTruth};
 pub use social::pokec_like;
 

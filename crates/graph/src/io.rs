@@ -10,7 +10,10 @@
 //! ```
 //!
 //! Vertex ids must be dense (`0..n`), but `v` lines may appear in any
-//! order. Attribute values may not contain whitespace.
+//! order. Attribute values may not contain whitespace. A file may not
+//! name more ids than its records can: the largest id must be below
+//! the number of `v` records plus twice the number of `e` records, so
+//! the vertex table is bounded by the input's size.
 //!
 //! A binary codec ([`encode_graph`] / [`decode_graph`]) backs the
 //! `cspm-store` session snapshot; unlike the text format it preserves
@@ -27,12 +30,20 @@ use crate::graph::AttributedGraph;
 
 /// Reads a graph from the text format. Does not enforce connectivity
 /// (call [`AttributedGraph::validate`] if the paper's input requirements
-/// must hold).
+/// must hold). A largest id that the file's records cannot account for
+/// is a [`GraphError::Parse`] naming its line, never an allocation of
+/// that many vertices.
 pub fn read_graph<R: Read>(reader: R) -> Result<AttributedGraph, GraphError> {
     let reader = BufReader::new(reader);
     let mut vertices: Vec<(u32, Vec<String>)> = Vec::new();
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut max_id: Option<u32> = None;
+    // Largest id seen so far and the first line that named it.
+    let mut max_id: Option<(u32, usize)> = None;
+    let mut see = |id: u32, line: usize| {
+        if max_id.is_none_or(|(m, _)| id > m) {
+            max_id = Some((id, line));
+        }
+    };
 
     for (lineno, line) in reader.lines().enumerate() {
         let lineno = lineno + 1;
@@ -57,13 +68,13 @@ pub fn read_graph<R: Read>(reader: R) -> Result<AttributedGraph, GraphError> {
         match tag {
             "v" => {
                 let id = parse_id(parts.next())?;
-                max_id = Some(max_id.map_or(id, |m| m.max(id)));
+                see(id, lineno);
                 vertices.push((id, parts.map(str::to_owned).collect()));
             }
             "e" => {
                 let u = parse_id(parts.next())?;
                 let v = parse_id(parts.next())?;
-                max_id = Some(max_id.map_or(u.max(v), |m| m.max(u).max(v)));
+                see(u.max(v), lineno);
                 edges.push((u, v));
             }
             other => {
@@ -75,7 +86,19 @@ pub fn read_graph<R: Read>(reader: R) -> Result<AttributedGraph, GraphError> {
         }
     }
 
-    let n = max_id.map_or(0, |m| m as usize + 1);
+    // Each `v` record names at most one vertex and each `e` record two.
+    // A larger id asks for table slots that no record fills, and would
+    // let a few bytes of input demand gigabytes of them.
+    let nameable = vertices.len() + 2 * edges.len();
+    if let Some((id, line)) = max_id.filter(|&(id, _)| id as usize >= nameable) {
+        return Err(GraphError::Parse {
+            line,
+            message: format!(
+                "vertex id {id} exceeds the {nameable} ids the file's records can name"
+            ),
+        });
+    }
+    let n = max_id.map_or(0, |(m, _)| m as usize + 1);
     let mut b = GraphBuilder::with_capacity(n);
     b.add_vertices(n);
     for (id, values) in vertices {
@@ -191,71 +214,6 @@ pub fn decode_graph(bytes: &[u8]) -> Result<AttributedGraph, DecodeError> {
     Ok(g)
 }
 
-/// Reads a SNAP-style edge list (`u<TAB>v` or `u v` per line, `#`
-/// comments) together with a separate label file (`v value1 value2 …`
-/// per line). This is the interchange format of most public attributed
-/// graph dumps, so real datasets can be swapped in for the generators.
-pub fn read_edge_list_with_labels<R1: Read, R2: Read>(
-    edges: R1,
-    labels: R2,
-) -> Result<AttributedGraph, GraphError> {
-    let mut b = GraphBuilder::new();
-    let mut max_id: u32 = 0;
-    let mut parsed_edges: Vec<(u32, u32)> = Vec::new();
-    for (lineno, line) in BufReader::new(edges).lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let parse = |tok: Option<&str>| -> Result<u32, GraphError> {
-            tok.ok_or_else(|| GraphError::Parse {
-                line: lineno + 1,
-                message: "expected two vertex ids".into(),
-            })?
-            .parse()
-            .map_err(|_| GraphError::Parse {
-                line: lineno + 1,
-                message: "vertex id is not an integer".into(),
-            })
-        };
-        let u = parse(parts.next())?;
-        let v = parse(parts.next())?;
-        max_id = max_id.max(u).max(v);
-        parsed_edges.push((u, v));
-    }
-    let mut label_lines: Vec<(u32, Vec<String>)> = Vec::new();
-    for (lineno, line) in BufReader::new(labels).lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let v: u32 = parts
-            .next()
-            .unwrap()
-            .parse()
-            .map_err(|_| GraphError::Parse {
-                line: lineno + 1,
-                message: "label line must start with a vertex id".into(),
-            })?;
-        max_id = max_id.max(v);
-        label_lines.push((v, parts.map(str::to_owned).collect()));
-    }
-    b.add_vertices(max_id as usize + 1);
-    for (v, values) in label_lines {
-        for value in values {
-            b.add_label(v, &value)?;
-        }
-    }
-    for (u, v) in parsed_edges {
-        b.add_edge(u, v)?;
-    }
-    Ok(b.build_unchecked())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +255,27 @@ mod tests {
         assert!(g.labels(2).is_empty());
     }
 
+    /// Sixteen bytes must not be able to demand ~96 GB of vertex table:
+    /// an id past what the records can name is refused at its line.
+    #[test]
+    fn ids_beyond_what_the_records_name_are_refused() {
+        let err = read_graph("e 0 4000000000\n".as_bytes()).unwrap_err();
+        match err {
+            GraphError::Parse { line, message } => {
+                assert_eq!(line, 1);
+                assert!(message.contains("4000000000"), "{message}");
+            }
+            other => panic!("expected parse error, got {other}"),
+        }
+        // The first line that names the largest id is reported.
+        let err = read_graph("v 0 a\nv 1 b\ne 0 1\nv 9 c\ne 1 9\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 4, .. }), "{err}");
+        // One `v` and one `e` record name at most ids 0..=2 (the file of
+        // `vertex_only_seen_via_edge_exists`); id 3 is one too many.
+        let err = read_graph("v 0 x\ne 0 3\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 2, .. }), "{err}");
+    }
+
     #[test]
     fn bad_tag_reports_line() {
         let err = read_graph("v 0 x\nz 1 2\n".as_bytes()).unwrap_err();
@@ -319,21 +298,6 @@ mod tests {
     fn self_loop_in_file_is_rejected() {
         let err = read_graph("e 1 1\n".as_bytes()).unwrap_err();
         assert!(matches!(err, GraphError::SelfLoop(1)));
-    }
-
-    #[test]
-    fn snap_style_edge_list_with_labels() {
-        let edges = "# comment\n0\t1\n1 2\n";
-        let labels = "0 alpha beta\n2 gamma\n";
-        let g = read_edge_list_with_labels(edges.as_bytes(), labels.as_bytes()).unwrap();
-        assert_eq!(g.vertex_count(), 3);
-        assert_eq!(g.edge_count(), 2);
-        assert_eq!(g.labels(0).len(), 2);
-        assert!(g.labels(1).is_empty());
-        assert_eq!(
-            g.attrs().get("gamma").map(|a| g.has_label(2, a)),
-            Some(true)
-        );
     }
 
     #[test]
@@ -381,14 +345,5 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(decode_graph(&long).is_err());
-    }
-
-    #[test]
-    fn snap_style_bad_lines_report_positions() {
-        let err = read_edge_list_with_labels("0 x\n".as_bytes(), "".as_bytes()).unwrap_err();
-        assert!(matches!(err, GraphError::Parse { line: 1, .. }));
-        let err =
-            read_edge_list_with_labels("0 1\n".as_bytes(), "oops a b\n".as_bytes()).unwrap_err();
-        assert!(matches!(err, GraphError::Parse { line: 1, .. }));
     }
 }

@@ -48,6 +48,6 @@ pub use builder::GraphBuilder;
 pub use codec::DecodeError;
 pub use error::GraphError;
 pub use graph::{AttributedGraph, MappingTable, VertexId};
-pub use io::{decode_graph, encode_graph, read_edge_list_with_labels, read_graph, write_graph};
+pub use io::{decode_graph, encode_graph, read_graph, write_graph};
 pub use star::{ExtendedStar, Star};
 pub use subgraph::{ego_network, induced_subgraph, Subgraph};

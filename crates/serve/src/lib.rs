@@ -23,16 +23,18 @@
 //!   `final_dl_bits` as one-shot `cspm mine` on the same graph — the
 //!   daemon adds routing, never arithmetic.
 //! - **Robustness:** malformed lines, unknown ops, oversized frames
-//!   (bounded memory even mid-line), and bad deltas each produce one
-//!   typed error line; the connection and every other tenant keep
-//!   working. A panicking mine surfaces as an `internal` error, not a
-//!   dead daemon.
+//!   (bounded memory even mid-line), hostile graphs (an `open` whose
+//!   vertex ids outnumber its records is refused before anything is
+//!   allocated for them), and bad deltas each produce one typed error
+//!   line; the connection and every other tenant keep working. A
+//!   panicking mine surfaces as an `internal` error, not a dead daemon.
 //! - **Deadlines:** `mine` requests carry `deadline_ms`, enforced via
 //!   the engine's cooperative cancellation; expiry leaves the tenant's
 //!   warm state untouched.
-//! - **Memory budget:** under `--mem-budget` pressure the daemon first
-//!   compacts fragmented posting arenas, then evicts idle tenants
-//!   LRU-first — checkpointing durable ones so re-open is warm.
+//! - **Memory budget:** under `--mem-budget` pressure the daemon evicts
+//!   idle tenants LRU-first — checkpointing durable ones so re-open is
+//!   warm. Tenants need no compaction here: each session compacts its
+//!   own posting arena as it absorbs deltas.
 
 pub mod json;
 pub mod jsonfmt;

@@ -3,7 +3,7 @@
 //!
 //! Every request is counted and timed per `op` label; the remaining
 //! families cover the daemon's contended resources (the registry
-//! mutex), its budget machinery (evictions, pressure compactions), and
+//! mutex), its budget machinery (evictions), and
 //! the two ways a request degrades without failing (deadline expiry,
 //! delta-forced rebuilds). All of it is readable in one scrape via the
 //! `metrics` op — the same registry also carries the engine and store
@@ -34,7 +34,6 @@ pub(crate) struct ServeMetrics {
     pub(crate) errors: Counter,
     pub(crate) lock_wait_seconds: Histogram,
     pub(crate) evictions: Counter,
-    pub(crate) pressure_compactions: Counter,
     pub(crate) deadline_expiries: Counter,
     pub(crate) delta_rebuilds: Counter,
     pub(crate) subscribe_dropped: Counter,
@@ -100,10 +99,6 @@ pub(crate) fn serve_metrics() -> &'static ServeMetrics {
             evictions: r.counter(
                 "cspm_serve_evictions_total",
                 "Tenants evicted by memory-budget pressure.",
-            ),
-            pressure_compactions: r.counter(
-                "cspm_serve_pressure_compactions_total",
-                "Tenant arenas compacted by memory-budget pressure.",
             ),
             deadline_expiries: r.counter(
                 "cspm_serve_deadline_expiries_total",

@@ -18,9 +18,9 @@
 //! for lookups while a mine holds just its tenant. With `--store-dir`
 //! every tenant is a [`DurableSession`] checkpointed at
 //! `<store-dir>/<name>.csps`; the memory budget then degrades gracefully
-//! — under pressure the registry first compacts fragmented arenas, then
-//! evicts idle tenants LRU-first, checkpointing durable ones so the
-//! next `open` is a warm restore instead of a cold rebuild.
+//! — under pressure the registry evicts idle tenants LRU-first,
+//! checkpointing durable ones so the next `open` is a warm restore
+//! instead of a cold rebuild.
 //!
 //! Shutdown (SIGTERM/SIGINT via [`Server::run_until_signalled`], an
 //! in-band `shutdown` op, or [`Server::stop`]) drains: the accept
@@ -66,12 +66,9 @@ pub struct ServerConfig {
     /// scoring stays single-threaded per run — across-tenant
     /// parallelism is what a daemon wants on shared hardware.
     pub threads: usize,
-    /// Resident-memory budget in bytes; exceeded → compact, then evict
-    /// idle tenants LRU-first. `None` = unbounded.
+    /// Resident-memory budget in bytes; exceeded → evict idle tenants
+    /// LRU-first. `None` = unbounded.
     pub mem_budget: Option<usize>,
-    /// Fragmentation ratio above which budget pressure compacts a
-    /// session's arena before considering eviction.
-    pub compact_above: f64,
 }
 
 impl ServerConfig {
@@ -81,7 +78,6 @@ impl ServerConfig {
             store_dir: None,
             threads: 1,
             mem_budget: None,
-            compact_above: 2.0,
         }
     }
 }
@@ -142,17 +138,6 @@ impl ResidentFootprint for Tenant {
     fn approx_bytes(&self) -> usize {
         self.session().approx_bytes()
     }
-
-    fn fragmentation(&self) -> f64 {
-        self.session().fragmentation()
-    }
-
-    fn compact(&mut self) {
-        match self {
-            Tenant::Mem(s) => s.compact_now(),
-            Tenant::Durable(d) => d.compact_now(),
-        }
-    }
 }
 
 fn session_err(e: SessionError) -> ProtoError {
@@ -186,7 +171,6 @@ struct Counters {
     subscribes: AtomicU64,
     deadline_hits: AtomicU64,
     evictions: AtomicU64,
-    pressure_compactions: AtomicU64,
 }
 
 impl Counters {
@@ -240,7 +224,7 @@ impl Shared {
             return;
         };
         let mut registry = lock_registry(&self.registry);
-        let outcome = registry.enforce_budget(budget, self.config.compact_above, |name, t| {
+        let outcome = registry.enforce_budget(budget, |name, t| {
             t.checkpoint()
                 .map_err(|e| {
                     eprintln!("cspm serve: keeping {name:?} resident, checkpoint failed: {e}");
@@ -251,10 +235,6 @@ impl Shared {
         for _ in &outcome.evicted {
             self.counters.bump(&self.counters.evictions);
             m.evictions.inc();
-        }
-        for _ in &outcome.compacted {
-            self.counters.bump(&self.counters.pressure_compactions);
-            m.pressure_compactions.inc();
         }
     }
 }
@@ -1073,11 +1053,7 @@ fn do_stats(shared: &Arc<Shared>, session: Option<&str>) -> Result<String, Proto
                 .field_int("mines", c.mines.load(Ordering::Relaxed))
                 .field_int("subscribes", c.subscribes.load(Ordering::Relaxed))
                 .field_int("deadline_hits", c.deadline_hits.load(Ordering::Relaxed))
-                .field_int("evictions", c.evictions.load(Ordering::Relaxed))
-                .field_int(
-                    "pressure_compactions",
-                    c.pressure_compactions.load(Ordering::Relaxed),
-                );
+                .field_int("evictions", c.evictions.load(Ordering::Relaxed));
             j.end_obj();
             j.end_obj();
             Ok(j.finish())
@@ -1092,17 +1068,17 @@ fn do_stats(shared: &Arc<Shared>, session: Option<&str>) -> Result<String, Proto
             match handle {
                 Some(handle) => {
                     let tenant = lock(&handle);
-                    let (vertices, edges) = tenant
-                        .session()
+                    let s = tenant.session();
+                    let (vertices, edges) = s
                         .graph()
                         .map_or((0, 0), |g| (g.vertex_count(), g.edge_count()));
                     j.field_bool("resident", true)
                         .field_bool("durable", tenant.is_durable())
                         .field_int("vertices", vertices as u64)
                         .field_int("edges", edges as u64)
-                        .field_int("approx_bytes", tenant.approx_bytes() as u64)
-                        .field_num("fragmentation", tenant.fragmentation())
-                        .field_int("compactions", tenant.session().compactions());
+                        .field_int("approx_bytes", s.approx_bytes() as u64)
+                        .field_num("fragmentation", s.fragmentation())
+                        .field_int("compactions", s.compactions());
                 }
                 None => {
                     let stored = shared.store_path(name).is_some_and(|p| p.exists());

@@ -106,16 +106,14 @@ pub struct DurableSession {
     recovery: RecoveryOutcome,
     db_rebuilt: Option<String>,
     staged_since_checkpoint: usize,
-    checkpoint_every: usize,
 }
 
 impl DurableSession {
-    /// Deltas staged between automatic checkpoints (tunable with
-    /// [`Self::set_checkpoint_every`]). Every checkpoint rewrites the
-    /// whole snapshot, so "every delta" would turn O(1) appends into
-    /// O(graph) rewrites; a small batch keeps replay-on-open short
-    /// without that.
-    pub const DEFAULT_CHECKPOINT_EVERY: usize = 64;
+    /// Deltas staged between automatic checkpoints. Every checkpoint
+    /// rewrites the whole snapshot, so "every delta" would turn O(1)
+    /// appends into O(graph) rewrites; a small batch keeps
+    /// replay-on-open short without that.
+    pub const CHECKPOINT_EVERY: usize = 64;
 
     /// Opens the store at `path` and builds the session from it:
     /// fresh when nothing is there, warm-restored when the snapshot's
@@ -219,7 +217,6 @@ impl DurableSession {
             recovery,
             db_rebuilt,
             staged_since_checkpoint: 0,
-            checkpoint_every: Self::DEFAULT_CHECKPOINT_EVERY,
         })
     }
 
@@ -254,13 +251,6 @@ impl DurableSession {
     /// File sizes, generation and WAL position.
     pub fn stats(&self) -> StoreStats {
         self.store.stats()
-    }
-
-    /// Sets the auto-checkpoint threshold: a checkpoint is taken after
-    /// `every` staged deltas. `0` disables auto-checkpointing (the log
-    /// then grows until an explicit [`Self::checkpoint`]).
-    pub fn set_checkpoint_every(&mut self, every: usize) {
-        self.checkpoint_every = every;
     }
 
     /// Staged deltas since the last checkpoint (the auto-checkpoint
@@ -364,7 +354,7 @@ impl DurableSession {
         };
         self.store.append_deltas(applied)?;
         self.staged_since_checkpoint += applied.len();
-        if self.checkpoint_every > 0 && self.staged_since_checkpoint >= self.checkpoint_every {
+        if self.staged_since_checkpoint >= Self::CHECKPOINT_EVERY {
             self.checkpoint()?;
         }
         result.map_err(DurableError::Session)
@@ -494,12 +484,14 @@ mod tests {
         let path = temp_store("auto");
         let (g, _) = paper_example();
         let mut durable = Miner::new().threads(1).durable(&path).unwrap();
-        durable.set_checkpoint_every(2);
         durable.mine(&g).unwrap();
+        for i in 1..DurableSession::CHECKPOINT_EVERY {
+            durable.stage_delta(&grow_delta(i as u32)).unwrap();
+            assert_eq!(durable.store().wal_records(), i);
+        }
+        assert_eq!(durable.store().generation(), 1);
         durable.stage_delta(&grow_delta(0)).unwrap();
-        assert_eq!(durable.store().wal_records(), 1);
-        durable.stage_delta(&grow_delta(1)).unwrap();
-        // Threshold hit: log folded into generation 3 (mine = 1, +2).
+        // Threshold hit: the log folds into generation 2 (mine = 1).
         assert_eq!(durable.store().wal_records(), 0);
         assert_eq!(durable.store().generation(), 2);
         assert_eq!(durable.staged_since_checkpoint(), 0);

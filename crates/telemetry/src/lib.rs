@@ -10,12 +10,11 @@
 //! the registered cells and emits [Prometheus text exposition
 //! format](https://prometheus.io/docs/instrumenting/exposition_formats/).
 //!
-//! A registry can be **disabled** ([`MetricsRegistry::set_enabled`]):
-//! every handle operation then reduces to one relaxed load and a
-//! predicted branch, which is what backs the subsystem's near-zero
-//! overhead guarantee (the merge-loop benches stay inside the existing
-//! `bench_compare` gate with instrumentation compiled in — the engine
-//! is only ever touched once per *run*, never per merge).
+//! Metrics are always on. The overhead stays near zero because of
+//! where the handles sit, not because they can be switched off: the
+//! engine is touched once per *run*, never per merge, so the merge-loop
+//! benches stay inside the existing `bench_compare` gate with every
+//! handle live.
 //!
 //! Instrumented crates register their handles once against the
 //! process-wide [`global()`] registry through a `OnceLock`-backed
@@ -43,7 +42,7 @@
 //! assert!(text.contains("# TYPE cspm_serve_request_seconds histogram"));
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Log-scale latency bucket upper bounds, in seconds: 1 µs doubling up
@@ -153,7 +152,6 @@ struct Entry {
 /// text renderer. See the [crate docs](self) for the design rules.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    enabled: Arc<AtomicBool>,
     entries: Mutex<Vec<Entry>>,
 }
 
@@ -164,31 +162,11 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled, empty registry.
+    /// An empty registry.
     pub fn new() -> Self {
         Self {
-            enabled: Arc::new(AtomicBool::new(true)),
             entries: Mutex::new(Vec::new()),
         }
-    }
-
-    /// A registry whose handles are no-ops until
-    /// [`set_enabled`](Self::set_enabled)`(true)`.
-    pub fn disabled() -> Self {
-        let r = Self::new();
-        r.set_enabled(false);
-        r
-    }
-
-    /// Turns every handle minted by this registry on or off. Disabled
-    /// handles cost one relaxed load per call.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether handle updates are currently recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     fn register(&self, name: &str, help: &str, kind: Kind, labels: &[(&str, &str)]) -> Cell {
@@ -235,10 +213,7 @@ impl MetricsRegistry {
     /// [`counter`](Self::counter) with fixed labels.
     pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
         match self.register(name, help, Kind::Counter, labels) {
-            Cell::Scalar(cell) => Counter {
-                cell,
-                enabled: Arc::clone(&self.enabled),
-            },
+            Cell::Scalar(cell) => Counter { cell },
             Cell::Histogram(_) => unreachable!(),
         }
     }
@@ -251,10 +226,7 @@ impl MetricsRegistry {
     /// [`gauge`](Self::gauge) with fixed labels.
     pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
         match self.register(name, help, Kind::Gauge, labels) {
-            Cell::Scalar(cell) => Gauge {
-                cell,
-                enabled: Arc::clone(&self.enabled),
-            },
+            Cell::Scalar(cell) => Gauge { cell },
             Cell::Histogram(_) => unreachable!(),
         }
     }
@@ -282,10 +254,7 @@ impl MetricsRegistry {
             labels,
             Cell::Histogram(Arc::clone(&core)),
         );
-        Histogram {
-            core,
-            enabled: Arc::clone(&self.enabled),
-        }
+        Histogram { core }
     }
 
     /// Renders every registered metric in Prometheus text exposition
@@ -439,7 +408,6 @@ fn escape_label(value: &str, out: &mut String) {
 #[derive(Debug, Clone)]
 pub struct Counter {
     cell: Arc<AtomicU64>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Counter {
@@ -452,9 +420,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -467,16 +433,13 @@ impl Counter {
 #[derive(Debug, Clone)]
 pub struct Gauge {
     cell: Arc<AtomicU64>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, value: u64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.cell.store(value, Ordering::Relaxed);
-        }
+        self.cell.store(value, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -489,16 +452,13 @@ impl Gauge {
 #[derive(Debug, Clone)]
 pub struct Histogram {
     core: Arc<HistogramCore>,
-    enabled: Arc<AtomicBool>,
 }
 
 impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn observe(&self, value: f64) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.core.observe(value);
-        }
+        self.core.observe(value);
     }
 
     /// Records a [`std::time::Duration`] in seconds.
@@ -540,7 +500,7 @@ impl Histogram {
 }
 
 /// The process-wide registry every instrumented crate registers
-/// against; created enabled on first use. One `metrics` scrape of a
+/// against; created on first use. One `metrics` scrape of a
 /// daemon renders engine, store and serve families from this registry
 /// together.
 pub fn global() -> &'static MetricsRegistry {
@@ -625,21 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let r = MetricsRegistry::disabled();
-        assert!(!r.is_enabled());
-        let c = r.counter("off_total", "Off.");
-        let h = r.histogram("off_seconds", "Off.", &[1.0]);
-        c.inc();
-        h.observe(0.5);
-        assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
-        r.set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
-    }
-
-    #[test]
     fn label_values_are_escaped() {
         let r = MetricsRegistry::new();
         let c = r.counter_with("esc_total", "E.", &[("path", "a\"b\\c\nd")]);
@@ -680,7 +625,10 @@ mod tests {
 
     #[test]
     fn global_registry_is_shared_and_enabled() {
-        assert!(global().is_enabled());
+        // Global handles record from the start; there is no switch.
+        let c = global().counter("telemetry_test_global_total", "Test.");
+        c.inc();
+        assert_eq!(c.get(), 1);
         let a = global() as *const _;
         let b = global() as *const _;
         assert_eq!(a, b);

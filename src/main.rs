@@ -72,7 +72,7 @@ const USAGE: &str = "usage:
   cspm generate <dblp|dblp-trend|usflight|pokec> <out-file> [--scale tiny|small|paper] [--seed N]
   cspm verify <graph-file>
   cspm serve --socket <path> [--store-dir <dir>] [--threads N]
-                             [--mem-budget BYTES] [--compact-above F]
+                             [--mem-budget BYTES]
   cspm client ping|shutdown            --socket <path>
   cspm client open <session>           --socket <path> [--graph <file>]
   cspm client delta <session>          --socket <path> [--file <json>]
@@ -106,9 +106,9 @@ durable sessions (crash-safe snapshot + delta WAL, docs/FORMATS.md):
 mining as a service (wire protocol: docs/FORMATS.md §7):
   serve                keep many named tenant sessions resident behind a
                        Unix socket speaking line-delimited JSON; under
-                       --mem-budget pressure, fragmented tenants are
-                       compacted and idle ones evicted LRU-first (durable
-                       tenants checkpoint to --store-dir for warm re-open)
+                       --mem-budget pressure, idle tenants are evicted
+                       LRU-first (durable tenants checkpoint to
+                       --store-dir for warm re-open)
   client               one request per invocation: builds the JSON line,
                        prints the daemon's response line on stdout, and
                        exits nonzero when something fails — 1 when the
@@ -819,7 +819,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             "--store-dir" => config_rest.push(("store-dir", value("--store-dir")?)),
             "--threads" => config_rest.push(("threads", value("--threads")?)),
             "--mem-budget" => config_rest.push(("mem-budget", value("--mem-budget")?)),
-            "--compact-above" => config_rest.push(("compact-above", value("--compact-above")?)),
             other => return Err(format!("unknown serve flag '{other}'")),
         }
     }
@@ -838,11 +837,6 @@ fn serve(args: &[String]) -> Result<(), String> {
                     raw.parse()
                         .map_err(|_| format!("--mem-budget must be bytes, got '{raw}'"))?,
                 );
-            }
-            "compact-above" => {
-                config.compact_above = raw
-                    .parse()
-                    .map_err(|_| format!("--compact-above must be a number, got '{raw}'"))?;
             }
             _ => unreachable!(),
         }

@@ -310,6 +310,20 @@ fn daemon_reports_typed_errors_and_sigterm_shutdown_is_clean() {
     assert!(answer.contains("\"unknown_op\""), "answer: {answer}");
     drop(raw);
 
+    // A one-line graph naming vertex 4,000,000,000 is refused with a
+    // typed error, not answered by allocating a ~96 GB vertex table
+    // (which aborts the process and every tenant with it).
+    let hostile = dir.join("hostile.txt");
+    std::fs::write(&hostile, "e 0 4000000000\n").unwrap();
+    let hostile = hostile.to_str().unwrap();
+    let (code, resp, err) = cspm_code(&[
+        "client", "open", "hostile", "--socket", sock, "--graph", hostile,
+    ]);
+    assert_eq!(code, Some(1), "hostile graph must be refused: {err}");
+    assert!(resp.contains("\"bad_graph\""), "stdout: {resp}");
+    let (ok, _, err) = cspm(&["client", "ping", "--socket", sock]);
+    assert!(ok, "daemon must survive a hostile graph: {err}");
+
     // The stats counter and the scrape count the same errors.
     let (ok, stats, err) = cspm(&["client", "stats", "--socket", sock]);
     assert!(ok, "stats: {err}");
@@ -325,7 +339,10 @@ fn daemon_reports_typed_errors_and_sigterm_shutdown_is_clean() {
         Some(scraped),
         "stats: {stats}"
     );
-    assert_eq!(scraped, 3, "ghost mine + oversized frame + unknown op");
+    assert_eq!(
+        scraped, 4,
+        "ghost mine + oversized frame + unknown op + hostile graph"
+    );
 
     // No daemon at all: exit code 2, no usage banner — a transport
     // failure is neither a usage mistake nor a server-side refusal.

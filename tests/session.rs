@@ -6,7 +6,9 @@
 
 use std::ops::ControlFlow;
 
-use cspm::core::{mine_dynamic, CspmConfig, CspmResult, FnObserver, IterationStat, Miner, Variant};
+use cspm::core::{
+    mine_dynamic, CspmConfig, CspmResult, FnObserver, IterationStat, Miner, MiningSession, Variant,
+};
 use cspm::graph::dynamic::{DeltaVertex, GraphDelta, SnapshotSequence};
 use cspm::graph::{AttrId, AttributedGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
@@ -233,22 +235,24 @@ proptest! {
     }
 }
 
-/// Acceptance: a shrink-heavy delta sequence fragments the retained
-/// arena; pressure-triggered compaction brings `live_len/arena_len`
-/// back to 1.0 without perturbing results.
+/// Acceptance: sustained delta traffic fragments the retained arena;
+/// pressure-triggered compaction brings `arena_len/live_len` back to
+/// 1.0 without perturbing results, and no delta leaves the ratio above
+/// `COMPACT_ABOVE`.
 #[test]
 fn delta_traffic_triggers_compaction_back_to_one() {
     let mut state = 42u64;
     let base = random_graph(24, 3, &mut state);
-    let mut session = Miner::new().compact_above(1.05).build();
+    let mut session = Miner::new().build();
     session.mine(&base);
 
     let mut current = base;
     let mut compacted_at_least_once = false;
-    for _ in 0..6 {
+    for _ in 0..32 {
         let delta = random_delta(current.vertex_count(), 3, &mut state);
         let stats = session.stage_delta(&delta).unwrap();
         current = delta.apply(&current).unwrap().graph;
+        assert!(session.fragmentation() <= MiningSession::COMPACT_ABOVE);
         compacted_at_least_once |= stats.compacted;
         if stats.compacted {
             assert_eq!(stats.fragmentation, 1.0, "compaction must be exact");
@@ -256,7 +260,7 @@ fn delta_traffic_triggers_compaction_back_to_one() {
     }
     assert!(
         compacted_at_least_once,
-        "patch traffic at a 1.05 threshold must trigger compaction"
+        "32 deltas of patch traffic must trigger compaction"
     );
     assert!(session.compactions() >= 1);
 
@@ -270,13 +274,14 @@ fn delta_traffic_triggers_compaction_back_to_one() {
     assert_bit_identical(&warm, &cold, "post-compaction run");
 }
 
-/// Without auto-compaction, sustained delta traffic visibly fragments
-/// the retained arena — the pressure the session API exists to relieve.
+/// Below both compaction triggers, delta traffic visibly fragments the
+/// retained arena — the pressure the session API exists to relieve —
+/// and `compact_now` repacks it on demand.
 #[test]
 fn fragmentation_accumulates_without_compaction() {
     let mut state = 7u64;
     let base = random_graph(24, 3, &mut state);
-    let mut session = Miner::new().compact_above(f64::INFINITY).build();
+    let mut session = Miner::new().build();
     session.mine(&base);
 
     let mut current = base;
@@ -284,6 +289,7 @@ fn fragmentation_accumulates_without_compaction() {
         let delta = random_delta(current.vertex_count(), 3, &mut state);
         session.stage_delta(&delta).unwrap();
         current = delta.apply(&current).unwrap().graph;
+        assert!(session.fragmentation() <= MiningSession::COMPACT_ABOVE);
     }
     assert!(
         session.fragmentation() > 1.0,
