@@ -8,20 +8,19 @@
 //! ```text
 //! magic "CSBN" · version u16 · format-tag u8 · reserved u8 · fingerprint u64
 //! one checksummed frame ([`cspm_graph::codec`], tag 0x01) wrapping:
-//!   name str16 · category str16 · n u32 · m u32 · a u32
-//!   a × attr-name str16
-//!   n × (label-count u16, count × attr-id u32)
-//!   m × (u u32, v u32)
+//!   name str · category str · graph
 //! ```
 //!
-//! where `str16` is a u16 byte length followed by UTF-8 bytes. The
-//! fingerprint hashes the byte length and mtime of every source file
-//! (main dump + sidecars); a mismatch means a source changed and the
-//! snapshot must be rebuilt ([`IngestError::SnapshotStale`]). The
-//! format tag records which parser built the graph.
+//! where `str` is a u32 byte length plus UTF-8 bytes and `graph` is the
+//! session store's [`encode_graph`] section, read back by the same
+//! [`decode_graph`]. The fingerprint hashes the byte length and mtime of
+//! every source file (main dump + sidecars); a mismatch means a source
+//! changed and the snapshot must be rebuilt
+//! ([`IngestError::SnapshotStale`]). The format tag records which
+//! parser built the graph.
 //!
-//! Since v2 the whole body rides in one CRC-32 frame (the same codec
-//! the session store uses), so a torn write or a bit-flipped byte is
+//! The whole body rides in one CRC-32 frame (the same codec the
+//! session store uses), so a torn write or a bit-flipped byte is
 //! *detected* — [`IngestError::SnapshotCorrupt`], which callers treat
 //! as "re-parse and rewrite" — instead of deserialising garbage. The
 //! header stays outside the frame on purpose: magic, version and
@@ -31,19 +30,19 @@
 //! [`IngestError`] — never a panic.
 
 use std::fs;
-use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use cspm_graph::codec::{read_frame, write_frame, FrameError};
-use cspm_graph::{AttrTable, AttributedGraph};
+use cspm_graph::codec::{put_str, read_frame, write_frame, FrameError, Reader};
+use cspm_graph::{decode_graph, encode_graph, AttributedGraph, DecodeError};
 
 use super::error::IngestError;
 
 /// First four bytes of every snapshot.
 pub const CSBIN_MAGIC: [u8; 4] = *b"CSBN";
-/// Layout version this build reads and writes. v2 = checksummed body
-/// frame; v1 files (no checksum) are rebuilt via the version check.
-pub const CSBIN_VERSION: u16 = 2;
+/// Layout version this build reads and writes. v3 = the body is the
+/// session store's graph encoding; older files are rebuilt via the
+/// version check.
+pub const CSBIN_VERSION: u16 = 3;
 
 /// Frame tag of the single body frame following the header.
 const CSBIN_BODY_TAG: u8 = 0x01;
@@ -90,10 +89,7 @@ pub fn source_fingerprint(files: &[PathBuf]) -> Result<u64, IngestError> {
 /// Writes `graph` (with its display metadata) as a `.csbin` snapshot.
 /// `format_tag` records which parser built the graph (see
 /// `Format::tag`), so a later run requesting a different format
-/// doesn't get served this cache. A graph the layout cannot represent
-/// (a count past its field width) is a typed error, never a silently
-/// truncated file; callers keep the parsed graph and simply run
-/// uncached.
+/// doesn't get served this cache.
 pub fn write_snapshot(
     path: &Path,
     fingerprint: u64,
@@ -102,53 +98,17 @@ pub fn write_snapshot(
     category: &str,
     graph: &AttributedGraph,
 ) -> Result<(), IngestError> {
-    let unrepresentable = |message| IngestError::SnapshotCorrupt {
-        path: path.to_path_buf(),
-        message,
-    };
-    let (n, m, a) = (
-        u32::try_from(graph.vertex_count())
-            .map_err(|_| unrepresentable("more than u32::MAX vertices"))?,
-        u32::try_from(graph.edge_count())
-            .map_err(|_| unrepresentable("more than u32::MAX edges"))?,
-        u32::try_from(graph.attr_count())
-            .map_err(|_| unrepresentable("more than u32::MAX attribute values"))?,
-    );
-    // The body is assembled in memory so the frame footer can checksum
-    // it as one unit (`Vec<u8>` is a `Write`r, so the helpers below
-    // serve both the old streaming shape and this one).
-    let mut body: Vec<u8> = Vec::new();
-    write_str16(&mut body, path, name)?;
-    write_str16(&mut body, path, category)?;
-    body.extend_from_slice(&n.to_le_bytes());
-    body.extend_from_slice(&m.to_le_bytes());
-    body.extend_from_slice(&a.to_le_bytes());
-    for (_, attr_name) in graph.attrs().iter() {
-        write_str16(&mut body, path, attr_name)?;
-    }
-    for v in graph.vertices() {
-        let labels = graph.labels(v);
-        let count = u16::try_from(labels.len())
-            .map_err(|_| unrepresentable("more than u16::MAX labels on one vertex"))?;
-        body.extend_from_slice(&count.to_le_bytes());
-        for &a in labels {
-            body.extend_from_slice(&a.to_le_bytes());
-        }
-    }
-    for (u, v) in graph.edges() {
-        body.extend_from_slice(&u.to_le_bytes());
-        body.extend_from_slice(&v.to_le_bytes());
-    }
-
-    let mut w = BufWriter::new(fs::File::create(path)?);
-    w.write_all(&CSBIN_MAGIC)?;
-    w.write_all(&CSBIN_VERSION.to_le_bytes())?;
-    w.write_all(&[format_tag, 0])?;
-    w.write_all(&fingerprint.to_le_bytes())?;
-    let mut framed = Vec::with_capacity(body.len() + 16);
-    write_frame(&mut framed, CSBIN_BODY_TAG, &body);
-    w.write_all(&framed)?;
-    w.flush()?;
+    let mut body = Vec::new();
+    put_str(&mut body, name);
+    put_str(&mut body, category);
+    encode_graph(graph, &mut body);
+    let mut file = Vec::with_capacity(body.len() + 32);
+    file.extend_from_slice(&CSBIN_MAGIC);
+    file.extend_from_slice(&CSBIN_VERSION.to_le_bytes());
+    file.extend_from_slice(&[format_tag, 0]);
+    file.extend_from_slice(&fingerprint.to_le_bytes());
+    write_frame(&mut file, CSBIN_BODY_TAG, &body);
+    fs::write(path, file)?;
     Ok(())
 }
 
@@ -173,91 +133,48 @@ pub fn load_snapshot(
     expected_fingerprint: u64,
 ) -> Result<LoadedSnapshot, IngestError> {
     let bytes = fs::read(path)?;
-    let mut c = Cursor {
-        bytes: &bytes,
-        pos: 0,
-        path,
+    let corrupt = |message| IngestError::SnapshotCorrupt {
+        path: path.to_path_buf(),
+        message,
     };
-    if c.take(4)? != CSBIN_MAGIC {
+    let mut header = Reader::new(&bytes);
+    if header.take(4).ok() != Some(&CSBIN_MAGIC[..]) {
         return Err(IngestError::SnapshotMagic {
             path: path.to_path_buf(),
         });
     }
-    let version = u16::from_le_bytes(c.take(2)?.try_into().unwrap());
+    let truncated = |_| corrupt("file ends inside the header");
+    let version = header.u16().map_err(truncated)?;
     if version != CSBIN_VERSION {
         return Err(IngestError::SnapshotVersion {
             path: path.to_path_buf(),
             found: version,
         });
     }
-    let format_tag = c.take(2)?[0]; // second byte reserved
-    let fingerprint = u64::from_le_bytes(c.take(8)?.try_into().unwrap());
-    if fingerprint != expected_fingerprint {
+    let format_tag = header.u8().map_err(truncated)?;
+    header.u8().map_err(truncated)?; // reserved
+    if header.u64().map_err(truncated)? != expected_fingerprint {
         return Err(IngestError::SnapshotStale {
             path: path.to_path_buf(),
         });
     }
     // Everything else lives in one checksummed frame; a torn tail or a
     // flipped bit anywhere in it surfaces here, before any parsing.
-    let body = match read_frame(&bytes, c.pos) {
+    let body = match read_frame(&bytes, bytes.len() - header.remaining()) {
         Ok(Some((CSBIN_BODY_TAG, payload, next))) => match read_frame(&bytes, next) {
             Ok(None) => payload,
-            _ => return Err(c.corrupt("trailing bytes after the body frame")),
+            _ => return Err(corrupt("trailing bytes after the body frame")),
         },
-        Ok(Some(_)) => return Err(c.corrupt("unexpected body frame tag")),
-        Ok(None) => return Err(c.corrupt("missing body frame")),
+        Ok(Some(_)) => return Err(corrupt("unexpected body frame tag")),
+        Ok(None) => return Err(corrupt("missing body frame")),
         Err(FrameError::Truncated { .. }) => {
-            return Err(c.corrupt("body frame is truncated (torn write)"))
+            return Err(corrupt("body frame is truncated (torn write)"))
         }
         Err(FrameError::Checksum { .. }) => {
-            return Err(c.corrupt("body frame fails its checksum (bit flip)"))
+            return Err(corrupt("body frame fails its checksum (bit flip)"))
         }
     };
-    let mut c = Cursor {
-        bytes: body,
-        pos: 0,
-        path,
-    };
-    let name = c.str16()?;
-    let category = c.str16()?;
-    let n = c.u32()? as usize;
-    let m = c.u32()? as usize;
-    let a = c.u32()? as usize;
-    // Counts bound what follows; reject impossible ones before any
-    // allocation sized by them.
-    if (c.bytes.len() - c.pos) < n * 2 + m * 8 {
-        return Err(c.corrupt("counts exceed file size"));
-    }
-    let mut attrs = AttrTable::new();
-    for _ in 0..a {
-        attrs.intern(&c.str16()?);
-    }
-    if attrs.len() != a {
-        return Err(c.corrupt("duplicate attribute names"));
-    }
-    let mut labels: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = u16::from_le_bytes(c.take(2)?.try_into().unwrap()) as usize;
-        let mut row = Vec::with_capacity(k);
-        for _ in 0..k {
-            let id = c.u32()?;
-            if id as usize >= a {
-                return Err(c.corrupt("attribute id out of range"));
-            }
-            row.push(id);
-        }
-        labels.push(row);
-    }
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        edges.push((c.u32()?, c.u32()?));
-    }
-    let graph = AttributedGraph::from_edge_list(labels, attrs, edges).map_err(|_| {
-        IngestError::SnapshotCorrupt {
-            path: path.to_path_buf(),
-            message: "edge list references invalid vertices",
-        }
-    })?;
+    let (name, category, graph) = decode_body(body).map_err(|e| corrupt(e.message))?;
     Ok(LoadedSnapshot {
         format_tag,
         name,
@@ -266,56 +183,13 @@ pub fn load_snapshot(
     })
 }
 
-fn write_str16<W: Write>(w: &mut W, path: &Path, s: &str) -> Result<(), IngestError> {
-    let bytes = s.as_bytes();
-    let len = u16::try_from(bytes.len()).map_err(|_| IngestError::SnapshotCorrupt {
-        path: path.to_path_buf(),
-        message: "string longer than 64 KiB",
-    })?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(bytes)?;
-    Ok(())
-}
-
-/// Bounds-checked reader over the snapshot bytes: running past the end
-/// is [`IngestError::SnapshotCorrupt`], not a slice panic.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    path: &'a Path,
-}
-
-impl<'a> Cursor<'a> {
-    fn corrupt(&self, message: &'static str) -> IngestError {
-        IngestError::SnapshotCorrupt {
-            path: self.path.to_path_buf(),
-            message,
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], IngestError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(())
-            .map_err(|_| self.corrupt("length overflow"))?;
-        if end > self.bytes.len() {
-            return Err(self.corrupt("file ends mid-record"));
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, IngestError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn str16(&mut self) -> Result<String, IngestError> {
-        let len = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt("string is not UTF-8"))
-    }
+/// The body frame's payload: name, category, then the graph section.
+fn decode_body(body: &[u8]) -> Result<(String, String, AttributedGraph), DecodeError> {
+    let mut r = Reader::new(body);
+    let name = r.str()?;
+    let category = r.str()?;
+    let graph = decode_graph(r.take(r.remaining())?)?;
+    Ok((name, category, graph))
 }
 
 #[cfg(test)]
@@ -428,17 +302,6 @@ mod tests {
             load_snapshot(&path, 9),
             Err(IngestError::SnapshotStale { .. })
         ));
-    }
-
-    #[test]
-    fn unrepresentable_graphs_error_instead_of_truncating() {
-        let d = dblp_like(Scale::Tiny, 3);
-        let path = temp("unrepresentable.csbin");
-        // A dataset name past the str16 width must be rejected, not
-        // silently cut (possibly mid-UTF-8 char).
-        let long_name = "x".repeat(u16::MAX as usize + 1);
-        let err = write_snapshot(&path, 1, 2, &long_name, d.category, &d.graph).unwrap_err();
-        assert!(matches!(err, IngestError::SnapshotCorrupt { .. }), "{err}");
     }
 
     #[test]

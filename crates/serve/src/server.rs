@@ -22,19 +22,25 @@
 //! checkpointing durable ones so the next `open` is a warm restore
 //! instead of a cold rebuild.
 //!
+//! Nothing runs on a timer: the accept loop blocks in `poll(2)` on the
+//! listener and a socket pair, and connection threads block in `read`.
 //! Shutdown (SIGTERM/SIGINT via [`Server::run_until_signalled`], an
-//! in-band `shutdown` op, or [`Server::stop`]) drains: the accept
-//! loop stops, connection threads notice within their read-poll
-//! interval, every durable tenant is checkpointed, and the socket file
-//! is removed.
+//! in-band `shutdown` op, or [`Server::stop`]) writes one byte to the
+//! pair. The loop then stops accepting, ends idle reads with
+//! `shutdown(Read)` while in-flight requests answer, joins the
+//! connection threads, checkpoints every durable tenant, and removes
+//! the socket file.
 
+use std::ffi::{c_int, c_short, c_void};
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
+use std::net::Shutdown;
 use std::ops::ControlFlow;
+use std::os::fd::{AsRawFd, IntoRawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,9 +55,9 @@ use crate::jsonfmt::Json;
 use crate::metrics::serve_metrics;
 use crate::proto::{parse_request, ErrorCode, ProtoError, Request, MAX_FRAME};
 
-/// How often blocked reads and the accept loop re-check the shutdown
-/// flag. Bounds both shutdown latency and idle wakeup rate.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
+/// How long the accept loop backs off after `accept` or `poll` fails
+/// (for example with `EMFILE`), so a persistent error cannot spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Configuration for one daemon instance.
 #[derive(Debug, Clone)]
@@ -184,7 +190,10 @@ struct Shared {
     registry: Mutex<SessionRegistry<Tenant>>,
     pool: WorkerPool,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    /// Set once the drain starts: later requests get `shutting_down`.
+    draining: AtomicBool,
+    /// The wake-up pair's write end, for the in-band `shutdown` op.
+    waker: UnixStream,
     counters: Counters,
 }
 
@@ -257,7 +266,7 @@ fn lock_registry(m: &Mutex<SessionRegistry<Tenant>>) -> MutexGuard<'_, SessionRe
 /// A running daemon spawned in-process (tests, benches, `cspm serve`
 /// uses the blocking entry point). Stops and joins on drop.
 pub struct Server {
-    shutdown: Arc<AtomicBool>,
+    waker: UnixStream,
     thread: Option<JoinHandle<io::Result<()>>>,
     socket: PathBuf,
 }
@@ -267,26 +276,31 @@ impl Server {
     /// is ready for connections when this returns.
     pub fn spawn(config: ServerConfig) -> io::Result<Server> {
         let listener = bind_socket(&config.socket)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let (waker, woken) = wake_pair()?;
         let socket = config.socket.clone();
-        let flag = Arc::clone(&shutdown);
+        let shared_waker = waker.try_clone()?;
         let thread = std::thread::Builder::new()
             .name("cspm-serve".into())
-            .spawn(move || serve_on(listener, config, flag))?;
+            .spawn(move || serve_on(listener, config, shared_waker, woken))?;
         Ok(Server {
-            shutdown,
+            waker,
             thread: Some(thread),
             socket,
         })
     }
 
     /// Binds and serves on the calling thread until SIGTERM/SIGINT (or
-    /// an in-band `shutdown` request). This is `cspm serve`.
+    /// an in-band `shutdown` request). This is `cspm serve`. The
+    /// "listening on" line goes to stderr only once the bind succeeded.
     pub fn run_until_signalled(config: ServerConfig) -> io::Result<()> {
         let listener = bind_socket(&config.socket)?;
-        let shutdown = signal_flag();
+        eprintln!("serve: listening on {}", config.socket.display());
+        let (waker, woken) = wake_pair()?;
+        // The handler's dup is never closed, so its fd can never be
+        // reused for another file while a signal may still arrive.
+        SIGNAL_WAKER.store(waker.try_clone()?.into_raw_fd(), Ordering::SeqCst);
         install_signal_handlers();
-        serve_on(listener, config, shutdown)
+        serve_on(listener, config, waker, woken)
     }
 
     /// The socket path this daemon is serving.
@@ -294,51 +308,112 @@ impl Server {
         &self.socket
     }
 
-    /// Signals shutdown and waits for the daemon to drain.
+    /// Wakes the daemon and waits for it to drain.
     pub fn stop(mut self) -> io::Result<()> {
-        self.shutdown.store(true, Ordering::SeqCst);
-        match self.thread.take() {
-            Some(t) => t
-                .join()
-                .map_err(|_| io::Error::other("server thread panicked"))?,
-            None => Ok(()),
-        }
+        self.join()
+    }
+
+    fn join(&mut self) -> io::Result<()> {
+        let Some(thread) = self.thread.take() else {
+            return Ok(());
+        };
+        wake(&self.waker);
+        thread
+            .join()
+            .map_err(|_| io::Error::other("server thread panicked"))?
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        let _ = self.join();
     }
 }
 
-/// Process-global shutdown flag for the signal handler (handlers can
-/// only touch statics, and an atomic store is async-signal-safe).
-fn signal_flag() -> Arc<AtomicBool> {
-    static FLAG: OnceLock<Arc<AtomicBool>> = OnceLock::new();
-    Arc::clone(FLAG.get_or_init(|| Arc::new(AtomicBool::new(false))))
+/// The wake-up pair: one byte written to the first end makes the accept
+/// loop drain. A full (nonblocking) buffer already holds a pending wake.
+fn wake_pair() -> io::Result<(UnixStream, UnixStream)> {
+    let (waker, woken) = UnixStream::pair()?;
+    waker.set_nonblocking(true)?;
+    Ok((waker, woken))
 }
 
-extern "C" fn on_signal(_signum: i32) {
-    signal_flag().store(true, Ordering::SeqCst);
+fn wake(mut waker: &UnixStream) {
+    let _ = waker.write_all(&[1]);
+}
+
+// std links libc; declaring these directly avoids a dependency the
+// offline build cannot add.
+extern "C" {
+    fn signal(signum: c_int, handler: usize) -> usize;
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+}
+
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x1;
+
+/// `nfds_t`: `unsigned long` on Linux, `unsigned int` on the BSDs.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+type Nfds = std::ffi::c_ulong;
+#[cfg(not(any(target_os = "linux", target_os = "android")))]
+type Nfds = std::ffi::c_uint;
+
+/// The wake-up pair's write end as the signal handler sees it (`-1`
+/// until [`Server::run_until_signalled`] stores its dup).
+static SIGNAL_WAKER: AtomicI32 = AtomicI32::new(-1);
+
+extern "C" fn on_signal(_signum: c_int) {
+    let fd = SIGNAL_WAKER.load(Ordering::SeqCst);
+    if fd >= 0 {
+        // SAFETY: the buffer is a 1-byte static, and `fd` is a dup that
+        // is never closed, so it cannot name another file by now.
+        unsafe { write(fd, b"\x01".as_ptr().cast(), 1) };
+    }
 }
 
 fn install_signal_handlers() {
-    // std links libc; declaring `signal` directly avoids a dependency
-    // the offline build cannot add. BSD semantics (glibc default) keep
-    // the handler installed across deliveries.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
+    // BSD semantics (glibc default) keep the handler installed across
+    // deliveries.
+    const SIGINT: c_int = 2;
+    const SIGTERM: c_int = 15;
     let handler = on_signal as *const () as usize;
+    // SAFETY: `on_signal` is an `extern "C" fn(c_int)` that only loads
+    // an atomic and calls write(2), both async-signal-safe.
     unsafe {
         signal(SIGINT, handler);
         signal(SIGTERM, handler);
+    }
+}
+
+/// Blocks in `poll(2)` until the listener has a connection to accept
+/// (`true`) or the wake-up pair has a byte (`false`: drain). A wake-up
+/// wins a tie, so a draining daemon accepts nothing more.
+fn wait_for_connection(listener: &UnixListener, woken: &UnixStream) -> bool {
+    let mut fds = [woken.as_raw_fd(), listener.as_raw_fd()].map(|fd| PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    });
+    loop {
+        // SAFETY: `fds` is a live array of `fds.len()` initialised
+        // `pollfd`s whose descriptors stay open across the call.
+        if unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, -1) } >= 0 {
+            return fds[0].revents == 0;
+        }
+        let e = io::Error::last_os_error();
+        // EINTR is a signal whose handler has just written the wake-up.
+        if e.kind() != ErrorKind::Interrupted {
+            eprintln!("cspm serve: poll failed: {e}");
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+        }
     }
 }
 
@@ -363,16 +438,19 @@ fn bind_socket(path: &Path) -> io::Result<UnixListener> {
         }
     }
     let listener = UnixListener::bind(path)?;
+    // `poll` may report a connection that is gone by the time `accept`
+    // runs; nonblocking turns that into `WouldBlock`, not a stall.
     listener.set_nonblocking(true)?;
     Ok(listener)
 }
 
-/// The accept loop: runs until `shutdown`, then drains connections,
+/// The accept loop: runs until woken, then drains connections,
 /// checkpoints durable tenants, and removes the socket file.
 fn serve_on(
     listener: UnixListener,
     config: ServerConfig,
-    shutdown: Arc<AtomicBool>,
+    waker: UnixStream,
+    woken: UnixStream,
 ) -> io::Result<()> {
     if let Some(dir) = &config.store_dir {
         std::fs::create_dir_all(dir)?;
@@ -381,39 +459,54 @@ fn serve_on(
     let shared = Arc::new(Shared {
         registry: Mutex::new(SessionRegistry::new()),
         pool: WorkerPool::new(config.threads),
-        shutdown: Arc::clone(&shutdown),
         config,
+        draining: AtomicBool::new(false),
+        waker,
         counters: Counters::default(),
     });
 
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
+    // Each connection's thread, beside a weak handle on its stream: the
+    // drain ends blocked reads through it, yet a finished thread's
+    // socket closes at once.
+    let mut connections: Vec<(JoinHandle<()>, Weak<UnixStream>)> = Vec::new();
+    while wait_for_connection(&listener, &woken) {
         match listener.accept() {
             Ok((stream, _addr)) => {
-                let shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
+                let stream = Arc::new(stream);
+                let (shared, conn) = (Arc::clone(&shared), Arc::clone(&stream));
+                let spawned = std::thread::Builder::new()
                     .name("cspm-serve-conn".into())
-                    .spawn(move || handle_connection(shared, stream))?;
-                connections.push(handle);
-                connections.retain(|c| !c.is_finished());
+                    .spawn(move || handle_connection(&shared, &conn));
+                match spawned {
+                    Ok(thread) => {
+                        connections.retain(|(thread, _)| !thread.is_finished());
+                        connections.push((thread, Arc::downgrade(&stream)));
+                    }
+                    Err(e) => eprintln!("cspm serve: dropped a connection: {e}"),
+                }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-                connections.retain(|c| !c.is_finished());
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
             Err(e) => {
                 // Accept failures are transient (per-connection), not
                 // fatal to the daemon; don't tear down every tenant
                 // because one handshake failed.
                 eprintln!("cspm serve: accept failed: {e}");
-                std::thread::sleep(POLL_INTERVAL);
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
         }
     }
 
-    for c in connections {
-        let _ = c.join();
+    // End every blocked read; a request already read still finishes
+    // and writes its answer before its thread sees end-of-stream.
+    shared.draining.store(true, Ordering::SeqCst);
+    for stream in connections
+        .iter()
+        .filter_map(|(_, stream)| stream.upgrade())
+    {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (thread, _) in connections {
+        let _ = thread.join();
     }
     // Final drain: persist what can be persisted. A failed checkpoint
     // is reported, not fatal — the WAL already holds staged deltas.
@@ -436,119 +529,69 @@ enum LineOutcome {
     /// The line exceeded [`MAX_FRAME`]; it was drained off the stream
     /// (bounded memory) and the connection stays usable.
     Oversized,
-    /// Read timed out — poll the shutdown flag and come back.
-    Poll,
     Eof,
 }
 
-/// Newline-delimited reader with a hard per-line byte cap, tolerant of
-/// read timeouts (partial lines accumulate across polls).
-struct LineReader<R> {
-    inner: R,
-    buf: Vec<u8>,
-    overflowed: bool,
-}
-
-impl<R: BufRead> LineReader<R> {
-    fn new(inner: R) -> Self {
-        Self {
-            inner,
-            buf: Vec::new(),
-            overflowed: false,
-        }
-    }
-
-    fn next_line(&mut self, cap: usize) -> io::Result<LineOutcome> {
-        loop {
-            let available = match self.inner.fill_buf() {
-                Ok(b) => b,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Ok(LineOutcome::Poll);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if available.is_empty() {
-                // EOF. A pending unterminated line still counts.
-                if self.overflowed {
-                    self.overflowed = false;
-                    return Ok(LineOutcome::Oversized);
-                }
-                if self.buf.is_empty() {
-                    return Ok(LineOutcome::Eof);
-                }
-                return Ok(LineOutcome::Line(self.take_line()));
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(i) => {
-                    if !self.overflowed && self.buf.len() + i <= cap {
-                        self.buf.extend_from_slice(&available[..i]);
-                        self.inner.consume(i + 1);
-                        return Ok(LineOutcome::Line(self.take_line()));
-                    }
-                    self.inner.consume(i + 1);
-                    self.buf.clear();
-                    self.overflowed = false;
-                    return Ok(LineOutcome::Oversized);
-                }
-                None => {
-                    let n = available.len();
-                    if !self.overflowed {
-                        if self.buf.len() + n > cap {
-                            // Stop buffering, start draining: memory
-                            // stays bounded no matter how long the
-                            // line runs.
-                            self.buf.clear();
-                            self.overflowed = true;
-                        } else {
-                            self.buf.extend_from_slice(available);
-                        }
-                    }
-                    self.inner.consume(n);
-                }
-            }
-        }
-    }
-
-    fn take_line(&mut self) -> String {
-        if self.buf.last() == Some(&b'\r') {
-            self.buf.pop();
-        }
-        let line = String::from_utf8_lossy(&self.buf).into_owned();
-        self.buf.clear();
-        line
-    }
-}
-
-fn handle_connection(shared: Arc<Shared>, stream: UnixStream) {
-    // Short read timeouts let the loop poll the shutdown flag; writes
-    // get a generous cap so one stuck client cannot pin the thread.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = LineReader::new(BufReader::new(read_half));
-    let mut writer = stream;
+/// Reads one newline-terminated line of at most `cap` bytes. A longer
+/// line is drained off the stream without being buffered, so memory
+/// stays bounded no matter how long it runs.
+fn next_line(r: &mut impl BufRead, cap: usize) -> io::Result<LineOutcome> {
+    let mut line = Vec::new();
+    let mut oversized = false;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let outcome = match reader.next_line(MAX_FRAME) {
-            Ok(o) => o,
-            Err(_) => return,
+        let available = match r.fill_buf() {
+            Ok(b) => b,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
-        let dispatched = match outcome {
-            LineOutcome::Poll => continue,
-            LineOutcome::Eof => return,
-            LineOutcome::Oversized => Err(ProtoError::new(
+        let newline = available.iter().position(|&b| b == b'\n');
+        let chunk = &available[..newline.unwrap_or(available.len())];
+        oversized |= line.len() + chunk.len() > cap;
+        if !oversized {
+            line.extend_from_slice(chunk);
+        }
+        // An empty read is EOF; a pending unterminated line still counts.
+        let eof = available.is_empty();
+        let consumed = chunk.len() + usize::from(newline.is_some());
+        r.consume(consumed);
+        if newline.is_none() && !eof {
+            continue;
+        }
+        if oversized {
+            return Ok(LineOutcome::Oversized);
+        }
+        if eof && line.is_empty() {
+            return Ok(LineOutcome::Eof);
+        }
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        return Ok(LineOutcome::Line(
+            String::from_utf8_lossy(&line).into_owned(),
+        ));
+    }
+}
+
+fn handle_connection(shared: &Arc<Shared>, stream: &UnixStream) {
+    // Reads block until a request arrives or the drain ends them (BSDs
+    // let an accepted socket inherit the listener's O_NONBLOCK); writes
+    // get a generous cap so one stuck client cannot pin the thread.
+    if stream.set_nonblocking(false).is_err() {
+        return;
+    }
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+    let mut reader = BufReader::new(stream);
+    loop {
+        let dispatched = match next_line(&mut reader, MAX_FRAME) {
+            Err(_) | Ok(LineOutcome::Eof) => return,
+            Ok(LineOutcome::Oversized) => Err(ProtoError::new(
                 ErrorCode::OversizedFrame,
                 format!("request line exceeds {MAX_FRAME} bytes"),
             )),
-            LineOutcome::Line(line) if line.trim().is_empty() => continue,
-            LineOutcome::Line(line) => {
+            Ok(LineOutcome::Line(line)) if line.trim().is_empty() => continue,
+            Ok(LineOutcome::Line(line)) => {
                 shared.counters.bump(&shared.counters.requests);
-                dispatch_on(&shared, &line, &mut writer)
+                dispatch_on(shared, &line, stream)
             }
         };
         // Every error line is counted here, once, in both the `stats`
@@ -562,17 +605,17 @@ fn handle_connection(shared: Arc<Shared>, stream: UnixStream) {
                 e.to_line()
             }
         };
-        if write_line(&mut writer, &response).is_err() {
+        if write_line(stream, &response).is_err() {
             return;
         }
     }
 }
 
-/// One complete response line plus trailing newline and flush.
-fn write_line(w: &mut UnixStream, line: &str) -> io::Result<()> {
+/// One complete response line plus trailing newline (a socket write
+/// has nothing to flush).
+fn write_line(mut w: &UnixStream, line: &str) -> io::Result<()> {
     w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+    w.write_all(b"\n")
 }
 
 /// What one dispatched request produced.
@@ -593,9 +636,9 @@ enum Dispatched {
 fn dispatch_on(
     shared: &Arc<Shared>,
     line: &str,
-    writer: &mut UnixStream,
+    writer: &UnixStream,
 ) -> Result<Dispatched, ProtoError> {
-    if shared.shutdown.load(Ordering::SeqCst) {
+    if shared.draining.load(Ordering::SeqCst) {
         return Err(ProtoError::new(
             ErrorCode::ShuttingDown,
             "daemon is draining",
@@ -608,7 +651,8 @@ fn dispatch_on(
     let res = match req {
         Request::Ping => Ok(Dispatched::Respond(simple_ok("ping"))),
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.draining.store(true, Ordering::SeqCst);
+            wake(&shared.waker);
             Ok(Dispatched::Respond(simple_ok("shutdown")))
         }
         Request::Open { session, graph } => {
@@ -866,7 +910,7 @@ fn do_mine(
     name: &str,
     deadline_ms: Option<u64>,
     top: Option<usize>,
-    mut progress: Option<&mut UnixStream>,
+    progress: Option<&UnixStream>,
 ) -> Result<Dispatched, ProtoError> {
     let stream = progress.is_some();
     let c = &shared.counters;
@@ -921,7 +965,7 @@ fn do_mine(
         match event {
             MineEvent::Progress(stat) => {
                 iteration += 1;
-                let Some(writer) = progress.as_deref_mut() else {
+                let Some(writer) = progress else {
                     continue;
                 };
                 if conn_alive

@@ -10,7 +10,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cspm_core::Miner;
 use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
@@ -37,7 +37,6 @@ fn graph_text(g: &AttributedGraph) -> String {
 /// One protocol client: write a request line, read a response line.
 struct Client {
     reader: BufReader<UnixStream>,
-    writer: UnixStream,
 }
 
 impl Client {
@@ -48,15 +47,13 @@ impl Client {
             .set_read_timeout(Some(Duration::from_secs(60)))
             .unwrap();
         Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
+            reader: BufReader::new(stream),
         }
     }
 
     fn send_raw(&mut self, line: &str) -> Value {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-        self.writer.flush().unwrap();
+        let mut writer = self.reader.get_ref();
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
         self.read_response()
     }
 
@@ -473,6 +470,45 @@ fn shutdown_op_drains_and_removes_the_socket() {
     server.stop().unwrap();
     assert!(!socket.exists(), "shutdown must remove the socket file");
     assert!(UnixStream::connect(&socket).is_err());
+}
+
+#[test]
+fn fresh_connections_are_answered_without_a_poll_delay() {
+    let dir = temp_dir("fresh");
+    let server = Server::spawn(ServerConfig::new(dir.join("d.sock"))).unwrap();
+    // One connection per request, as `cspm client` does.
+    let started = Instant::now();
+    for _ in 0..20 {
+        Client::connect(server.socket()).request(r#"{"op":"ping"}"#);
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "20 fresh-connection pings took {took:?}"
+    );
+    server.stop().unwrap();
+}
+
+#[test]
+fn stop_ends_idle_connections_even_after_the_socket_file_is_gone() {
+    let dir = temp_dir("unlinked");
+    let server = Server::spawn(ServerConfig::new(dir.join("d.sock"))).unwrap();
+    let mut idle = Client::connect(server.socket());
+    idle.request(r#"{"op":"ping"}"#);
+    // Nothing can connect to the socket path any more, so the wake-up
+    // must not depend on it.
+    std::fs::remove_file(server.socket()).unwrap();
+
+    let (done, stopped) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || done.send(server.stop()).unwrap());
+    stopped
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stop() did not return within 10s")
+        .unwrap();
+    stopper.join().unwrap();
+    let mut rest = String::new();
+    let read = idle.reader.read_line(&mut rest).expect("idle client reads");
+    assert_eq!(read, 0, "idle client must see end-of-stream, got {rest:?}");
 }
 
 #[test]

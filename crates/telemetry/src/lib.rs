@@ -42,19 +42,25 @@
 //! assert!(text.contains("# TYPE cspm_serve_request_seconds histogram"));
 //! ```
 
+use std::f64::consts::SQRT_2;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Log-scale latency bucket upper bounds, in seconds: 1 µs doubling up
-/// to ~33.5 s. One fixed grid serves every duration histogram in the
-/// stack (fsync ~µs, request dispatch ~ms, whole mines ~s), which keeps
-/// cross-family comparisons honest and the per-observation cost a short
-/// branch-free scan.
-pub const TIME_BUCKETS: [f64; 26] = [
-    1e-6, 2e-6, 4e-6, 8e-6, 1.6e-5, 3.2e-5, 6.4e-5, 1.28e-4, 2.56e-4, 5.12e-4, 1.024e-3, 2.048e-3,
-    4.096e-3, 8.192e-3, 1.6384e-2, 3.2768e-2, 6.5536e-2, 1.31072e-1, 2.62144e-1, 5.24288e-1,
-    1.048576, 2.097152, 4.194304, 8.388608, 16.777216, 33.554432,
-];
+/// Log-linear latency bucket upper bounds, in seconds: `2^k µs × {1,
+/// 2^¼, √2, 2^¾}` from 1 µs to 2^25 µs ≈ 33.55 s, so a recovered quantile
+/// reads at most 2^¼ ≈ 1.19× high. One fixed grid serves every duration
+/// histogram in the stack (fsync ~µs, request dispatch ~ms, whole mines
+/// ~s), which keeps cross-family comparisons honest.
+pub const TIME_BUCKETS: [f64; 101] = {
+    const STEPS: [f64; 4] = [1.0, 1.189_207_115_002_721, SQRT_2, 1.681_792_830_507_429];
+    let mut bounds = [0.0; 101];
+    let mut i = 0;
+    while i < bounds.len() {
+        bounds[i] = (1u64 << (i / 4)) as f64 * 1e-6 * STEPS[i % 4];
+        i += 1;
+    }
+    bounds
+};
 
 /// What a registered metric renders as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,11 +107,7 @@ impl HistogramCore {
     }
 
     fn observe(&self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+        let idx = self.bounds.partition_point(|&b| b < value);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         // Lock-free f64 accumulation: retry the CAS until no concurrent
@@ -570,10 +572,33 @@ mod tests {
         }
         h.observe(1.5);
         // 0.002 falls in the le=0.002048 bucket; the single outlier only
-        // surfaces at the very top of the distribution.
+        // surfaces at the very top of the distribution, in the bucket
+        // 2^20 µs × 2^¾ ≈ 1.763 s.
         assert_eq!(h.quantile(0.5), Some(0.002048));
         assert_eq!(h.quantile(0.99), Some(0.002048));
-        assert_eq!(h.quantile(1.0), Some(2.097152));
+        assert_eq!(h.quantile(1.0), Some(TIME_BUCKETS[83]));
+        assert!((1.5..=1.19 * 1.5).contains(&TIME_BUCKETS[83]));
+    }
+
+    #[test]
+    fn every_duration_reads_at_most_19_percent_high() {
+        // A geometric sweep from 1 µs to 30 s, plus every bound and the
+        // value just past it (the worst case: the next bucket up).
+        let sweep =
+            std::iter::successors(Some(1e-6), |v| Some(v * 1.01)).take_while(|&v| v <= 30.0);
+        let edges = TIME_BUCKETS
+            .iter()
+            .filter(|&&b| b <= 30.0)
+            .flat_map(|&b| [b, b * (1.0 + 1e-9)]);
+        for v in sweep.chain(edges) {
+            let h = MetricsRegistry::new().histogram("grid_seconds", "G.", &TIME_BUCKETS);
+            h.observe(v);
+            let bound = h.quantile(1.0).unwrap();
+            assert!(
+                v <= bound && bound <= 1.19 * v,
+                "{v}s reads as the {bound}s bucket"
+            );
+        }
     }
 
     #[test]

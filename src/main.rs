@@ -841,21 +841,13 @@ fn serve(args: &[String]) -> Result<(), String> {
             _ => unreachable!(),
         }
     }
-    eprintln!("serve: listening on {socket}");
     cspm::serve::Server::run_until_signalled(config).map_err(|e| format!("serve: {e}"))
 }
 
 /// `cspm client`: one request per invocation. Builds the JSON request
 /// line locally (validating deltas client-side with the same decoder
-/// the daemon uses), sends it over the Unix socket, prints the
-/// daemon's response on stdout, and exits nonzero when something
-/// fails, with distinct codes so pipelines can tell the failure domains
-/// apart: **1** when the daemon answered `"ok":false` (a server-side
-/// refusal — the typed error line is on stdout), **2** when the
-/// transport failed (no daemon, dead socket, torn or non-JSON stream).
-/// Argument mistakes stay ordinary usage errors (code 1 with the usage
-/// banner). `subscribe` streams progress lines until the terminal
-/// line; `metrics` unwraps the exposition text and prints it raw.
+/// the daemon uses) and hands it to [`client_call`]. Argument mistakes
+/// stay ordinary usage errors (code 1 with the usage banner).
 fn client(args: &[String]) -> Result<(), String> {
     use cspm::serve::json::Value;
 
@@ -971,34 +963,62 @@ fn client(args: &[String]) -> Result<(), String> {
         other => return Err(format!("unknown client op '{other}'")),
     }
 
-    let request = Value::Obj(fields).to_json();
-    if op == "subscribe" {
-        return client_subscribe(&socket, &request);
+    client_call(&socket, op, &Value::Obj(fields).to_json());
+    Ok(())
+}
+
+/// Sends one request line and prints the daemon's answer up to its
+/// terminal line: every line of a `subscribe` stream, the unwrapped
+/// exposition text for `metrics`, the one response line otherwise.
+/// Distinct exit codes tell the failure domains apart: **1** when the
+/// daemon answered `"ok":false` (the typed error line is on stdout, and
+/// no usage banner follows), **2** when the transport failed (no
+/// daemon, dead socket, a hang-up or a non-JSON line).
+fn client_call(socket: &str, op: &str, request: &str) {
+    use cspm::serve::json::Value;
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
+
+    let stream = UnixStream::connect(socket).unwrap_or_else(|e| {
+        transport_failed(&format!(
+            "cannot connect to {socket}: {e} (is the daemon running?)"
+        ))
+    });
+    // Timeouts keep a dead daemon from hanging the CLI forever.
+    if let Err(e) = stream
+        .set_read_timeout(Some(Duration::from_secs(600)))
+        .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(30))))
+        .and_then(|()| (&stream).write_all(format!("{request}\n").as_bytes()))
+    {
+        transport_failed(&format!("cannot send request: {e}"));
     }
-    let response = match client_round_trip(&socket, &request) {
-        Ok(r) => r,
-        Err(msg) => transport_failed(&msg),
-    };
-    // Daemon-side refusals are not CLI-usage mistakes: report them on
-    // stderr and exit 1 without re-printing the usage banner (the typed
-    // error line is already on stdout for scripts to parse). A daemon
-    // that answers gibberish is a transport failure: exit 2.
-    match cspm::serve::json::parse(&response) {
-        Ok(v) if v.get("ok").and_then(Value::as_bool) == Some(true) => {
-            if op == "metrics" {
-                if let Some(text) = v.get("text").and_then(Value::as_str) {
-                    print!("{text}");
-                    return Ok(());
-                }
-            }
-            println!("{response}");
-            Ok(())
+    let mut reader = BufReader::new(&stream);
+    let mut line = String::new();
+    loop {
+        line.clear();
+        match reader.read_line(&mut line) {
+            Ok(0) => transport_failed("daemon closed the connection before its terminal line"),
+            Ok(_) => {}
+            Err(e) => transport_failed(&format!("cannot read response: {e}")),
         }
-        Ok(v) => {
-            println!("{response}");
+        let line = line.trim_end();
+        if line.is_empty() {
+            continue;
+        }
+        let v = cspm::serve::json::parse(line)
+            .unwrap_or_else(|e| transport_failed(&format!("daemon sent invalid JSON: {e}")));
+        if v.get("ok").and_then(Value::as_bool) != Some(true) {
+            println!("{line}");
             daemon_refused(&v);
         }
-        Err(e) => transport_failed(&format!("daemon sent invalid JSON: {e}")),
+        match v.get("text").and_then(Value::as_str) {
+            Some(text) if op == "metrics" => print!("{text}"),
+            _ => println!("{line}"),
+        }
+        if op != "subscribe" || v.get("event").and_then(Value::as_str) == Some("done") {
+            return;
+        }
     }
 }
 
@@ -1023,94 +1043,4 @@ fn daemon_refused(v: &cspm::serve::json::Value) -> ! {
     };
     eprintln!("error: daemon refused: {code}: {message}");
     std::process::exit(1);
-}
-
-/// `cspm client subscribe`: stream the progress events of one mine as
-/// they happen, line by line, then the terminal line. Exit codes match
-/// the single-shot path: 1 when the terminal line is a refusal, 2 when
-/// the transport dies mid-stream.
-fn client_subscribe(socket: &str, request: &str) -> Result<(), String> {
-    use cspm::serve::json::Value;
-    use std::io::{BufRead as _, BufReader, Write as _};
-    use std::os::unix::net::UnixStream;
-    use std::time::Duration;
-
-    let connect = || -> Result<UnixStream, String> {
-        let stream = UnixStream::connect(socket)
-            .map_err(|e| format!("cannot connect to {socket}: {e} (is the daemon running?)"))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(600)))
-            .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(30))))
-            .map_err(|e| format!("cannot set socket timeouts: {e}"))?;
-        Ok(stream)
-    };
-    let stream = match connect() {
-        Ok(s) => s,
-        Err(msg) => transport_failed(&msg),
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => transport_failed(&format!("cannot clone socket: {e}")),
-    };
-    if let Err(e) = writer
-        .write_all(request.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-    {
-        transport_failed(&format!("cannot send request: {e}"));
-    }
-    let mut reader = BufReader::new(stream);
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => transport_failed("daemon closed the connection mid-stream"),
-            Ok(_) => {}
-            Err(e) => transport_failed(&format!("cannot read stream: {e}")),
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        println!("{line}");
-        match cspm::serve::json::parse(line) {
-            Ok(v) => {
-                if v.get("ok").and_then(Value::as_bool) != Some(true) {
-                    daemon_refused(&v);
-                }
-                if v.get("event").and_then(Value::as_str) == Some("done") {
-                    return Ok(());
-                }
-            }
-            Err(e) => transport_failed(&format!("daemon sent invalid JSON: {e}")),
-        }
-    }
-}
-
-/// Send one request line, read one response line. Timeouts keep a dead
-/// daemon from hanging the CLI forever.
-fn client_round_trip(socket: &str, request: &str) -> Result<String, String> {
-    use std::io::{BufRead as _, BufReader, Write as _};
-    use std::os::unix::net::UnixStream;
-    use std::time::Duration;
-
-    let stream = UnixStream::connect(socket)
-        .map_err(|e| format!("cannot connect to {socket}: {e} (is the daemon running?)"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(600)))
-        .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(30))))
-        .map_err(|e| format!("cannot set socket timeouts: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone socket: {e}"))?;
-    writer
-        .write_all(request.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .map_err(|e| format!("cannot send request: {e}"))?;
-    let mut line = String::new();
-    BufReader::new(stream)
-        .read_line(&mut line)
-        .map_err(|e| format!("cannot read response: {e}"))?;
-    if line.is_empty() {
-        return Err("daemon closed the connection without responding".into());
-    }
-    Ok(line.trim_end().to_string())
 }

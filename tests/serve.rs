@@ -8,7 +8,7 @@
 //! what needs real binaries and real signals.
 
 use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
@@ -124,6 +124,14 @@ impl Daemon {
             "daemon leaked its socket file {:?}",
             self.socket
         );
+    }
+}
+
+/// A failed assertion must not leave the daemon running.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -376,4 +384,56 @@ fn daemon_reports_typed_errors_and_sigterm_shutdown_is_clean() {
     assert!(ok, "daemon wedged after error traffic: {resp}");
 
     daemon.terminate();
+}
+
+#[test]
+fn a_second_daemon_on_a_live_socket_refuses_without_announcing_it() {
+    let dir = temp_dir("second");
+    let daemon = Daemon::spawn(&dir.join("d.sock"), &[]);
+    let sock = daemon.socket_str();
+    let (code, _, err) = cspm_code(&["serve", "--socket", sock]);
+    assert_eq!(code, Some(1), "second daemon must refuse: {err}");
+    assert!(err.contains("already serving"), "stderr: {err}");
+    assert!(
+        !err.contains("listening on"),
+        "announced a socket it never bound: {err}"
+    );
+    let (ok, _, err) = cspm(&["client", "ping", "--socket", sock]);
+    assert!(ok, "first daemon must keep serving: {err}");
+    daemon.terminate();
+}
+
+#[test]
+fn a_daemon_that_hangs_up_or_answers_garbage_is_a_transport_failure() {
+    let dir = temp_dir("fake-peer");
+    let socket = dir.join("fake.sock");
+    let listener = UnixListener::bind(&socket).unwrap();
+    // (answer after reading the request, what the client must report)
+    let cases = [
+        (None, "closed the connection"),
+        (Some("not json"), "invalid JSON"),
+    ];
+    let peer = std::thread::spawn(move || {
+        for (answer, _) in cases.into_iter().cycle().take(4) {
+            let (stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).unwrap();
+            if let Some(answer) = answer {
+                writeln!(&stream, "{answer}").unwrap();
+            }
+        }
+    });
+    let sock = socket.to_str().unwrap();
+    for op in [&["client", "ping"][..], &["client", "subscribe", "t"]] {
+        for (answer, report) in cases {
+            let (code, _, err) = cspm_code(&[op, &["--socket", sock]].concat());
+            assert_eq!(
+                code,
+                Some(2),
+                "{op:?} when the peer sends {answer:?}: {err}"
+            );
+            assert!(err.contains(report), "{op:?}, {answer:?}: stderr {err}");
+        }
+    }
+    peer.join().unwrap();
 }
