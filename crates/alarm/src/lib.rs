@@ -4,7 +4,7 @@
 //! metropolitan network, with 300 alarm types governed by 11 expert
 //! rules (decomposed into 121 cause→derivative pair rules from the AABD
 //! system). None of that data is public, so this crate builds the whole
-//! pipeline synthetically (see DESIGN.md §5):
+//! pipeline synthetically:
 //!
 //! * [`TelecomTopology`]: a three-tier (core/aggregation/access) device
 //!   network;

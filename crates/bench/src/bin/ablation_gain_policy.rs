@@ -1,4 +1,4 @@
-//! Ablation A1 (DESIGN.md §3.3): gain accounting policy.
+//! Ablation A1: gain accounting policy.
 //!
 //! `GainPolicy::Total` (paper default: data gain minus the model-cost
 //! delta) vs `GainPolicy::DataOnly` (raw Eq. 9). DataOnly accepts more

@@ -1,5 +1,4 @@
-//! Ablation A2 (DESIGN.md §4): what the rdict partial-update heuristic
-//! costs and buys.
+//! Ablation A2: what the rdict partial-update heuristic costs and buys.
 //!
 //! CSPM-Partial re-evaluates only rdict-derived pairs after each merge
 //! (§V); this binary quantifies (a) the saved gain evaluations, (b) the

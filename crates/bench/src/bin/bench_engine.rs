@@ -145,15 +145,15 @@ fn window_delta(g: &AttributedGraph, expire_from: u32, batch: usize, orig_n: u32
 }
 
 /// Parses `--input` dumps into datasets, recording one `<name>/parse`
-/// timing each (snapshots off: the record must time the parser).
+/// timing each.
 #[cfg(feature = "real-data")]
 fn ingest_inputs(inputs: &[String], format: &str, records: &mut Vec<Record>) -> Vec<Dataset> {
-    use cspm_datasets::ingest::{self, SnapshotPolicy};
+    use cspm_datasets::ingest;
     let format = ingest::Format::from_cli(format).unwrap_or_else(|e| panic!("{e}"));
     inputs
         .iter()
         .map(|p| {
-            let report = ingest::ingest(std::path::Path::new(p), format, SnapshotPolicy::Off)
+            let report = ingest::ingest(std::path::Path::new(p), format)
                 .unwrap_or_else(|e| panic!("cannot ingest {p}: {e}"));
             println!(
                 "parsed {p} as {} in {}",

@@ -1,8 +1,8 @@
 //! Shared harness utilities for the experiment binaries.
 //!
 //! Every table and figure of the paper has a dedicated binary in
-//! `src/bin/`; see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded outcomes. All binaries accept:
+//! `src/bin/`, named after it (`table2_datasets`, `fig5_update_ratio`,
+//! …). All binaries accept:
 //!
 //! * `--paper` — run at the paper's Table II scale (slow; Pokec is 1.6M
 //!   vertices). Default is the `Small` scale with identical structure.

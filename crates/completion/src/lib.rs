@@ -4,8 +4,9 @@
 //!
 //! * [`CompletionTask`]: attribute-missing split of an attributed graph;
 //! * six baseline models (NeighAggre, VAE, GCN, GAT, GraphSage, SAT) on
-//!   the [`cspm_nn`] substrate — see DESIGN.md §5 for the documented
-//!   simplifications relative to the original PyTorch implementations;
+//!   the [`cspm_nn`] substrate, each a simplification of the original
+//!   PyTorch implementation that its rustdoc names (e.g. [`Vae`],
+//!   [`Gat`]);
 //! * the CSPM scoring module (Algorithm 5) and the score-fusion pipeline
 //!   of Fig. 7 (normalise both vectors, multiply);
 //! * Recall@K and NDCG@K metrics.

@@ -2,7 +2,7 @@
 //!
 //! All models output an `n × |A|` score matrix; higher = more likely the
 //! node carries the attribute value. The neural models are faithful
-//! simplifications on the [`cspm_nn`] substrate (see DESIGN.md §5):
+//! simplifications on the [`cspm_nn`] substrate:
 //!
 //! * **NeighAggre** — parameterless neighbourhood aggregation
 //!   (Şimşek & Jensen, PNAS 2008): mean of observed neighbour rows.

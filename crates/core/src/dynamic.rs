@@ -1,31 +1,23 @@
 //! Mining dynamic attributed graphs (future-work item (2) of the
 //! paper): a-stars over a sequence of snapshots.
 //!
-//! Dynamic mining dispatches through the same unified engine, so the
-//! scheduling knob of [`CspmConfig`] — scoring `threads` — applies here
-//! unchanged, and results stay bit-identical at any thread count.
-//!
-//! Since the session redesign, [`mine_dynamic`] is itself a thin
-//! wrapper over a [`MiningSession`](crate::MiningSession): the
-//! sequence is replayed snapshot by snapshot as
-//! [`GraphDelta`](cspm_graph::dynamic::GraphDelta)s
-//! ([`SnapshotSequence::replay`]) and mined once through a session.
-//! The mined model is bit-identical to running CSPM on
-//! [`SnapshotSequence::union_graph`] directly. A one-shot call has no
-//! retained model to keep warm — callers who keep mining as snapshots
-//! *arrive* should hold a session of their own and feed it deltas
-//! ([`MiningSession::apply_delta`](crate::MiningSession::apply_delta));
-//! that is the warm path whose equivalence this function's replay
-//! semantics guarantee.
-
-use std::time::Instant;
+//! [`mine_dynamic`] mines [`SnapshotSequence::union_graph`] with the
+//! one-shot [`mine`](crate::mine), so it shares its engine, its
+//! scheduling knob (`threads`, bit-identical at any count) and its
+//! timing convention (database build plus merge loop), then maps every
+//! mined a-star's positions back to `(snapshot, vertex)` coordinates.
+//! Callers who keep mining as snapshots *arrive* should hold a
+//! [`MiningSession`](crate::MiningSession) of their own and feed it
+//! each snapshot as a [`GraphDelta`](cspm_graph::dynamic::GraphDelta)
+//! ([`SnapshotSequence::replay`],
+//! [`MiningSession::apply_delta`](crate::MiningSession::apply_delta));
+//! that warm path mines bit-identically to this one.
 
 use cspm_graph::dynamic::SnapshotSequence;
 use cspm_graph::VertexId;
 
 use crate::config::CspmConfig;
 use crate::engine::CspmResult;
-use crate::session::Miner;
 use crate::Variant;
 
 /// A mined a-star with its occurrences resolved to `(snapshot, vertex)`
@@ -50,38 +42,10 @@ pub struct DynamicResult {
     pub temporal: Vec<TemporalOccurrences>,
 }
 
-/// Mines a snapshot sequence by replaying it, snapshot by snapshot, as
-/// graph deltas into one [`MiningSession`](crate::MiningSession), then
-/// mapping the positions of every mined a-star back to
-/// `(snapshot, vertex)` coordinates. Equivalent to (and bit-identical
-/// with) mining [`SnapshotSequence::union_graph`] in one shot.
+/// Mines the union of a snapshot sequence, then maps the positions of
+/// every mined a-star back to `(snapshot, vertex)` coordinates.
 pub fn mine_dynamic(seq: &SnapshotSequence, variant: Variant, config: CspmConfig) -> DynamicResult {
-    let mut session = Miner::from_config(config).variant(variant).build();
-    let result = match seq.replay() {
-        // `session.mine` charges database construction + merge loop to
-        // `elapsed_secs`; building the (empty) union graph happens
-        // before its timer, preserving the RunStats contract that
-        // graph construction is excluded.
-        None => session.mine(&seq.union_graph()),
-        Some((mut graph, deltas)) => {
-            // Assemble the union by replaying each snapshot as a graph
-            // delta — O(snapshot) apiece, linear in the union overall —
-            // *outside* the timer: `RunStats::elapsed_secs` excludes
-            // graph construction, like every other entry point.
-            for delta in &deltas {
-                delta
-                    .apply_in_place(&mut graph)
-                    .expect("replayed snapshot deltas always apply");
-            }
-            let started = Instant::now();
-            session.load_owned(graph);
-            let mut r = session
-                .run_detached()
-                .expect("session was loaded with the replayed union");
-            r.stats.elapsed_secs = started.elapsed().as_secs_f64();
-            r
-        }
-    };
+    let result = crate::mine(&seq.union_graph(), variant, config);
     let temporal = result
         .model
         .astars()
@@ -177,9 +141,8 @@ mod tests {
         }
     }
 
-    /// The session-replay implementation must be indistinguishable
-    /// from mining the union graph in one shot — same DL, same merges,
-    /// same evaluation counts.
+    /// Dynamic mining must be indistinguishable from mining the union
+    /// graph in one shot — same DL, same merges, same evaluation counts.
     #[test]
     fn delta_replay_matches_union_graph_mining() {
         let seq = recurring_sequence();

@@ -260,18 +260,12 @@ impl MiningSession {
     /// Cold-loads `g`: replaces any retained state with a fresh
     /// inverted database for `g`. Does not mine.
     pub fn load(&mut self, g: &AttributedGraph) {
-        self.load_owned(g.clone());
-    }
-
-    /// [`Self::load`] taking ownership — spares the graph clone when
-    /// the caller has one to give away.
-    pub fn load_owned(&mut self, g: AttributedGraph) {
         self.pristine = Some(InvertedDb::build(
-            &g,
+            g,
             self.config.coreset_mode,
             self.config.gain_policy,
         ));
-        self.graph = Some(g);
+        self.graph = Some(g.clone());
         // A fresh build packs the arena exactly.
         self.release_heavy_deltas = 0;
     }
@@ -384,11 +378,11 @@ impl MiningSession {
     /// over the final graph. The per-patch linear refresh passes
     /// (mapping table, code table, DL terms) are thus paid once per
     /// batch instead of once per delta. (When there is no warm state
-    /// worth keeping at all — e.g. a one-shot replay of a whole
-    /// snapshot sequence, as in [`mine_dynamic`](crate::mine_dynamic)
-    /// — a cold [`Self::load_owned`] of the final graph is cheaper
-    /// still; batching earns its keep when the session has already
-    /// mined and the batch is small relative to the graph.)
+    /// worth keeping at all — e.g. a whole snapshot sequence, which
+    /// [`mine_dynamic`](crate::mine_dynamic) mines as one union graph
+    /// — a cold [`Self::load`] of the final graph is cheaper still;
+    /// batching earns its keep when the session has already mined and
+    /// the batch is small relative to the graph.)
     ///
     /// **Applied-prefix guarantee:** if delta `i` of the batch is
     /// rejected, deltas `0..i` remain absorbed — graph and database are
@@ -649,8 +643,8 @@ mod tests {
         assert_eq!(warm.graph().unwrap(), &grown);
     }
 
-    /// Batched staging (one patch for many deltas — the mine_dynamic
-    /// replay path) must land on the same state as staging one by one.
+    /// Batched staging (one patch for many deltas) must land on the
+    /// same state as staging one by one.
     #[test]
     fn stage_deltas_batch_equals_sequential() {
         let (g, _) = paper_example();

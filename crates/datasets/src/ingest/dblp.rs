@@ -40,10 +40,6 @@ impl super::AttributedGraphSource for DblpSource {
         super::Format::Dblp.category()
     }
 
-    fn files(&self) -> Vec<PathBuf> {
-        vec![self.path.clone()]
-    }
-
     fn stream_into(&mut self, sink: &mut GraphAssembler) -> Result<(), IngestError> {
         let mut r = LineReader::new(BufReader::new(File::open(&self.path)?), &self.path);
         let mut fields: Vec<String> = Vec::new();

@@ -1,9 +1,8 @@
 //! Typed errors for the real-dataset ingestion pipeline.
 //!
 //! Every malformed input — truncated lines, non-UTF-8 bytes, duplicate
-//! vertex declarations, stale or corrupt snapshots — maps to a distinct
-//! variant so callers can recover selectively (the CLI re-parses on any
-//! `Snapshot*` variant but aborts on parse errors, for example). The
+//! vertex declarations, missing sidecars — maps to a distinct variant
+//! carrying the file and, where there is one, the 1-based line. The
 //! parsers never panic on bad input.
 
 use std::fmt;
@@ -12,9 +11,7 @@ use std::path::PathBuf;
 
 use cspm_graph::GraphError;
 
-use super::snapshot::CSBIN_VERSION;
-
-/// Errors raised while ingesting a real dataset dump or its snapshot.
+/// Errors raised while ingesting a real dataset dump.
 #[derive(Debug)]
 pub enum IngestError {
     /// An underlying I/O failure.
@@ -39,34 +36,8 @@ pub enum IngestError {
     MissingSidecar { main: PathBuf, expected: PathBuf },
     /// The input matches none of the known formats.
     UnknownFormat { path: PathBuf },
-    /// A `.csbin` file does not start with the `CSBN` magic.
-    SnapshotMagic { path: PathBuf },
-    /// A `.csbin` file was written by an incompatible layout version.
-    SnapshotVersion { path: PathBuf, found: u16 },
-    /// A `.csbin` file no longer matches its source dump (the source
-    /// was edited or replaced since the snapshot was written).
-    SnapshotStale { path: PathBuf },
-    /// A `.csbin` file ends mid-record or carries impossible counts.
-    SnapshotCorrupt {
-        path: PathBuf,
-        message: &'static str,
-    },
     /// The assembled graph violates an input constraint.
     Graph(GraphError),
-}
-
-impl IngestError {
-    /// Whether this error came from the snapshot cache rather than the
-    /// source dump — snapshot failures are recoverable by re-parsing.
-    pub fn is_snapshot(&self) -> bool {
-        matches!(
-            self,
-            IngestError::SnapshotMagic { .. }
-                | IngestError::SnapshotVersion { .. }
-                | IngestError::SnapshotStale { .. }
-                | IngestError::SnapshotCorrupt { .. }
-        )
-    }
 }
 
 impl fmt::Display for IngestError {
@@ -95,22 +66,6 @@ impl fmt::Display for IngestError {
                 "{}: cannot auto-detect format (expected pokec, dblp, usflight or native)",
                 path.display()
             ),
-            IngestError::SnapshotMagic { path } => {
-                write!(f, "{}: not a .csbin snapshot (bad magic)", path.display())
-            }
-            IngestError::SnapshotVersion { path, found } => write!(
-                f,
-                "{}: snapshot layout version {found} (this build reads version {CSBIN_VERSION})",
-                path.display()
-            ),
-            IngestError::SnapshotStale { path } => write!(
-                f,
-                "{}: snapshot is stale (source dump changed since it was written)",
-                path.display()
-            ),
-            IngestError::SnapshotCorrupt { path, message } => {
-                write!(f, "{}: corrupt snapshot: {message}", path.display())
-            }
             IngestError::Graph(e) => write!(f, "graph construction failed: {e}"),
         }
     }
@@ -156,16 +111,5 @@ mod tests {
             id: "42".into(),
         };
         assert!(e.to_string().contains("duplicate vertex id '42'"));
-    }
-
-    #[test]
-    fn snapshot_errors_are_recoverable() {
-        assert!(IngestError::SnapshotStale { path: "a".into() }.is_snapshot());
-        assert!(IngestError::SnapshotVersion {
-            path: "a".into(),
-            found: 99
-        }
-        .is_snapshot());
-        assert!(!IngestError::UnknownFormat { path: "a".into() }.is_snapshot());
     }
 }

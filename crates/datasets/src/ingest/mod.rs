@@ -6,15 +6,14 @@
 //! gap: each supported dump format has a streaming parser that feeds
 //! records straight into [`cspm_graph::GraphBuilder`] through a
 //! [`GraphAssembler`] sink — one pass, one reused line buffer, no
-//! intermediate per-dataset maps — and the assembled graph is cached in
-//! a versioned binary snapshot (`.csbin`) so repeat runs skip parsing
-//! entirely. Formats and the snapshot layout are specified in
-//! `docs/FORMATS.md`.
+//! intermediate per-dataset maps. The repo's own `v`/`e` format is
+//! read by [`cspm_graph::read_graph`], the reader every other command
+//! uses. Formats are specified in `docs/FORMATS.md`.
 //!
 //! # Example
 //!
 //! ```
-//! use cspm_datasets::ingest::{self, Format, SnapshotPolicy};
+//! use cspm_datasets::ingest::{self, Format};
 //! # let dir = std::env::temp_dir().join("cspm-ingest-doctest");
 //! # std::fs::create_dir_all(&dir).unwrap();
 //! # let path = dir.join("tiny.txt");
@@ -22,7 +21,7 @@
 //! # std::fs::write(dir.join("tiny.profiles.txt"),
 //! #     "1\t1\t55\t1\tbratislavsky kraj\t25\n2\t1\t40\t0\tkosicky kraj\t31\n").unwrap();
 //! // pokec-style dump: tab-separated edges + a profile sidecar
-//! let report = ingest::ingest(&path, None, SnapshotPolicy::Off).unwrap();
+//! let report = ingest::ingest(&path, None).unwrap();
 //! assert_eq!(report.format, Format::Pokec);
 //! assert_eq!(report.dataset.graph.vertex_count(), 3);
 //! ```
@@ -30,13 +29,10 @@
 mod dblp;
 mod error;
 mod lines;
-mod native;
 mod pokec;
-pub mod snapshot;
 mod usflight;
 
 pub use error::IngestError;
-pub use snapshot::{CSBIN_MAGIC, CSBIN_VERSION};
 
 use std::collections::HashMap;
 use std::fmt;
@@ -45,7 +41,7 @@ use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use cspm_graph::{AttributedGraph, GraphBuilder, VertexId};
+use cspm_graph::{read_graph, AttributedGraph, GraphBuilder, GraphError, VertexId};
 
 use crate::Dataset;
 
@@ -80,28 +76,6 @@ impl Format {
         }
     }
 
-    /// Stable one-byte tag recorded in `.csbin` snapshots, so a cache
-    /// built by one parser is never served to a run requesting another.
-    pub fn tag(self) -> u8 {
-        match self {
-            Format::Pokec => 1,
-            Format::Dblp => 2,
-            Format::UsFlight => 3,
-            Format::Native => 4,
-        }
-    }
-
-    /// Inverse of [`Self::tag`].
-    pub fn from_tag(tag: u8) -> Option<Format> {
-        match tag {
-            1 => Some(Format::Pokec),
-            2 => Some(Format::Dblp),
-            3 => Some(Format::UsFlight),
-            4 => Some(Format::Native),
-            _ => None,
-        }
-    }
-
     /// Table II category of datasets in this format.
     pub fn category(self) -> &'static str {
         match self {
@@ -113,9 +87,10 @@ impl Format {
     }
 
     /// Detects the format from the first non-comment line of `path`:
-    /// `v`/`e` records are native, a pair of tab-separated integers is a
-    /// Pokec edge list, and CSV headers are told apart by their columns
-    /// (`venues`+`coauthors` vs `src`+`dst`).
+    /// a first whitespace-separated token of `v` or `e` is native (as
+    /// [`read_graph`] splits on any whitespace), a pair of tab-separated
+    /// integers is a Pokec edge list, and CSV headers are told apart by
+    /// their columns (`venues`+`coauthors` vs `src`+`dst`).
     pub fn sniff(path: &Path) -> Result<Format, IngestError> {
         let mut reader = BufReader::new(File::open(path)?);
         let mut line = Vec::new();
@@ -129,7 +104,7 @@ impl Format {
             if text.is_empty() || text.starts_with('#') {
                 continue;
             }
-            if text.starts_with("v ") || text.starts_with("e ") {
+            if matches!(text.split_whitespace().next(), Some("v" | "e")) {
                 return Ok(Format::Native);
             }
             let mut tabs = text.split('\t');
@@ -292,67 +267,9 @@ pub trait AttributedGraphSource {
     fn name(&self) -> String;
     /// Table II category column.
     fn category(&self) -> &'static str;
-    /// Every file this source reads — the main dump and any sidecars.
-    /// The `.csbin` fingerprint covers them all, so editing a sidecar
-    /// invalidates the snapshot too.
-    fn files(&self) -> Vec<PathBuf>;
     /// Streams every record into `sink`, consuming the underlying
     /// reader(s).
     fn stream_into(&mut self, sink: &mut GraphAssembler) -> Result<(), IngestError>;
-}
-
-/// Returns the format's source over `path`, resolving sidecar files.
-pub fn source_for(
-    path: &Path,
-    format: Format,
-) -> Result<Box<dyn AttributedGraphSource>, IngestError> {
-    Ok(match format {
-        Format::Pokec => Box::new(pokec::PokecSource::open(path)?),
-        Format::Dblp => Box::new(dblp::DblpSource::open(path)?),
-        Format::UsFlight => Box::new(usflight::UsFlightSource::open(path)?),
-        Format::Native => Box::new(native::NativeSource::open(path)?),
-    })
-}
-
-/// Whether ingestion may read/write the `.csbin` snapshot next to the
-/// source dump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotPolicy {
-    /// Load a valid snapshot if present; otherwise parse and write one.
-    #[default]
-    ReadWrite,
-    /// Always parse; never touch snapshot files (benchmarking parsers,
-    /// read-only fixture directories).
-    Off,
-}
-
-/// How the snapshot cache behaved during one [`ingest`] call.
-#[derive(Debug)]
-pub enum SnapshotOutcome {
-    /// Snapshots were disabled by [`SnapshotPolicy::Off`].
-    Disabled,
-    /// A valid snapshot was loaded; the dump was not parsed.
-    Loaded {
-        /// The snapshot read.
-        path: PathBuf,
-    },
-    /// The dump was parsed and a fresh snapshot written.
-    /// `invalidated` carries the reason an existing snapshot was
-    /// rejected (stale, wrong version, corrupt), if there was one.
-    Written {
-        /// The snapshot written.
-        path: PathBuf,
-        /// Why the previous snapshot was unusable, if one existed.
-        invalidated: Option<String>,
-    },
-    /// The dump was parsed but the snapshot could not be written
-    /// (e.g. a read-only directory). Not fatal: mining proceeds.
-    WriteFailed {
-        /// The snapshot path that could not be created.
-        path: PathBuf,
-        /// The write error.
-        reason: String,
-    },
 }
 
 /// Result of one [`ingest`] call.
@@ -362,119 +279,65 @@ pub struct IngestReport {
     pub dataset: Dataset,
     /// Format actually used (sniffed or requested).
     pub format: Format,
-    /// Wall-clock seconds spent parsing + assembling (0 when the
-    /// snapshot was loaded instead).
+    /// Wall-clock seconds spent parsing + assembling.
     pub parse_secs: f64,
-    /// Wall-clock seconds spent loading the snapshot, when one was.
-    pub snapshot_load_secs: f64,
     /// Self-loop records skipped during parsing.
     pub self_loops_skipped: usize,
-    /// What the snapshot cache did.
-    pub snapshot: SnapshotOutcome,
 }
 
-/// Ingests a real dataset dump: sniffs the format (unless given),
-/// consults the `.csbin` snapshot cache per `snapshots`, and otherwise
-/// streams the dump through its parser. See the module docs for an
-/// example.
-pub fn ingest(
-    path: &Path,
-    format: Option<Format>,
-    snapshots: SnapshotPolicy,
-) -> Result<IngestReport, IngestError> {
+/// Ingests a real dataset dump: sniffs the format (unless given) and
+/// parses the dump. Native files go through [`read_graph`], so
+/// `--input` reads them exactly as every other command does; the
+/// dump formats stream through their [`AttributedGraphSource`]. See
+/// the module docs for an example.
+pub fn ingest(path: &Path, format: Option<Format>) -> Result<IngestReport, IngestError> {
     let format = match format {
         Some(f) => f,
         None => Format::sniff(path)?,
     };
-    let mut source = source_for(path, format)?;
-    // Fingerprint covers the main dump AND sidecars; computed once,
-    // used for both the load check and the write.
-    let fingerprint = match snapshots {
-        SnapshotPolicy::ReadWrite => Some(snapshot::source_fingerprint(&source.files())?),
-        SnapshotPolicy::Off => None,
-    };
-    let mut invalidated = None;
-    if let Some(fingerprint) = fingerprint {
-        let snap = snapshot::snapshot_path(path);
-        if snap.exists() {
-            let t = Instant::now();
-            match snapshot::load_snapshot(&snap, fingerprint) {
-                Ok(loaded) if loaded.format_tag == format.tag() => {
-                    return Ok(IngestReport {
-                        dataset: Dataset {
-                            name: leak_name(loaded.name),
-                            category: leak_name(loaded.category),
-                            graph: loaded.graph,
-                        },
-                        format,
-                        parse_secs: 0.0,
-                        snapshot_load_secs: t.elapsed().as_secs_f64(),
-                        self_loops_skipped: 0,
-                        snapshot: SnapshotOutcome::Loaded { path: snap },
-                    });
-                }
-                // A snapshot built by a different parser must not be
-                // served to a run that asked for this one.
-                Ok(loaded) => {
-                    let built_by = Format::from_tag(loaded.format_tag)
-                        .map(|f| f.to_string())
-                        .unwrap_or_else(|| format!("tag {}", loaded.format_tag));
-                    invalidated = Some(format!(
-                        "snapshot was built by the '{built_by}' parser, this run uses '{format}'"
-                    ));
-                }
-                // Unusable snapshots (stale, old version, corrupt) fall
-                // through to a fresh parse; real errors propagate.
-                Err(e) if e.is_snapshot() => invalidated = Some(e.to_string()),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    let name = source.name();
-    let category = source.category();
-    let t = Instant::now();
-    let mut sink = GraphAssembler::new();
-    source.stream_into(&mut sink)?;
-    let self_loops_skipped = sink.self_loops_skipped();
-    let graph = sink.finish();
-    let parse_secs = t.elapsed().as_secs_f64();
-
-    let snapshot = match fingerprint {
-        None => SnapshotOutcome::Disabled,
-        Some(fingerprint) => {
-            let snap = snapshot::snapshot_path(path);
-            match snapshot::write_snapshot(
-                &snap,
-                fingerprint,
-                format.tag(),
-                &name,
-                category,
-                &graph,
-            ) {
-                Ok(()) => SnapshotOutcome::Written {
-                    path: snap,
-                    invalidated,
+    let started = Instant::now();
+    let (dataset, self_loops_skipped) = match format {
+        Format::Pokec => assemble(pokec::PokecSource::open(path)?)?,
+        Format::Dblp => assemble(dblp::DblpSource::open(path)?)?,
+        Format::UsFlight => assemble(usflight::UsFlightSource::open(path)?)?,
+        Format::Native => {
+            let graph = read_graph(File::open(path)?).map_err(|e| match e {
+                GraphError::Parse { line, message } => IngestError::Parse {
+                    path: path.to_path_buf(),
+                    line,
+                    message,
                 },
-                Err(e) => SnapshotOutcome::WriteFailed {
-                    path: snap,
-                    reason: e.to_string(),
-                },
-            }
+                GraphError::Io(e) => IngestError::Io(e),
+                e => IngestError::Graph(e),
+            })?;
+            let dataset = Dataset {
+                name: leak_name(dataset_name("Graph", path)),
+                category: format.category(),
+                graph,
+            };
+            (dataset, 0)
         }
     };
     Ok(IngestReport {
-        dataset: Dataset {
-            name: leak_name(name),
-            category,
-            graph,
-        },
+        dataset,
         format,
-        parse_secs,
-        snapshot_load_secs: 0.0,
+        parse_secs: started.elapsed().as_secs_f64(),
         self_loops_skipped,
-        snapshot,
     })
+}
+
+/// Streams `source` through a fresh [`GraphAssembler`], returning the
+/// dataset and the number of self-loop records skipped.
+fn assemble(mut source: impl AttributedGraphSource) -> Result<(Dataset, usize), IngestError> {
+    let mut sink = GraphAssembler::new();
+    source.stream_into(&mut sink)?;
+    let self_loops_skipped = sink.self_loops_skipped();
+    let dataset = Dataset {
+        name: leak_name(source.name()),
+        category: source.category(),
+        graph: sink.finish(),
+    };
+    Ok((dataset, self_loops_skipped))
 }
 
 /// [`Dataset::name`] is `&'static str` (the generators use literals);
@@ -593,6 +456,7 @@ mod tests {
                 Format::UsFlight,
             ),
             ("plain.graph", "# c\nv 0 a\ne 0 1\n", Format::Native),
+            ("tabbed.graph", "v\t0\ta\ne\t0\t1\n", Format::Native),
         ];
         for (file, text, want) in cases {
             let p = dir.join(file);
@@ -607,57 +471,16 @@ mod tests {
         ));
     }
 
-    /// Writes the pokec fixture pair into a fresh scratch dir.
-    fn pokec_pair(case: &str) -> PathBuf {
-        let dir = temp_dir(case);
-        fs::remove_dir_all(&dir).ok();
-        fs::create_dir_all(&dir).unwrap();
-        let edges = dir.join("p.txt");
-        fs::write(&edges, "1\t2\n2\t3\n").unwrap();
-        fs::write(
-            dir.join("p.profiles.txt"),
-            "1\t1\t0\t1\tkraj a\t20\n2\t1\t0\t0\tkraj b\t30\n3\t1\t0\t1\tkraj a\t40\n",
-        )
-        .unwrap();
-        edges
-    }
-
     #[test]
-    fn editing_a_sidecar_invalidates_the_snapshot() {
-        let edges = pokec_pair("sidecar-fingerprint");
-        let r = ingest(&edges, None, SnapshotPolicy::ReadWrite).unwrap();
-        assert!(matches!(r.snapshot, SnapshotOutcome::Written { .. }));
-        let r = ingest(&edges, None, SnapshotPolicy::ReadWrite).unwrap();
-        assert!(matches!(r.snapshot, SnapshotOutcome::Loaded { .. }));
-
-        // Rewriting the PROFILES file (the main dump is untouched) must
-        // cause a re-parse, not a stale cache hit.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        fs::write(
-            edges.with_file_name("p.profiles.txt"),
-            "1\t1\t0\t1\tkraj c\t20\n2\t1\t0\t0\tkraj b\t30\n3\t1\t0\t1\tkraj c\t40\n",
-        )
-        .unwrap();
-        let r = ingest(&edges, None, SnapshotPolicy::ReadWrite).unwrap();
-        match &r.snapshot {
-            SnapshotOutcome::Written { invalidated, .. } => {
-                assert!(invalidated.as_deref().unwrap_or("").contains("stale"))
+    fn bad_native_records_are_parse_errors_at_their_line() {
+        let path = temp_dir("native").join("g.graph");
+        for (text, want) in [("v 0 a\nz 1 2\n", 2), ("e 0\n", 1), ("v x a\n", 1)] {
+            fs::write(&path, text).unwrap();
+            match ingest(&path, Some(Format::Native)) {
+                Err(IngestError::Parse { line, .. }) => assert_eq!(line, want, "{text:?}"),
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
             }
-            other => panic!("expected re-parse after sidecar edit, got {other:?}"),
         }
-        assert!(r.dataset.graph.attrs().get("region=kraj_c").is_some());
-    }
-
-    #[test]
-    fn snapshot_built_by_another_format_is_not_served() {
-        let edges = pokec_pair("format-tag");
-        ingest(&edges, Some(Format::Pokec), SnapshotPolicy::ReadWrite).unwrap();
-        // Same file, now explicitly requested as native: the pokec
-        // snapshot must be rejected (tag mismatch) and the native parse
-        // then fails on the pokec records — it must NOT silently return
-        // the cached pokec graph.
-        let err = ingest(&edges, Some(Format::Native), SnapshotPolicy::ReadWrite).unwrap_err();
-        assert!(matches!(err, IngestError::Parse { .. }), "{err}");
     }
 
     #[test]

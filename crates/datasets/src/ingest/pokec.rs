@@ -44,10 +44,6 @@ impl super::AttributedGraphSource for PokecSource {
         super::Format::Pokec.category()
     }
 
-    fn files(&self) -> Vec<PathBuf> {
-        vec![self.edges.clone(), self.profiles.clone()]
-    }
-
     fn stream_into(&mut self, sink: &mut GraphAssembler) -> Result<(), IngestError> {
         let mut line = String::new();
         // Profiles first: they declare users and their attributes.

@@ -59,10 +59,6 @@ impl super::AttributedGraphSource for UsFlightSource {
         super::Format::UsFlight.category()
     }
 
-    fn files(&self) -> Vec<PathBuf> {
-        vec![self.routes.clone(), self.airports.clone()]
-    }
-
     fn stream_into(&mut self, sink: &mut GraphAssembler) -> Result<(), IngestError> {
         let mut fields: Vec<String> = Vec::new();
         let mut line = String::new();

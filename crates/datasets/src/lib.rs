@@ -9,13 +9,12 @@
 //! same *structural property the experiments rely on*: attribute values
 //! of neighbouring vertices are correlated through planted a-star-style
 //! rules, layered with noise. All generators are deterministic given a
-//! seed (see DESIGN.md §5 for the substitution rationale).
+//! seed.
 //!
 //! To mine the *actual* dumps, enable `real-data` and use the `ingest`
 //! module: it streams SNAP-style Pokec, DBLP co-authorship CSV and
-//! USFlight route/attribute tables into the graph builder and caches
-//! the result in a versioned `.csbin` snapshot (`docs/FORMATS.md`
-//! specifies both the inputs and the snapshot layout).
+//! USFlight route/attribute tables into the graph builder
+//! (`docs/FORMATS.md` specifies the inputs).
 //!
 //! # Example
 //!

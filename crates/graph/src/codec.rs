@@ -1,7 +1,7 @@
 //! Little-endian byte codec shared by every binary on-disk format in
-//! the workspace: the `cspm-store` session snapshot + WAL and the
-//! `.csbin` parse cache both build on these primitives, so torn writes
-//! and bit-flips are detected the same way everywhere.
+//! the workspace: the `cspm-store` session snapshot and WAL both build
+//! on these primitives, so torn writes and bit-flips are detected the
+//! same way everywhere.
 //!
 //! Two layers live here:
 //!
@@ -13,7 +13,7 @@
 //!   not match its bytes (bit-flip) or whose declared length overruns
 //!   the buffer (torn write, truncation) is reported as a typed
 //!   [`FrameError`], letting callers degrade gracefully — truncate a
-//!   log tail, discard a cache, rebuild from source.
+//!   log tail, or fall back from a damaged snapshot to a cold start.
 
 use std::fmt;
 
@@ -152,8 +152,7 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------- CRC-32
 
 /// Reflected CRC-32 (IEEE 802.3 polynomial), table generated at compile
-/// time — the workspace is offline, so the checksum is hand-rolled like
-/// the `.csbin` FNV fingerprint before it.
+/// time — the workspace is offline, so the checksum is hand-rolled.
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;

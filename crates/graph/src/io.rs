@@ -20,7 +20,7 @@
 //! the attribute table exactly (interning order and vertex-unused
 //! values included), so a decoded graph compares equal to the original.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 
 use crate::attrs::{AttrId, AttrTable};
 use crate::builder::GraphBuilder;
@@ -47,7 +47,13 @@ pub fn read_graph<R: Read>(reader: R) -> Result<AttributedGraph, GraphError> {
 
     for (lineno, line) in reader.lines().enumerate() {
         let lineno = lineno + 1;
-        let line = line?;
+        let line = line.map_err(|e| match e.kind() {
+            ErrorKind::InvalidData => GraphError::Parse {
+                line: lineno,
+                message: "line is not valid UTF-8".into(),
+            },
+            _ => GraphError::Io(e),
+        })?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -292,6 +298,12 @@ mod tests {
     fn bad_id_reports_line() {
         let err = read_graph("e 0 q\n".as_bytes()).unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn invalid_utf8_reports_line() {
+        let err = read_graph(&b"v 0 a\nv 1 \xff\n"[..]).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 2, .. }), "{err}");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Mining-as-a-service: the `cspm serve` daemon and its wire protocol.
 //!
 //! This crate turns the session stack into a long-running multi-tenant
-//! server (the ROADMAP's "millions of users" shape): many named
-//! sessions stay resident, accept graph deltas, and re-mine warm, over
-//! a line-delimited JSON protocol on a Unix socket.
+//! server: many named sessions stay resident, accept graph deltas, and
+//! re-mine warm, over a line-delimited JSON protocol on a Unix socket.
 //!
 //! | Module | Role |
 //! |---|---|
@@ -14,7 +13,7 @@
 //! | `metrics` | per-op counters/latency histograms on the process-wide telemetry registry, scraped via the `metrics` op |
 //!
 //! The protocol grammar is documented normatively in `docs/FORMATS.md`
-//! §7. The CLI front-ends (`cspm serve`, `cspm client`) live in the
+//! §6. The CLI front-ends (`cspm serve`, `cspm client`) live in the
 //! root crate, and the load benchmark in `perfbench/` (`tenant-churn`).
 //!
 //! # Guarantees

@@ -1,7 +1,7 @@
 //! The daemon's wire protocol: typed requests, typed errors, and the
 //! line grammar shared by server and client.
 //!
-//! One JSON object per line in each direction (`docs/FORMATS.md` §7 is
+//! One JSON object per line in each direction (`docs/FORMATS.md` §6 is
 //! the normative reference). Requests carry an `"op"` discriminator;
 //! responses carry `"ok": true` plus op-specific fields, or `"ok":
 //! false` with an `"error": {"code", "message"}` object. Every way a

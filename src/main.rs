@@ -17,8 +17,7 @@
 //! (`v <id> <attr>…` / `e <u> <v>` lines). With the `real-data` feature,
 //! `mine --input` instead ingests a real dataset dump (SNAP-style Pokec,
 //! DBLP co-authorship CSV, USFlight route tables — see docs/FORMATS.md),
-//! caching the parsed graph in a `.csbin` snapshot next to the dump so
-//! repeat runs skip parsing.
+//! or a native graph file read as above.
 //!
 //! Mining goes through a [`cspm::core::MiningSession`] (the library's
 //! primary API); the CLI is one-shot, but `--json` exposes the same
@@ -103,7 +102,7 @@ durable sessions (crash-safe snapshot + delta WAL, docs/FORMATS.md):
                        and how recovery went (clean / tail-truncated /
                        snapshot-fallback)
 
-mining as a service (wire protocol: docs/FORMATS.md §7):
+mining as a service (wire protocol: docs/FORMATS.md §6):
   serve                keep many named tenant sessions resident behind a
                        Unix socket speaking line-delimited JSON; under
                        --mem-budget pressure, idle tenants are evicted
@@ -121,8 +120,7 @@ mining as a service (wire protocol: docs/FORMATS.md §7):
                        (engine, store, and serve metric families)
 
 real datasets (requires a build with --features real-data):
-  --input <dump>       ingest a real dataset dump; parsed graphs are cached
-                       in a versioned <dump>.csbin snapshot (docs/FORMATS.md)
+  --input <dump>       ingest a real dataset dump (formats: docs/FORMATS.md)
   --format <name>      pokec|dblp|usflight|native, or auto-detect (default)";
 
 /// Observer for durable-session runs: mining runs to completion, and
@@ -158,13 +156,12 @@ fn load(path: &str) -> Result<AttributedGraph, String> {
     read_graph(file).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-/// Ingests a real dataset dump (`mine --input`), reporting how the
-/// `.csbin` snapshot cache behaved; `tests/cli.rs` asserts these lines.
-/// Under `--json` the notes move to stderr so stdout stays one JSON
-/// document.
+/// Ingests a real dataset dump (`mine --input`) and notes what was
+/// parsed; `tests/cli.rs` asserts these lines. Under `--json` the notes
+/// move to stderr so stdout stays one JSON document.
 #[cfg(feature = "real-data")]
 fn ingest_input(dump: &str, format: &str, json: bool) -> Result<AttributedGraph, String> {
-    use cspm::datasets::ingest::{self, SnapshotOutcome, SnapshotPolicy};
+    use cspm::datasets::ingest;
 
     let note = |line: String| {
         if json {
@@ -174,36 +171,13 @@ fn ingest_input(dump: &str, format: &str, json: bool) -> Result<AttributedGraph,
         }
     };
     let format = ingest::Format::from_cli(format)?;
-    let path = std::path::Path::new(dump);
-    let report = ingest::ingest(path, format, SnapshotPolicy::ReadWrite)
+    let report = ingest::ingest(std::path::Path::new(dump), format)
         .map_err(|e| format!("cannot ingest {dump}: {e}"))?;
     let (n, m, a) = report.dataset.statistics();
-    let shape = format!("{n} vertices, {m} edges, {a} attribute values");
-    match &report.snapshot {
-        SnapshotOutcome::Loaded { path: snap } => note(format!(
-            "ingest: loaded snapshot {} ({shape}) in {:.3}s",
-            snap.display(),
-            report.snapshot_load_secs
-        )),
-        SnapshotOutcome::Written { path: snap, invalidated } => {
-            if let Some(reason) = invalidated {
-                note(format!("ingest: discarded unusable snapshot ({reason})"));
-            }
-            note(format!(
-                "ingest: parsed {dump} as {} ({shape}) in {:.3}s; wrote snapshot {}",
-                report.format,
-                report.parse_secs,
-                snap.display()
-            ));
-        }
-        SnapshotOutcome::WriteFailed { path: snap, reason } => note(format!(
-            "ingest: parsed {dump} as {} ({shape}) in {:.3}s; could not write snapshot {}: {reason}",
-            report.format,
-            report.parse_secs,
-            snap.display()
-        )),
-        SnapshotOutcome::Disabled => {}
-    }
+    note(format!(
+        "ingest: parsed {dump} as {} ({n} vertices, {m} edges, {a} attribute values) in {:.3}s",
+        report.format, report.parse_secs
+    ));
     if report.self_loops_skipped > 0 {
         note(format!(
             "ingest: skipped {} self-loop record(s)",
@@ -932,7 +906,7 @@ fn client(args: &[String]) -> Result<(), String> {
             cspm::serve::proto::delta_from_value(&delta)
                 .map_err(|e| format!("invalid delta: {}", e.message))?;
             // The wire format carries the delta fields at the request's
-            // top level (docs/FORMATS.md §7), so splice them in.
+            // top level (docs/FORMATS.md §6), so splice them in.
             match delta {
                 Value::Obj(pairs) => {
                     for (key, val) in pairs {

@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use cspm::serve::json::{self, Value};
+
 fn cspm(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_cspm"))
         .args(args)
@@ -92,96 +94,41 @@ fn scheduling_knobs_change_speed_not_output() {
     std::fs::remove_file(path).ok();
 }
 
-/// Copies a fixture (and its sidecars) into a scratch dir so `.csbin`
-/// snapshots land there, not in the repo tree.
-#[cfg(feature = "real-data")]
-fn stage_fixture(case: &str, names: &[&str]) -> std::path::PathBuf {
-    let src = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let dir = std::env::temp_dir().join("cspm-cli-tests").join(case);
-    std::fs::create_dir_all(&dir).unwrap();
-    for name in names {
-        std::fs::copy(src.join(name), dir.join(name)).unwrap();
-    }
-    dir.join(names[0])
-}
-
+/// `mine --input` reads a native file with the same reader as
+/// `mine <file>`: a file that skips an id builds the same graph (the
+/// skipped id is an isolated vertex) and mines the same model, and an
+/// id that no record can account for is refused on both paths.
 #[cfg(feature = "real-data")]
 #[test]
-fn ingest_writes_then_loads_snapshot() {
-    let input = stage_fixture(
-        "snapshot-roundtrip",
-        &["pokec_small.txt", "pokec_small.profiles.txt"],
-    );
-    let snap = input.with_file_name("pokec_small.txt.csbin");
-    std::fs::remove_file(&snap).ok();
-    let input = input.to_str().unwrap();
+fn native_input_reads_like_a_graph_file() {
+    let path = temp_path("gapped.graph");
+    let path_str = path.to_str().unwrap();
+    std::fs::write(&path, "v 0 a\nv 2 a b\nv 3 b\ne 0 2\ne 2 3\ne 0 3\n").unwrap();
 
-    // First run parses the dump and writes the snapshot …
-    let (ok, first, _) = cspm(&["mine", "--input", input, "--format", "auto", "--top", "2"]);
-    assert!(ok, "first ingest run failed");
-    assert!(
-        first.contains("as pokec"),
-        "auto-detection note missing: {first}"
-    );
-    assert!(
-        first.contains("wrote snapshot"),
-        "snapshot note missing: {first}"
-    );
-    assert!(snap.exists(), "snapshot file not created");
-
-    // … the second run loads it instead of re-parsing, mining the
-    // identical model.
-    let (ok, second, _) = cspm(&["mine", "--input", input, "--format", "auto", "--top", "2"]);
-    assert!(ok, "second ingest run failed");
-    assert!(
-        second.contains("loaded snapshot"),
-        "snapshot not reused: {second}"
-    );
-    assert!(!second.contains("wrote snapshot"));
-    let mined = |s: &str| {
-        s.lines()
-            .skip_while(|l| !l.starts_with("mined "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
+    let (ok, out, err) = cspm(&["mine", path_str, "--json"]);
+    assert!(ok, "mine <file>: {err}");
+    let direct = parse_json(&out);
+    let (ok, out, err) = cspm(&["mine", "--input", path_str, "--format", "native", "--json"]);
+    assert!(ok, "mine --input: {err}");
+    let ingested = parse_json(&out);
+    let notes: Vec<&str> = err.lines().filter(|l| l.starts_with("ingest: ")).collect();
+    assert_eq!(notes.len(), 1, "one ingest note on stderr: {err}");
+    assert!(notes[0].contains(" as native (4 vertices"), "{err}");
+    assert_eq!(at(&direct, &["graph", "vertices"]).as_u64(), Some(4));
+    assert_eq!(at(&ingested, &["graph"]), at(&direct, &["graph"]));
     assert_eq!(
-        mined(&first),
-        mined(&second),
-        "snapshot must not change the model"
+        at(&ingested, &["run", "final_dl_hex"]),
+        at(&direct, &["run", "final_dl_hex"])
     );
-}
 
-#[cfg(feature = "real-data")]
-#[test]
-fn stale_snapshot_is_discarded_and_rebuilt() {
-    let input = stage_fixture(
-        "snapshot-stale",
-        &["pokec_small.txt", "pokec_small.profiles.txt"],
-    );
-    let snap = input.with_file_name("pokec_small.txt.csbin");
-    let input = input.to_str().unwrap();
-    let (ok, _, _) = cspm(&["mine", "--input", input, "--top", "2"]);
-    assert!(ok);
-
-    // Corrupt the layout-version field: the loader must reject it with
-    // a typed error and the CLI must fall back to a fresh parse.
-    let mut bytes = std::fs::read(&snap).unwrap();
-    bytes[4] = 0xEE;
-    std::fs::write(&snap, &bytes).unwrap();
-    let (ok, out, _) = cspm(&["mine", "--input", input, "--top", "2"]);
-    assert!(ok, "stale snapshot must not be fatal");
+    std::fs::write(&path, "e 0 4000000000\n").unwrap();
+    let (ok, _, stderr) = cspm(&["mine", "--input", path_str]);
+    assert!(!ok, "a huge id must be refused");
     assert!(
-        out.contains("discarded unusable snapshot"),
-        "no discard note: {out}"
+        stderr.contains(":1: vertex id 4000000000 exceeds"),
+        "unexpected error: {stderr}"
     );
-    assert!(
-        out.contains("snapshot layout version 238"),
-        "reason missing: {out}"
-    );
-    assert!(
-        out.contains("wrote snapshot"),
-        "snapshot not rebuilt: {out}"
-    );
+    std::fs::remove_file(path).ok();
 }
 
 #[cfg(feature = "real-data")]
@@ -211,41 +158,20 @@ fn ingest_without_feature_points_at_generators() {
     );
 }
 
-/// Structural well-formedness check for the hand-rolled `--json`
-/// output: balanced braces/brackets outside strings, no trailing
-/// garbage, string escapes valid. (CI additionally pipes a real run
-/// through `python3 -m json.tool`.)
-fn assert_wellformed_json(doc: &str) {
-    let doc = doc.trim();
-    assert!(
-        doc.starts_with('{') && doc.ends_with('}'),
-        "not an object: {doc:.40}"
-    );
-    let mut depth: i64 = 0;
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in doc.chars() {
-        if in_str {
-            match (escaped, c) {
-                (true, _) => escaped = false,
-                (false, '\\') => escaped = true,
-                (false, '"') => in_str = false,
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                assert!(depth >= 0, "unbalanced close in {doc}");
-            }
-            _ => {}
-        }
-    }
-    assert_eq!(depth, 0, "unbalanced braces in {doc}");
-    assert!(!in_str, "unterminated string in {doc}");
+/// Parses a `--json` document with the daemon's JSON reader, which
+/// refuses anything but exactly one value. (CI additionally pipes a
+/// real run through `python3 -m json.tool`.)
+fn parse_json(doc: &str) -> Value {
+    json::parse(doc).unwrap_or_else(|e| panic!("not one JSON document ({e}): {doc}"))
+}
+
+/// The member at `path` (object keys, outermost first); panics naming
+/// the path when any step is missing.
+fn at<'a>(doc: &'a Value, path: &[&str]) -> &'a Value {
+    path.iter().fold(doc, |v, key| {
+        v.get(key)
+            .unwrap_or_else(|| panic!("missing {path:?} in {}", doc.to_json()))
+    })
 }
 
 #[test]
@@ -257,40 +183,51 @@ fn mine_json_emits_one_machine_readable_document() {
     let (ok, out, _) = cspm(&["mine", path_str, "--json", "--top", "2"]);
     assert!(ok);
     assert_eq!(out.trim().lines().count(), 1, "one document on stdout");
-    assert_wellformed_json(&out);
+    let doc = parse_json(&out);
+    assert_eq!(at(&doc, &["command"]).as_str(), Some("mine"));
+    assert_eq!(at(&doc, &["variant"]).as_str(), Some("partial"));
+    assert_eq!(at(&doc, &["run", "cancelled"]).as_bool(), Some(false));
     // ModelSummary, RunStats, and the compression ratio all present.
-    for key in [
-        "\"command\":\"mine\"",
-        "\"variant\":\"partial\"",
-        "\"vertices\":",
-        "\"compression_ratio\":",
-        "\"merges\":",
-        "\"total_gain_evals\":",
-        "\"cancelled\":false",
-        "\"posting_sparse_rows\":",
-        "\"posting_bitmap_rows\":",
-        "\"posting_flips_to_bitmap\":",
-        "\"posting_flips_to_sparse\":",
-        "\"n_astars\":",
-        "\"n_coresets\":",
-        "\"mean_leafset_size\":",
-        "\"data_bits\":",
-        "\"model_bits\":",
-        "\"total_bits\":",
-        "\"conditional_entropy\":",
-        "\"top_patterns\":[",
-        "\"code_len_bits\":",
+    for path in [
+        &["graph", "vertices"][..],
+        &["run", "compression_ratio"],
+        &["run", "merges"],
+        &["run", "total_gain_evals"],
+        &["run", "posting_sparse_rows"],
+        &["run", "posting_bitmap_rows"],
+        &["run", "posting_flips_to_bitmap"],
+        &["run", "posting_flips_to_sparse"],
+        &["model", "n_astars"],
+        &["model", "n_coresets"],
+        &["model", "mean_leafset_size"],
+        &["model", "data_bits"],
+        &["model", "model_bits"],
+        &["model", "total_bits"],
+        &["model", "conditional_entropy"],
     ] {
-        assert!(out.contains(key), "missing {key} in {out}");
+        assert!(
+            at(&doc, path).as_f64().is_some(),
+            "{path:?} is not a number"
+        );
     }
     // --top bounds the pattern array.
-    assert_eq!(out.matches("\"astar\":").count(), 2);
+    let top = at(&doc, &["top_patterns"])
+        .as_arr()
+        .expect("top_patterns array");
+    assert_eq!(top.len(), 2);
+    for pattern in top {
+        assert!(at(pattern, &["astar"]).as_str().is_some());
+        assert!(at(pattern, &["code_len_bits"]).as_f64().is_some());
+    }
     // The human-readable lines must not leak into the JSON stream.
     assert!(!out.contains("a-stars:"));
 
     let (ok, basic, _) = cspm(&["mine", path_str, "--json", "--basic", "--top", "1"]);
     assert!(ok);
-    assert!(basic.contains("\"variant\":\"basic\""));
+    assert_eq!(
+        at(&parse_json(&basic), &["variant"]).as_str(),
+        Some("basic")
+    );
     std::fs::remove_file(path).ok();
 }
 
@@ -303,21 +240,24 @@ fn stats_json_emits_graph_metrics() {
     let (ok, out, _) = cspm(&["stats", path_str, "--json"]);
     assert!(ok);
     assert_eq!(out.trim().lines().count(), 1);
-    assert_wellformed_json(&out);
-    for key in [
-        "\"command\":\"stats\"",
-        "\"vertices\":40",
-        "\"connected\":",
-        "\"components\":",
-        "\"degree\":{",
-        "\"attribute_homophily\":",
-        "\"mean_clustering\":",
-        "\"posting\":{\"sparse_rows\":",
-        "\"bitmap_rows\":",
-        "\"top_attribute_values\":[",
+    let doc = parse_json(&out);
+    assert_eq!(at(&doc, &["command"]).as_str(), Some("stats"));
+    assert_eq!(at(&doc, &["graph", "vertices"]).as_u64(), Some(40));
+    assert!(at(&doc, &["connected"]).as_bool().is_some());
+    for path in [
+        &["components"][..],
+        &["degree", "mean"],
+        &["attribute_homophily"],
+        &["mean_clustering"],
+        &["posting", "sparse_rows"],
+        &["posting", "bitmap_rows"],
     ] {
-        assert!(out.contains(key), "missing {key} in {out}");
+        assert!(
+            at(&doc, path).as_f64().is_some(),
+            "{path:?} is not a number"
+        );
     }
+    assert!(at(&doc, &["top_attribute_values"]).as_arr().is_some());
 
     let (ok, _, stderr) = cspm(&["stats", path_str, "--frobnicate"]);
     assert!(!ok);
@@ -377,18 +317,14 @@ fn durable_store_seeds_then_warm_opens() {
     let (ok, out, stderr) = cspm(&["mine", "--store", store_str, "--json", "--top", "2"]);
     assert!(ok);
     assert_eq!(out.trim().lines().count(), 1, "one document on stdout");
-    assert_wellformed_json(&out);
-    for key in [
-        "\"store\":{",
-        "\"snapshot_bytes\":",
-        "\"wal_bytes\":",
-        "\"generation\":1",
-        "\"wal_records\":0",
-        "\"recovery\":\"clean\"",
-        "\"final_dl_bits\":",
-    ] {
-        assert!(out.contains(key), "missing {key} in {out}");
+    let doc = parse_json(&out);
+    for path in [&["store", "snapshot_bytes"][..], &["store", "wal_bytes"]] {
+        assert!(at(&doc, path).as_u64().is_some(), "{path:?} is not a count");
     }
+    assert_eq!(at(&doc, &["store", "generation"]).as_u64(), Some(1));
+    assert_eq!(at(&doc, &["store", "wal_records"]).as_u64(), Some(0));
+    assert_eq!(at(&doc, &["store", "recovery"]).as_str(), Some("clean"));
+    assert!(at(&doc, &["run", "final_dl_bits"]).as_f64().is_some());
     assert!(
         stderr.contains("store: warm-opened"),
         "notes not on stderr: {stderr}"
@@ -439,25 +375,20 @@ fn stats_store_reports_health_and_survives_damage() {
     let (ok, out, _) = cspm(&["stats", "--store", store_str, "--json"]);
     assert!(ok);
     assert_eq!(out.trim().lines().count(), 1);
-    assert_wellformed_json(&out);
-    for key in [
-        "\"command\":\"stats\"",
-        "\"store\":{",
-        "\"generation\":1",
-        "\"wal_records\":0",
-        "\"recovery\":\"clean\"",
-        "\"vertices\":40",
-        "\"db_section\":true",
-        "\"db_rows\":",
-    ] {
-        assert!(out.contains(key), "missing {key} in {out}");
-    }
+    let doc = parse_json(&out);
+    assert_eq!(at(&doc, &["command"]).as_str(), Some("stats"));
+    assert_eq!(at(&doc, &["store", "generation"]).as_u64(), Some(1));
+    assert_eq!(at(&doc, &["store", "wal_records"]).as_u64(), Some(0));
+    assert_eq!(at(&doc, &["store", "recovery"]).as_str(), Some("clean"));
+    assert_eq!(at(&doc, &["graph", "vertices"]).as_u64(), Some(40));
+    assert_eq!(at(&doc, &["db_section"]).as_bool(), Some(true));
+    assert!(at(&doc, &["db_rows"]).as_u64().is_some());
 
     // Flip a bit in the snapshot body: stats must report the fallback,
     // not crash, and a re-mine must re-seed the store.
     let mut bytes = std::fs::read(&store).unwrap();
-    let at = bytes.len() / 2;
-    bytes[at] ^= 0x10;
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
     std::fs::write(&store, &bytes).unwrap();
     let (ok, out, _) = cspm(&["stats", "--store", store_str]);
     assert!(ok, "stats on a damaged store must not fail: {out}");

@@ -2,15 +2,13 @@
 //!
 //! The CI `real-data` leg runs these: every fixture under
 //! `tests/fixtures/` must ingest, mine, and actually compress
-//! (ratio < 1), and the mined model must stay lossless. Snapshots are
-//! disabled so the tests exercise the parsers, not the cache;
-//! `tests/cli.rs` covers the snapshot path.
+//! (ratio < 1), and the mined model must stay lossless.
 #![cfg(feature = "real-data")]
 
 use std::path::PathBuf;
 
 use cspm::core::{verify_lossless, CspmConfig, Variant};
-use cspm::datasets::ingest::{ingest, Format, SnapshotPolicy};
+use cspm::datasets::ingest::{ingest, Format};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -19,8 +17,7 @@ fn fixture(name: &str) -> PathBuf {
 }
 
 fn mine_fixture(name: &str, expect: Format) -> f64 {
-    let report =
-        ingest(&fixture(name), None, SnapshotPolicy::Off).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let report = ingest(&fixture(name), None).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(report.format, expect, "{name}: auto-detection");
     let g = &report.dataset.graph;
     assert!(
@@ -62,12 +59,7 @@ fn usflight_fixture_mines_and_compresses() {
 fn explicit_format_overrides_sniffing() {
     // Forcing the wrong format on a fixture is a typed error, not a
     // panic (the DBLP parser rejects the Pokec edge list's header).
-    let err = ingest(
-        &fixture("pokec_small.txt"),
-        Some(Format::Dblp),
-        SnapshotPolicy::Off,
-    )
-    .unwrap_err();
+    let err = ingest(&fixture("pokec_small.txt"), Some(Format::Dblp)).unwrap_err();
     assert!(
         matches!(err, cspm::datasets::ingest::IngestError::Parse { .. }),
         "got {err}"

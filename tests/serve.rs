@@ -13,6 +13,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
+use cspm::serve::json::{self, Value};
+
 /// Runs the binary and returns its raw exit code — the client's code
 /// is part of its contract (0 ok, 1 daemon refusal, 2 transport).
 fn cspm_code(args: &[&str]) -> (Option<i32>, String, String) {
@@ -39,25 +41,11 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Pulls the string value of `"key":"…"` out of a JSON line. The CLI
-/// emits flat, unescaped hex digests and op names, so a plain string
-/// scan is reliable here.
-fn json_str_field(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = doc.find(&needle)? + needle.len();
-    let end = doc[start..].find('"')?;
-    Some(doc[start..start + end].to_string())
-}
-
-/// The integer value of `"key":N` in a JSON line.
-fn json_u64_field(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = doc.find(&needle)? + needle.len();
-    let digits: String = doc[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// Parses one JSON line with the daemon's own reader and returns the
+/// member at `path` (object keys, outermost first), if there is one.
+fn json_at(line: &str, path: &[&str]) -> Option<Value> {
+    let doc = json::parse(line).unwrap_or_else(|e| panic!("not one JSON document ({e}): {line}"));
+    path.iter().try_fold(&doc, |v, key| v.get(key)).cloned()
 }
 
 /// Writes one raw request line to the daemon and returns its one-line
@@ -159,7 +147,8 @@ fn three_concurrent_tenants_mine_bit_identically_to_one_shot() {
                 let (ok, json, err) = cspm(&["mine", graph_str, "--json"]);
                 assert!(ok, "one-shot mine: {err}");
                 let expected =
-                    json_str_field(&json, "final_dl_hex").expect("one-shot emits final_dl_hex");
+                    json_at(&json, &["run", "final_dl_hex"]).expect("one-shot emits final_dl_hex");
+                assert!(expected.as_str().is_some(), "digest is a string: {json}");
 
                 let tenant = format!("t{t}");
                 let (ok, _, err) = cspm(&[
@@ -169,8 +158,7 @@ fn three_concurrent_tenants_mine_bit_identically_to_one_shot() {
 
                 let (ok, resp, err) = cspm(&["client", "mine", &tenant, "--socket", socket]);
                 assert!(ok, "mine {tenant}: {err}");
-                let got =
-                    json_str_field(&resp, "final_dl_bits").expect("daemon emits final_dl_bits");
+                let got = json_at(&resp, &["final_dl_bits"]).expect("daemon emits final_dl_bits");
                 assert_eq!(got, expected, "{tenant}: daemon DL digest != one-shot CLI");
 
                 // The session keeps serving after a delta re-mine.
@@ -194,7 +182,7 @@ fn three_concurrent_tenants_mine_bit_identically_to_one_shot() {
                 let (ok, resp, err) = cspm(&["client", "mine", &tenant, "--socket", socket]);
                 assert!(ok, "re-mine {tenant}: {err}");
                 let regrown =
-                    json_str_field(&resp, "final_dl_bits").expect("re-mine emits final_dl_bits");
+                    json_at(&resp, &["final_dl_bits"]).expect("re-mine emits final_dl_bits");
                 assert_ne!(regrown, expected, "delta must change the mined DL");
             })
         })
@@ -237,7 +225,8 @@ fn subscribe_streams_progress_and_metrics_expose_every_layer() {
     // Ground truth for the stream's terminal line: a plain mine.
     let (ok, resp, err) = cspm(&["client", "mine", "obs", "--socket", sock]);
     assert!(ok, "mine: {err}");
-    let expected = json_str_field(&resp, "final_dl_bits").expect("mine emits final_dl_bits");
+    let expected = json_at(&resp, &["final_dl_bits"]).expect("mine emits final_dl_bits");
+    assert!(expected.as_str().is_some(), "digest is a string: {resp}");
 
     // Subscribe: at least one progress event line, then the terminal
     // "done" line, bit-identical to the plain mine (warm ≡ warm).
@@ -255,7 +244,7 @@ fn subscribe_streams_progress_and_metrics_expose_every_layer() {
         assert!(l.contains("\"event\":\"progress\""), "stray line: {l}");
         assert!(l.contains("\"dl_after\""), "progress line shape: {l}");
     }
-    let got = json_str_field(lines[done_at], "final_dl_bits").expect("done carries final_dl_bits");
+    let got = json_at(lines[done_at], &["final_dl_bits"]).expect("done carries final_dl_bits");
     assert_eq!(got, expected, "subscribe terminal != plain mine");
 
     // Close checkpoints the durable tenant — store fsync traffic.
@@ -343,7 +332,7 @@ fn daemon_reports_typed_errors_and_sigterm_shutdown_is_clean() {
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or_else(|| panic!("no cspm_serve_errors_total sample: {text}"));
     assert_eq!(
-        json_u64_field(&stats, "errors"),
+        json_at(&stats, &["counters", "errors"]).and_then(|v| v.as_u64()),
         Some(scraped),
         "stats: {stats}"
     );
