@@ -31,10 +31,10 @@ fn main() {
             continue;
         }
         let t = std::time::Instant::now();
-        let basic = mine(&d.graph, Variant::Basic, CspmConfig::instrumented());
+        let basic = mine(&d.graph, Variant::Basic, CspmConfig::default());
         let tb = t.elapsed().as_secs_f64();
         let t = std::time::Instant::now();
-        let partial = mine(&d.graph, Variant::Partial, CspmConfig::instrumented());
+        let partial = mine(&d.graph, Variant::Partial, CspmConfig::default());
         let tp = t.elapsed().as_secs_f64();
         let gap = (partial.final_dl / basic.final_dl - 1.0) * 100.0;
         println!(

@@ -35,9 +35,9 @@ fn main() {
 
     for d in benchmark_suite(args.scale, args.seed) {
         println!("== {} ==", d.name);
-        let partial = mine(&d.graph, Variant::Partial, CspmConfig::instrumented());
+        let partial = mine(&d.graph, Variant::Partial, CspmConfig::default());
         let basic = (d.graph.vertex_count() <= BASIC_VERTEX_CAP)
-            .then(|| mine(&d.graph, Variant::Basic, CspmConfig::instrumented()));
+            .then(|| mine(&d.graph, Variant::Basic, CspmConfig::default()));
 
         println!("{:>10} {:>14} {:>14}", "iteration", "Basic", "Partial");
         hr(42);

@@ -35,10 +35,8 @@ pub enum CoresetMode {
 /// CSPM configuration. The defaults reproduce the paper's parameter-free
 /// setting. Three fields change *what* is found: `gain_policy` (how a
 /// merge is priced), `coreset_mode` (which coresets exist) and
-/// `max_merges` (where mining stops). The other two change only
-/// instrumentation and speed: `collect_stats` records per-merge
-/// statistics, and the thread count changes how fast the answer is
-/// computed, never which answer.
+/// `max_merges` (where mining stops). The thread count changes only how
+/// fast the answer is computed, never which answer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CspmConfig {
     /// Gain accounting policy.
@@ -48,8 +46,6 @@ pub struct CspmConfig {
     /// Optional cap on accepted merges (safety valve for huge inputs;
     /// `None` = run to convergence as in the paper).
     pub max_merges: Option<usize>,
-    /// Record per-iteration statistics (gain-update ratio, DL trace).
-    pub collect_stats: bool,
     /// Worker threads for candidate gain scoring (`0` = one per
     /// available core, capped at [`CspmConfig::MAX_AUTO_THREADS`]).
     /// Scoring is deterministic at every thread count: results are
@@ -60,14 +56,6 @@ pub struct CspmConfig {
 impl CspmConfig {
     /// Upper cap on auto-detected scoring threads (`threads == 0`).
     pub const MAX_AUTO_THREADS: usize = 8;
-
-    /// Paper-default configuration with statistics collection enabled.
-    pub fn instrumented() -> Self {
-        Self {
-            collect_stats: true,
-            ..Self::default()
-        }
-    }
 
     /// This configuration with an explicit scoring thread count.
     pub fn with_threads(self, threads: usize) -> Self {
@@ -106,7 +94,7 @@ impl IterationStat {
 /// Statistics for a whole run.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
-    /// Per-iteration records (empty unless `collect_stats`).
+    /// One record per accepted merge (gain-update ratio, DL trace).
     pub iterations: Vec<IterationStat>,
     /// Total pair-gain evaluations across the run (always tracked).
     /// Every evaluation is an exact gain.
@@ -121,14 +109,10 @@ pub struct RunStats {
     /// `ControlFlow::Break`. A cancelled result is still a valid model
     /// — just with fewer merges applied.
     pub cancelled: bool,
-    /// Wall-clock seconds spent mining. [`mine`](crate::mine),
-    /// [`MiningSession::mine_with`](crate::MiningSession::mine_with) and
-    /// [`MiningSession::apply_delta_with`](crate::MiningSession::apply_delta_with)
-    /// also count building (or delta-patching) the `InvertedDb`;
-    /// [`MiningSession::run_with`](crate::MiningSession::run_with),
-    /// [`MiningSession::run_detached`](crate::MiningSession::run_detached)
-    /// and the `cspm_engine_mine_seconds` histogram time the merge loop
-    /// alone.
+    /// Wall-clock seconds of the merge loop, from the seed sweep to the
+    /// last merge. Every entry point reports this one span, and so does
+    /// the `cspm_engine_mine_seconds` histogram; building or
+    /// delta-patching the `InvertedDb` beforehand is not part of it.
     pub elapsed_secs: f64,
     /// Final posting-row representation mix (sparse vs bitmap rows) and
     /// flip counters, captured from the store when the run ends — the
@@ -146,9 +130,7 @@ mod tests {
         assert_eq!(c.gain_policy, GainPolicy::Total);
         assert_eq!(c.coreset_mode, CoresetMode::SingleValue);
         assert!(c.max_merges.is_none());
-        assert!(!c.collect_stats);
         assert_eq!(c.threads, 0, "auto thread detection by default");
-        assert!(CspmConfig::instrumented().collect_stats);
         assert_eq!(c.with_threads(4).threads, 4);
     }
 

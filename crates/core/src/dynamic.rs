@@ -4,7 +4,7 @@
 //! [`mine_dynamic`] mines [`SnapshotSequence::union_graph`] with the
 //! one-shot [`mine`](crate::mine), so it shares its engine, its
 //! scheduling knob (`threads`, bit-identical at any count) and its
-//! timing convention (database build plus merge loop), then maps every
+//! timing convention (`elapsed_secs` is the merge loop), then maps every
 //! mined a-star's positions back to `(snapshot, vertex)` coordinates.
 //! Callers who keep mining as snapshots *arrive* should hold a
 //! [`MiningSession`](crate::MiningSession) of their own and feed it

@@ -308,9 +308,7 @@ pub(crate) fn run_loop(
         };
         if observer.on_iteration(&stat).is_break() {
             stats.total_gain_evals += gain_evals;
-            if config.collect_stats {
-                stats.iterations.push(stat);
-            }
+            stats.iterations.push(stat);
             stats.cancelled = true;
             break;
         }
@@ -376,10 +374,8 @@ pub(crate) fn run_loop(
         }
 
         stats.total_gain_evals += gain_evals;
-        if config.collect_stats {
-            stat.gain_evals = gain_evals;
-            stats.iterations.push(stat);
-        }
+        stat.gain_evals = gain_evals;
+        stats.iterations.push(stat);
     }
 
     stats.elapsed_secs = started.elapsed().as_secs_f64();
@@ -593,13 +589,23 @@ mod tests {
     fn both_policies_are_sound_under_total_pricing() {
         let (g, _) = paper_example();
         for variant in [Variant::Basic, Variant::Partial] {
-            let res = crate::mine(&g, variant, CspmConfig::instrumented());
+            let res = crate::mine(&g, variant, CspmConfig::default());
             assert!(res.final_dl <= res.initial_dl + 1e-9);
             let mut prev = res.initial_dl;
             for it in &res.stats.iterations {
                 assert!(it.dl_after < prev + 1e-9, "total DL must be monotone");
                 prev = it.dl_after;
             }
+        }
+    }
+
+    #[test]
+    fn default_runs_record_every_merge() {
+        let (g, _) = paper_example();
+        for variant in [Variant::Basic, Variant::Partial] {
+            let res = crate::mine(&g, variant, CspmConfig::default());
+            assert!(res.merges > 0, "{variant:?} accepted no merge");
+            assert_eq!(res.stats.iterations.len(), res.merges, "{variant:?}");
         }
     }
 

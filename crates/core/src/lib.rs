@@ -85,27 +85,23 @@ pub use registry::{PressureOutcome, ResidentFootprint, SessionRegistry};
 pub use session::{DeltaStats, FnObserver, Miner, MiningSession, SessionError};
 pub use stats::ModelSummary;
 
-use std::time::Instant;
-
 use cspm_graph::AttributedGraph;
 
 /// Mines `g` once with the given variant and retains nothing: builds
-/// the inverted database, hands it to a session that consumes it
-/// ([`MiningSession::run_detached`], so nothing is cloned), and charges
-/// the build plus the merge loop to `stats.elapsed_secs`. Keep a
-/// [`MiningSession`] of your own (via [`Miner`]) when the graph evolves
-/// or you want progress callbacks and cancellation.
+/// the inverted database and hands it to a session that consumes it
+/// ([`MiningSession::run_detached`], so nothing is cloned).
+/// `stats.elapsed_secs` times the merge loop alone, as on every other
+/// entry point. Keep a [`MiningSession`] of your own (via [`Miner`])
+/// when the graph evolves or you want progress callbacks and
+/// cancellation.
 pub fn mine(g: &AttributedGraph, variant: Variant, config: CspmConfig) -> CspmResult {
-    let started = Instant::now();
     let mut session = Miner::from_config(config).variant(variant).build();
     session.adopt_db(InvertedDb::build(
         g,
         config.coreset_mode,
         config.gain_policy,
     ));
-    let mut result = session.run_detached().expect("session was just loaded");
-    result.stats.elapsed_secs = started.elapsed().as_secs_f64();
-    result
+    session.run_detached().expect("session was just loaded")
 }
 
 #[cfg(test)]

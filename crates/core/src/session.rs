@@ -55,7 +55,6 @@
 //! ```
 
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 use cspm_graph::dynamic::GraphDelta;
 use cspm_graph::{AttributedGraph, GraphError, VertexId};
@@ -135,12 +134,6 @@ impl Miner {
     /// Optional cap on accepted merges per run.
     pub fn max_merges(mut self, cap: Option<usize>) -> Self {
         self.config.max_merges = cap;
-        self
-    }
-
-    /// Record per-iteration statistics in [`RunStats`](crate::RunStats).
-    pub fn collect_stats(mut self, collect: bool) -> Self {
-        self.config.collect_stats = collect;
         self
     }
 
@@ -344,22 +337,9 @@ impl MiningSession {
     /// Retains the warm state for later [`Self::apply_delta`] /
     /// [`Self::run_with`] calls.
     pub fn mine(&mut self, g: &AttributedGraph) -> CspmResult {
-        self.mine_with(g, &mut RunToCompletion)
-    }
-
-    /// [`Self::mine`] with a progress observer.
-    pub fn mine_with(
-        &mut self,
-        g: &AttributedGraph,
-        observer: &mut dyn ProgressObserver,
-    ) -> CspmResult {
-        let started = Instant::now();
         self.load(g);
-        let mut result = self.run_with(observer).expect("session was just loaded");
-        // Like the one-shot entry points, a cold mine charges database
-        // construction to the run's elapsed time.
-        result.stats.elapsed_secs = started.elapsed().as_secs_f64();
-        result
+        self.run_with(&mut RunToCompletion)
+            .expect("session was just loaded")
     }
 
     /// Absorbs `delta` into the retained graph and database **without
@@ -488,20 +468,8 @@ impl MiningSession {
     /// cold [`Self::mine`] of the grown graph, at a fraction of the
     /// setup cost.
     pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<CspmResult, SessionError> {
-        self.apply_delta_with(delta, &mut RunToCompletion)
-    }
-
-    /// [`Self::apply_delta`] with a progress observer.
-    pub fn apply_delta_with(
-        &mut self,
-        delta: &GraphDelta,
-        observer: &mut dyn ProgressObserver,
-    ) -> Result<CspmResult, SessionError> {
-        let started = Instant::now();
         self.stage_delta(delta)?;
-        let mut result = self.run_with(observer)?;
-        result.stats.elapsed_secs = started.elapsed().as_secs_f64();
-        Ok(result)
+        self.run_with(&mut RunToCompletion)
     }
 
     /// Runs the merge loop on (a copy of) the retained pristine
@@ -564,12 +532,10 @@ mod tests {
             .threads(3)
             .gain_policy(GainPolicy::DataOnly)
             .max_merges(Some(7))
-            .collect_stats(true)
             .variant(Variant::Basic);
         assert_eq!(m.config().threads, 3);
         assert_eq!(m.config().gain_policy, GainPolicy::DataOnly);
         assert_eq!(m.config().max_merges, Some(7));
-        assert!(m.config().collect_stats);
         assert_eq!(m.variant, Variant::Basic);
     }
 

@@ -36,10 +36,6 @@ impl super::AttributedGraphSource for DblpSource {
         dataset_name("DBLP", &self.path)
     }
 
-    fn category(&self) -> &'static str {
-        super::Format::Dblp.category()
-    }
-
     fn stream_into(&mut self, sink: &mut GraphAssembler) -> Result<(), IngestError> {
         let mut r = LineReader::new(BufReader::new(File::open(&self.path)?), &self.path);
         let mut fields: Vec<String> = Vec::new();

@@ -265,8 +265,6 @@ impl GraphAssembler {
 pub trait AttributedGraphSource {
     /// Dataset display name (e.g. `"Pokec(real:pokec_small)"`).
     fn name(&self) -> String;
-    /// Table II category column.
-    fn category(&self) -> &'static str;
     /// Streams every record into `sink`, consuming the underlying
     /// reader(s).
     fn stream_into(&mut self, sink: &mut GraphAssembler) -> Result<(), IngestError>;
@@ -297,9 +295,9 @@ pub fn ingest(path: &Path, format: Option<Format>) -> Result<IngestReport, Inges
     };
     let started = Instant::now();
     let (dataset, self_loops_skipped) = match format {
-        Format::Pokec => assemble(pokec::PokecSource::open(path)?)?,
-        Format::Dblp => assemble(dblp::DblpSource::open(path)?)?,
-        Format::UsFlight => assemble(usflight::UsFlightSource::open(path)?)?,
+        Format::Pokec => assemble(pokec::PokecSource::open(path)?, format)?,
+        Format::Dblp => assemble(dblp::DblpSource::open(path)?, format)?,
+        Format::UsFlight => assemble(usflight::UsFlightSource::open(path)?, format)?,
         Format::Native => {
             let graph = read_graph(File::open(path)?).map_err(|e| match e {
                 GraphError::Parse { line, message } => IngestError::Parse {
@@ -326,15 +324,19 @@ pub fn ingest(path: &Path, format: Option<Format>) -> Result<IngestReport, Inges
     })
 }
 
-/// Streams `source` through a fresh [`GraphAssembler`], returning the
-/// dataset and the number of self-loop records skipped.
-fn assemble(mut source: impl AttributedGraphSource) -> Result<(Dataset, usize), IngestError> {
+/// Streams `source`, a dump in `format`, through a fresh
+/// [`GraphAssembler`], returning the dataset and the number of
+/// self-loop records skipped.
+fn assemble(
+    mut source: impl AttributedGraphSource,
+    format: Format,
+) -> Result<(Dataset, usize), IngestError> {
     let mut sink = GraphAssembler::new();
     source.stream_into(&mut sink)?;
     let self_loops_skipped = sink.self_loops_skipped();
     let dataset = Dataset {
         name: leak_name(source.name()),
-        category: source.category(),
+        category: format.category(),
         graph: sink.finish(),
     };
     Ok((dataset, self_loops_skipped))

@@ -40,10 +40,6 @@ impl super::AttributedGraphSource for PokecSource {
         dataset_name("Pokec", &self.edges)
     }
 
-    fn category(&self) -> &'static str {
-        super::Format::Pokec.category()
-    }
-
     fn stream_into(&mut self, sink: &mut GraphAssembler) -> Result<(), IngestError> {
         let mut line = String::new();
         // Profiles first: they declare users and their attributes.

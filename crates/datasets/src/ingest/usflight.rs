@@ -55,10 +55,6 @@ impl super::AttributedGraphSource for UsFlightSource {
         dataset_name("USFlight", &self.routes)
     }
 
-    fn category(&self) -> &'static str {
-        super::Format::UsFlight.category()
-    }
-
     fn stream_into(&mut self, sink: &mut GraphAssembler) -> Result<(), IngestError> {
         let mut fields: Vec<String> = Vec::new();
         let mut line = String::new();

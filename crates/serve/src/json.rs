@@ -1,11 +1,20 @@
-//! Recursive-descent JSON parser — the reader half of the wire format.
+//! The wire format's one JSON type: [`parse`] reads a line into a
+//! [`Value`], and [`Value::to_json`] writes one back out.
 //!
-//! The daemon consumes one JSON object per request line from untrusted
-//! clients, so unlike the writer ([`crate::jsonfmt`]) this side must be
-//! defensive: every syntax error is a typed [`JsonError`] with a byte
-//! offset (surfaced verbatim in `malformed_json` protocol errors),
-//! nesting depth is capped so a pathological `[[[[…` line cannot blow
-//! the connection thread's stack, and nothing here panics on any input.
+//! Every daemon response, every request `cspm client` sends and every
+//! CLI `--json` document is a `Value` serialised by `to_json`, so a
+//! wire document round-trips through `parse` then `to_json` on this one
+//! type. Strings are escaped per RFC 8259; numbers print in the
+//! shortest form that round-trips, and non-finite floats (which JSON
+//! cannot represent) serialise as `null`. A few `From` conversions let
+//! a document be written as one `Value::Obj(vec![…])` literal.
+//!
+//! The daemon parses one JSON object per request line from untrusted
+//! clients, so the parser is defensive: every syntax error is a typed
+//! [`JsonError`] with a byte offset (surfaced verbatim in
+//! `malformed_json` protocol errors), nesting depth is capped so a
+//! pathological `[[[[…` line cannot blow the connection thread's
+//! stack, and nothing here panics on any input.
 //!
 //! Objects preserve insertion order in a flat `Vec<(String, Value)>` —
 //! request objects have a handful of keys, so linear [`Value::get`] is
@@ -19,7 +28,7 @@ use std::fmt;
 /// headroom while keeping recursion trivially stack-safe.
 const MAX_DEPTH: usize = 64;
 
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] returns and what [`Value::to_json`] writes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
@@ -86,8 +95,8 @@ impl Value {
         }
     }
 
-    /// Serialises back to compact JSON (RFC 8259 escaping, shortest
-    /// round-trip numbers) — used by the client CLI to echo responses.
+    /// Serialises to compact JSON on one line (RFC 8259 escaping,
+    /// shortest round-trip numbers, `null` for non-finite floats).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         self.write_into(&mut out);
@@ -98,16 +107,13 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                if n.is_finite() {
-                    out.push_str(&format!("{n}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            // `{}` prints the shortest representation that round-trips,
+            // which is valid JSON for every finite float ("1", not "1.0").
+            Value::Num(n) if n.is_finite() => out.push_str(&format!("{n}")),
+            Value::Num(_) => out.push_str("null"),
             Value::Str(s) => {
                 out.push('"');
-                crate::jsonfmt::escape_into(s, out);
+                escape_into(s, out);
                 out.push('"');
             }
             Value::Arr(items) => {
@@ -127,13 +133,65 @@ impl Value {
                         out.push(',');
                     }
                     out.push('"');
-                    crate::jsonfmt::escape_into(k, out);
+                    escape_into(k, out);
                     out.push_str("\":");
                     v.write_into(out);
                 }
                 out.push('}');
             }
         }
+    }
+}
+
+fn escape_into(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Self {
+        Value::Num(n)
+    }
+}
+
+/// Counts travel as JSON numbers; below 2^53 (the bound
+/// [`Value::as_u64`] enforces on the way in) they print exactly.
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Num(n as f64)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Num(n as f64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::Str(s)
     }
 }
 
@@ -547,6 +605,26 @@ mod tests {
     fn duplicate_keys_resolve_first_wins() {
         let v = parse(r#"{"k":1,"k":2}"#).unwrap();
         assert_eq!(v.get("k").unwrap().as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn strings_are_escaped() {
+        let v = obj(&[("k\"ey", Value::from("a\\b\n\tc\u{1}"))]);
+        assert_eq!(v.to_json(), "{\"k\\\"ey\":\"a\\\\b\\n\\tc\\u0001\"}");
+    }
+
+    #[test]
+    fn non_finite_floats_become_null() {
+        let v = obj(&[
+            ("nan", Value::from(f64::NAN)),
+            ("inf", Value::from(f64::INFINITY)),
+            ("int_like", Value::from(3.0)),
+            ("count", Value::from(207u64)),
+        ]);
+        assert_eq!(
+            v.to_json(),
+            r#"{"nan":null,"inf":null,"int_like":3,"count":207}"#
+        );
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //!
 //! | Module | Role |
 //! |---|---|
-//! | [`jsonfmt`] | push-down JSON writer (shared with the CLI's `--json` output) |
-//! | [`json`] | defensive JSON parser: typed errors with byte offsets, depth-capped |
+//! | [`json`] | [`Value`], the one JSON type: a defensive parser (typed errors with byte offsets, depth-capped) and `to_json`, which writes every response, `cspm client` request and CLI `--json` document |
 //! | [`proto`] | request/response grammar, typed [`proto::ErrorCode`]s, delta decoding |
 //! | [`server`] | listener + connection loop, tenant registry, worker pool, eviction |
 //! | `metrics` | per-op counters/latency histograms on the process-wide telemetry registry, scraped via the `metrics` op |
@@ -36,12 +35,10 @@
 //!   own posting arena as it absorbs deltas.
 
 pub mod json;
-pub mod jsonfmt;
 mod metrics;
 pub mod proto;
 pub mod server;
 
 pub use json::Value;
-pub use jsonfmt::Json;
 pub use proto::{ErrorCode, ProtoError, Request, MAX_FRAME};
 pub use server::{dl_bits, Server, ServerConfig};

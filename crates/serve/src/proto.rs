@@ -20,7 +20,6 @@ use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm_graph::VertexId;
 
 use crate::json::{self, Value};
-use crate::jsonfmt::Json;
 
 /// Hard cap on one request line, in bytes. Inline `open` graphs are the
 /// only big payload; 8 MiB fits ~100k-vertex text graphs with room to
@@ -102,15 +101,11 @@ impl ProtoError {
 
     /// The error as a complete response line (without the newline).
     pub fn to_line(&self) -> String {
-        let mut j = Json::new();
-        j.begin_obj();
-        j.field_bool("ok", false);
-        j.begin_obj_field("error");
-        j.field_str("code", self.code.as_str());
-        j.field_str("message", &self.message);
-        j.end_obj();
-        j.end_obj();
-        j.finish()
+        let error = Value::Obj(vec![
+            ("code".into(), self.code.as_str().into()),
+            ("message".into(), self.message.as_str().into()),
+        ]);
+        Value::Obj(vec![("ok".into(), false.into()), ("error".into(), error)]).to_json()
     }
 }
 

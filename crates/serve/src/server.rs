@@ -51,7 +51,7 @@ use cspm_graph::dynamic::GraphDelta;
 use cspm_graph::{read_graph, AttributedGraph};
 use cspm_store::{Durable, DurableError, DurableSession};
 
-use crate::jsonfmt::Json;
+use crate::json::Value;
 use crate::metrics::serve_metrics;
 use crate::proto::{parse_request, ErrorCode, ProtoError, Request, MAX_FRAME};
 
@@ -683,23 +683,17 @@ fn dispatch_on(
 /// exposition and carried in a JSON string field. One scrape covers
 /// every instrumented crate: the engine, the store, and this daemon.
 fn do_metrics() -> String {
-    let text = cspm_telemetry::global().render();
-    let mut j = Json::new();
-    j.begin_obj();
-    j.field_bool("ok", true)
-        .field_str("op", "metrics")
-        .field_str("format", "prometheus")
-        .field_str("text", &text);
-    j.end_obj();
-    j.finish()
+    Value::Obj(vec![
+        ("ok".into(), true.into()),
+        ("op".into(), "metrics".into()),
+        ("format".into(), "prometheus".into()),
+        ("text".into(), cspm_telemetry::global().render().into()),
+    ])
+    .to_json()
 }
 
 fn simple_ok(op: &str) -> String {
-    let mut j = Json::new();
-    j.begin_obj();
-    j.field_bool("ok", true).field_str("op", op);
-    j.end_obj();
-    j.finish()
+    Value::Obj(vec![("ok".into(), true.into()), ("op".into(), op.into())]).to_json()
 }
 
 fn unknown_session(name: &str) -> ProtoError {
@@ -714,17 +708,16 @@ fn open_response(name: &str, warm: bool, tenant: &Tenant) -> String {
         .session()
         .graph()
         .map_or((0, 0), |g| (g.vertex_count(), g.edge_count()));
-    let mut j = Json::new();
-    j.begin_obj();
-    j.field_bool("ok", true)
-        .field_str("op", "open")
-        .field_str("session", name)
-        .field_bool("warm", warm)
-        .field_bool("durable", tenant.is_durable())
-        .field_int("vertices", vertices as u64)
-        .field_int("edges", edges as u64);
-    j.end_obj();
-    j.finish()
+    Value::Obj(vec![
+        ("ok".into(), true.into()),
+        ("op".into(), "open".into()),
+        ("session".into(), name.into()),
+        ("warm".into(), warm.into()),
+        ("durable".into(), tenant.is_durable().into()),
+        ("vertices".into(), vertices.into()),
+        ("edges".into(), edges.into()),
+    ])
+    .to_json()
 }
 
 fn do_open(shared: &Arc<Shared>, name: &str, graph: Option<&str>) -> Result<String, ProtoError> {
@@ -795,17 +788,16 @@ fn do_delta(shared: &Arc<Shared>, name: &str, delta: &GraphDelta) -> Result<Stri
     // the client is actively growing is not an eviction candidate.
     shared.enforce_budget();
     drop(handle);
-    let mut j = Json::new();
-    j.begin_obj();
-    j.field_bool("ok", true)
-        .field_str("op", "delta")
-        .field_str("session", name)
-        .field_int("dirty_centers", stats.dirty_centers as u64)
-        .field_bool("rebuilt", stats.rebuilt.is_some())
-        .field_bool("compacted", stats.compacted)
-        .field_num("fragmentation", stats.fragmentation);
-    j.end_obj();
-    Ok(j.finish())
+    Ok(Value::Obj(vec![
+        ("ok".into(), true.into()),
+        ("op".into(), "delta".into()),
+        ("session".into(), name.into()),
+        ("dirty_centers".into(), stats.dirty_centers.into()),
+        ("rebuilt".into(), stats.rebuilt.is_some().into()),
+        ("compacted".into(), stats.compacted.into()),
+        ("fragmentation".into(), stats.fragmentation.into()),
+    ])
+    .to_json())
 }
 
 /// The hex digest of a DL value's exact bit pattern — the protocol's
@@ -872,20 +864,19 @@ impl ProgressObserver for MineObserver {
 /// "event":"progress","iteration":N,...}` with the [`IterationStat`]
 /// fields spelled out.
 fn render_progress(name: &str, iteration: u64, stat: &IterationStat) -> String {
-    let mut j = Json::new();
-    j.begin_obj();
-    j.field_bool("ok", true)
-        .field_str("op", "subscribe")
-        .field_str("event", "progress")
-        .field_str("session", name)
-        .field_int("iteration", iteration)
-        .field_int("gain_evals", stat.gain_evals)
-        .field_int("possible_pairs", stat.possible_pairs)
-        .field_num("accepted_gain", stat.accepted_gain)
-        .field_num("dl_after", stat.dl_after)
-        .field_num("data_dl_after", stat.data_dl_after);
-    j.end_obj();
-    j.finish()
+    Value::Obj(vec![
+        ("ok".into(), true.into()),
+        ("op".into(), "subscribe".into()),
+        ("event".into(), "progress".into()),
+        ("session".into(), name.into()),
+        ("iteration".into(), iteration.into()),
+        ("gain_evals".into(), stat.gain_evals.into()),
+        ("possible_pairs".into(), stat.possible_pairs.into()),
+        ("accepted_gain".into(), stat.accepted_gain.into()),
+        ("dl_after".into(), stat.dl_after.into()),
+        ("data_dl_after".into(), stat.data_dl_after.into()),
+    ])
+    .to_json()
 }
 
 /// The `mine` and `subscribe` ops: one tenant mine as a pooled job.
@@ -1031,84 +1022,77 @@ fn render_mine(
     top: Option<usize>,
     elapsed_ms: u64,
 ) -> String {
-    let mut j = Json::new();
-    j.begin_obj();
-    j.field_bool("ok", true);
+    let op = if stream { "subscribe" } else { "mine" };
+    let mut doc = vec![("ok".into(), true.into()), ("op".into(), op.into())];
     if stream {
-        j.field_str("op", "subscribe").field_str("event", "done");
-    } else {
-        j.field_str("op", "mine");
+        doc.push(("event".into(), "done".into()));
     }
-    j.field_str("session", name)
-        .field_num("initial_dl", result.initial_dl)
-        .field_num("final_dl", result.final_dl)
-        .field_str("final_dl_bits", &dl_bits(result.final_dl))
-        .field_int("merges", result.merges as u64)
-        .field_int("n_astars", result.model.len() as u64)
-        .field_bool("cancelled", result.stats.cancelled)
-        .field_int("elapsed_ms", elapsed_ms);
+    doc.extend([
+        ("session".into(), name.into()),
+        ("initial_dl".into(), result.initial_dl.into()),
+        ("final_dl".into(), result.final_dl.into()),
+        ("final_dl_bits".into(), dl_bits(result.final_dl).into()),
+        ("merges".into(), result.merges.into()),
+        ("n_astars".into(), result.model.len().into()),
+        ("cancelled".into(), result.stats.cancelled.into()),
+        ("elapsed_ms".into(), elapsed_ms.into()),
+    ]);
     if let (Some(top), Some(g)) = (top, tenant.session().graph()) {
-        j.begin_arr_field("top_patterns");
-        for m in result.model.astars().iter().take(top) {
-            j.begin_obj()
-                .field_str("astar", &m.astar.display(g.attrs()).to_string())
-                .field_int("frequency", m.frequency)
-                .field_num("code_len", m.code_len);
-            j.end_obj();
-        }
-        j.end_arr();
+        let patterns = result.model.astars().iter().take(top).map(|m| {
+            let astar = m.astar.display(g.attrs()).to_string();
+            Value::Obj(vec![
+                ("astar".into(), astar.into()),
+                ("frequency".into(), m.frequency.into()),
+                ("code_len".into(), m.code_len.into()),
+            ])
+        });
+        doc.push(("top_patterns".into(), Value::Arr(patterns.collect())));
     }
-    j.end_obj();
-    j.finish()
+    Value::Obj(doc).to_json()
 }
 
 fn do_stats(shared: &Arc<Shared>, session: Option<&str>) -> Result<String, ProtoError> {
     match session {
         None => {
             let mut registry = lock_registry(&shared.registry);
-            let names = registry.names();
+            let names: Vec<Value> = registry.names().into_iter().map(Value::from).collect();
             let bytes = registry.approx_bytes();
             drop(registry);
+            let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed).into();
             let c = &shared.counters;
-            let mut j = Json::new();
-            j.begin_obj();
-            j.field_bool("ok", true)
-                .field_str("op", "stats")
-                .field_int("sessions", names.len() as u64)
-                .field_int("resident_bytes", bytes as u64)
-                .field_int("threads", shared.pool.threads() as u64);
-            match shared.config.mem_budget {
-                Some(b) => j.field_int("mem_budget", b as u64),
-                None => j.field_bool("mem_budget_unlimited", true),
+            let counters = Value::Obj(vec![
+                ("requests".into(), count(&c.requests)),
+                ("errors".into(), count(&c.errors)),
+                ("opens".into(), count(&c.opens)),
+                ("deltas".into(), count(&c.deltas)),
+                ("mines".into(), count(&c.mines)),
+                ("subscribes".into(), count(&c.subscribes)),
+                ("deadline_hits".into(), count(&c.deadline_hits)),
+                ("evictions".into(), count(&c.evictions)),
+            ]);
+            let budget = match shared.config.mem_budget {
+                Some(b) => ("mem_budget".into(), b.into()),
+                None => ("mem_budget_unlimited".into(), true.into()),
             };
-            j.begin_arr_field("names");
-            for name in &names {
-                // Array of bare strings: reuse the writer's object
-                // machinery by emitting via a one-field trick is worse
-                // than a tiny direct write here.
-                j.item_str(name);
-            }
-            j.end_arr();
-            j.begin_obj_field("counters");
-            j.field_int("requests", c.requests.load(Ordering::Relaxed))
-                .field_int("errors", c.errors.load(Ordering::Relaxed))
-                .field_int("opens", c.opens.load(Ordering::Relaxed))
-                .field_int("deltas", c.deltas.load(Ordering::Relaxed))
-                .field_int("mines", c.mines.load(Ordering::Relaxed))
-                .field_int("subscribes", c.subscribes.load(Ordering::Relaxed))
-                .field_int("deadline_hits", c.deadline_hits.load(Ordering::Relaxed))
-                .field_int("evictions", c.evictions.load(Ordering::Relaxed));
-            j.end_obj();
-            j.end_obj();
-            Ok(j.finish())
+            Ok(Value::Obj(vec![
+                ("ok".into(), true.into()),
+                ("op".into(), "stats".into()),
+                ("sessions".into(), names.len().into()),
+                ("resident_bytes".into(), bytes.into()),
+                ("threads".into(), shared.pool.threads().into()),
+                budget,
+                ("names".into(), Value::Arr(names)),
+                ("counters".into(), counters),
+            ])
+            .to_json())
         }
         Some(name) => {
             let handle = lock_registry(&shared.registry).peek(name);
-            let mut j = Json::new();
-            j.begin_obj();
-            j.field_bool("ok", true)
-                .field_str("op", "stats")
-                .field_str("session", name);
+            let mut doc = vec![
+                ("ok".into(), true.into()),
+                ("op".into(), "stats".into()),
+                ("session".into(), name.into()),
+            ];
             match handle {
                 Some(handle) => {
                     let tenant = lock(&handle);
@@ -1116,24 +1100,28 @@ fn do_stats(shared: &Arc<Shared>, session: Option<&str>) -> Result<String, Proto
                     let (vertices, edges) = s
                         .graph()
                         .map_or((0, 0), |g| (g.vertex_count(), g.edge_count()));
-                    j.field_bool("resident", true)
-                        .field_bool("durable", tenant.is_durable())
-                        .field_int("vertices", vertices as u64)
-                        .field_int("edges", edges as u64)
-                        .field_int("approx_bytes", s.approx_bytes() as u64)
-                        .field_num("fragmentation", s.fragmentation())
-                        .field_int("compactions", s.compactions());
+                    doc.extend([
+                        ("resident".into(), true.into()),
+                        ("durable".into(), tenant.is_durable().into()),
+                        ("vertices".into(), vertices.into()),
+                        ("edges".into(), edges.into()),
+                        ("approx_bytes".into(), s.approx_bytes().into()),
+                        ("fragmentation".into(), s.fragmentation().into()),
+                        ("compactions".into(), s.compactions().into()),
+                    ]);
                 }
                 None => {
                     let stored = shared.store_path(name).is_some_and(|p| p.exists());
                     if !stored {
                         return Err(unknown_session(name));
                     }
-                    j.field_bool("resident", false).field_bool("stored", true);
+                    doc.extend([
+                        ("resident".into(), false.into()),
+                        ("stored".into(), true.into()),
+                    ]);
                 }
             }
-            j.end_obj();
-            Ok(j.finish())
+            Ok(Value::Obj(doc).to_json())
         }
     }
 }
@@ -1150,12 +1138,11 @@ fn do_close(shared: &Arc<Shared>, name: &str) -> Result<String, ProtoError> {
     if lock_registry(&shared.registry).remove(name).is_none() {
         return Err(unknown_session(name));
     }
-    let mut j = Json::new();
-    j.begin_obj();
-    j.field_bool("ok", true)
-        .field_str("op", "close")
-        .field_str("session", name)
-        .field_bool("checkpointed", checkpointed);
-    j.end_obj();
-    Ok(j.finish())
+    Ok(Value::Obj(vec![
+        ("ok".into(), true.into()),
+        ("op".into(), "close".into()),
+        ("session".into(), name.into()),
+        ("checkpointed".into(), checkpointed.into()),
+    ])
+    .to_json())
 }

@@ -91,13 +91,12 @@ impl Client {
     }
 
     fn open_with_graph(&mut self, session: &str, g: &AttributedGraph) -> Value {
-        let mut req = cspm_serve::Json::new();
-        req.begin_obj();
-        req.field_str("op", "open")
-            .field_str("session", session)
-            .field_str("graph", &graph_text(g));
-        req.end_obj();
-        self.request(&req.finish())
+        let req = Value::Obj(vec![
+            ("op".into(), "open".into()),
+            ("session".into(), session.into()),
+            ("graph".into(), graph_text(g).into()),
+        ]);
+        self.request(&req.to_json())
     }
 
     fn mine(&mut self, session: &str) -> Value {

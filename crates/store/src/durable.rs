@@ -291,21 +291,12 @@ impl DurableSession {
         self.session.compact_now();
     }
 
-    /// Mines `g` and checkpoints the loaded session, so the next open
-    /// is warm. Equivalent to [`MiningSession::mine`] + durability.
+    /// Cold-loads and checkpoints `g` ([`Self::load`]), then mines it,
+    /// so the next open is warm. Equivalent to [`MiningSession::mine`]
+    /// + durability.
     pub fn mine(&mut self, g: &AttributedGraph) -> Result<CspmResult, DurableError> {
-        self.mine_with(g, &mut Quiet)
-    }
-
-    /// [`Self::mine`] with a progress observer.
-    pub fn mine_with(
-        &mut self,
-        g: &AttributedGraph,
-        observer: &mut dyn ProgressObserver,
-    ) -> Result<CspmResult, DurableError> {
-        let result = self.session.mine_with(g, observer);
-        self.checkpoint()?;
-        Ok(result)
+        self.load(g)?;
+        self.run()
     }
 
     /// Re-runs the merge loop on the retained (possibly

@@ -46,7 +46,31 @@ use cspm::core::{
 };
 use cspm::datasets::{dblp_like, dblp_trend_like, pokec_like, save_dataset, usflight_like, Scale};
 use cspm::graph::{metrics, read_graph, AttributedGraph};
-use cspm::serve::Json;
+use cspm::serve::{dl_bits, json::Value};
+
+/// Writes to stdout like `print!`. A reader that has gone away (the
+/// far end of `| head`) ends the run cleanly: exit status 0, nothing on
+/// stderr. Rust ignores SIGPIPE, so the closed pipe arrives here as
+/// `BrokenPipe` instead of killing the process.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::{ErrorKind, Write as _};
+    let mut out = std::io::stdout().lock();
+    match out.write_fmt(args).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `println!` through [`emit`]: every line the CLI prints goes here.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -167,7 +191,7 @@ fn ingest_input(dump: &str, format: &str, json: bool) -> Result<AttributedGraph,
         if json {
             eprintln!("{line}");
         } else {
-            println!("{line}");
+            outln!("{line}");
         }
     };
     let format = ingest::Format::from_cli(format)?;
@@ -307,7 +331,7 @@ fn mine_durable(
         if json {
             eprintln!("{line}");
         } else {
-            println!("{line}");
+            outln!("{line}");
         }
     };
     let miner = cspm::core::Miner::from_config(config).variant(variant);
@@ -354,7 +378,8 @@ fn mine_durable(
             }
         };
         let result = durable
-            .mine_with(&g, &mut WarnToStderr)
+            .load(&g)
+            .and_then(|()| durable.run_with(&mut WarnToStderr))
             .map_err(|e| format!("cannot persist to {store_path}: {e}"))?;
         note(format!(
             "store: seeded {store_path} (generation {})",
@@ -379,10 +404,10 @@ fn report_mine(
     durable: Option<&cspm::store::DurableSession>,
 ) {
     if json {
-        println!("{}", mine_json(g, variant, result, top, durable));
+        outln!("{}", mine_json(g, variant, result, top, durable));
         return;
     }
-    println!(
+    outln!(
         "mined {} a-stars in {} merges; DL {:.1} -> {:.1} bits (ratio {:.3})",
         result.model.len(),
         result.merges,
@@ -390,9 +415,9 @@ fn report_mine(
         result.final_dl,
         result.compression_ratio()
     );
-    println!("{}", ModelSummary::new(&result.db, &result.model));
-    println!("\ntop {top} patterns:");
-    print!("{}", result.model.format_top(g.attrs(), top));
+    outln!("{}", ModelSummary::new(&result.db, &result.model));
+    outln!("\ntop {top} patterns:");
+    emit(format_args!("{}", result.model.format_top(g.attrs(), top)));
 }
 
 /// The `mine --json` document: graph shape, `RunStats`, `ModelSummary`
@@ -407,111 +432,101 @@ fn mine_json(
     top: usize,
     durable: Option<&cspm::store::DurableSession>,
 ) -> String {
-    let summary = ModelSummary::new(&result.db, &result.model);
-    let mut j = Json::new();
-    j.begin_obj();
-    j.field_str("command", "mine");
-    j.field_str(
-        "variant",
-        match variant {
-            Variant::Basic => "basic",
-            Variant::Partial => "partial",
-        },
-    );
-    graph_json(&mut j, g);
+    let variant = match variant {
+        Variant::Basic => "basic",
+        Variant::Partial => "partial",
+    };
+    let mut doc = vec![
+        ("command".into(), "mine".into()),
+        ("variant".into(), variant.into()),
+        ("graph".into(), graph_json(g)),
+    ];
     if let Some(d) = durable {
-        store_json(
-            &mut j,
-            d.store().path(),
-            d.stats(),
-            d.recovery(),
-            d.db_rebuilt(),
-        );
+        let store = store_json(d.store().path(), d.stats(), d.recovery(), d.db_rebuilt());
+        doc.push(("store".into(), store));
     }
-    j.begin_obj_field("run")
-        .field_num("initial_dl_bits", result.initial_dl)
-        .field_num("final_dl_bits", result.final_dl)
-        .field_str("final_dl_hex", &cspm::serve::dl_bits(result.final_dl))
-        .field_num("compression_ratio", result.compression_ratio())
-        .field_int("merges", result.merges as u64)
-        .field_int("total_gain_evals", result.stats.total_gain_evals)
-        .field_bool("cancelled", result.stats.cancelled)
-        .field_num("elapsed_secs", result.stats.elapsed_secs)
-        .field_int(
-            "posting_sparse_rows",
-            result.stats.posting.sparse_rows as u64,
-        )
-        .field_int(
-            "posting_bitmap_rows",
-            result.stats.posting.bitmap_rows as u64,
-        )
-        .field_int(
-            "posting_flips_to_bitmap",
-            result.stats.posting.flips_to_bitmap,
-        )
-        .field_int(
-            "posting_flips_to_sparse",
-            result.stats.posting.flips_to_sparse,
-        )
-        .end_obj();
-    j.begin_obj_field("model")
-        .field_int("n_astars", summary.n_astars as u64)
-        .field_int("n_coresets", summary.n_coresets as u64)
-        .field_int("n_leafsets", summary.n_leafsets as u64)
-        .field_num("mean_leafset_size", summary.mean_leafset_size)
-        .field_int("max_leafset_size", summary.max_leafset_size as u64)
-        .field_int("merged_rows", summary.merged_rows as u64)
-        .field_num("data_bits", summary.data_bits)
-        .field_num("model_bits", summary.model_bits)
-        .field_num("total_bits", summary.total_bits())
-        .field_num("conditional_entropy", summary.conditional_entropy)
-        .end_obj();
-    j.begin_arr_field("top_patterns");
-    for m in result.model.astars().iter().take(top) {
-        j.begin_obj()
-            .field_str("astar", &m.astar.display(g.attrs()).to_string())
-            .field_int("frequency", m.frequency)
-            .field_int("coreset_frequency", m.coreset_freq)
-            .field_num("code_len_bits", m.code_len)
-            .end_obj();
-    }
-    j.end_arr();
-    j.end_obj();
-    j.finish()
+    let (stats, p) = (&result.stats, &result.stats.posting);
+    let run = Value::Obj(vec![
+        ("initial_dl_bits".into(), result.initial_dl.into()),
+        ("final_dl_bits".into(), result.final_dl.into()),
+        ("final_dl_hex".into(), dl_bits(result.final_dl).into()),
+        (
+            "compression_ratio".into(),
+            result.compression_ratio().into(),
+        ),
+        ("merges".into(), result.merges.into()),
+        ("total_gain_evals".into(), stats.total_gain_evals.into()),
+        ("cancelled".into(), stats.cancelled.into()),
+        ("elapsed_secs".into(), stats.elapsed_secs.into()),
+        ("posting_sparse_rows".into(), p.sparse_rows.into()),
+        ("posting_bitmap_rows".into(), p.bitmap_rows.into()),
+        ("posting_flips_to_bitmap".into(), p.flips_to_bitmap.into()),
+        ("posting_flips_to_sparse".into(), p.flips_to_sparse.into()),
+    ]);
+    let summary = ModelSummary::new(&result.db, &result.model);
+    let model = Value::Obj(vec![
+        ("n_astars".into(), summary.n_astars.into()),
+        ("n_coresets".into(), summary.n_coresets.into()),
+        ("n_leafsets".into(), summary.n_leafsets.into()),
+        ("mean_leafset_size".into(), summary.mean_leafset_size.into()),
+        ("max_leafset_size".into(), summary.max_leafset_size.into()),
+        ("merged_rows".into(), summary.merged_rows.into()),
+        ("data_bits".into(), summary.data_bits.into()),
+        ("model_bits".into(), summary.model_bits.into()),
+        ("total_bits".into(), summary.total_bits().into()),
+        (
+            "conditional_entropy".into(),
+            summary.conditional_entropy.into(),
+        ),
+    ]);
+    let patterns = result.model.astars().iter().take(top).map(|m| {
+        let astar = m.astar.display(g.attrs()).to_string();
+        Value::Obj(vec![
+            ("astar".into(), astar.into()),
+            ("frequency".into(), m.frequency.into()),
+            ("coreset_frequency".into(), m.coreset_freq.into()),
+            ("code_len_bits".into(), m.code_len.into()),
+        ])
+    });
+    doc.extend([
+        ("run".into(), run),
+        ("model".into(), model),
+        ("top_patterns".into(), Value::Arr(patterns.collect())),
+    ]);
+    Value::Obj(doc).to_json()
 }
 
-/// Shared `"graph": {…}` fragment of the JSON documents.
-fn graph_json(j: &mut Json, g: &AttributedGraph) {
-    j.begin_obj_field("graph")
-        .field_int("vertices", g.vertex_count() as u64)
-        .field_int("edges", g.edge_count() as u64)
-        .field_int("attribute_values", g.attr_count() as u64)
-        .end_obj();
+/// The `"graph"` object shared by the JSON documents.
+fn graph_json(g: &AttributedGraph) -> Value {
+    Value::Obj(vec![
+        ("vertices".into(), g.vertex_count().into()),
+        ("edges".into(), g.edge_count().into()),
+        ("attribute_values".into(), g.attr_count().into()),
+    ])
 }
 
-/// Shared `"store": {…}` fragment: file sizes, checkpoint generation,
-/// WAL records since the last checkpoint, and the recovery outcome of
-/// the open that produced these numbers.
+/// The `"store"` object shared by the JSON documents: file sizes,
+/// checkpoint generation, WAL records since the last checkpoint, and
+/// the recovery outcome of the open that produced these numbers.
 fn store_json(
-    j: &mut Json,
     path: &std::path::Path,
     stats: cspm::store::StoreStats,
     recovery: &cspm::store::RecoveryOutcome,
     db_rebuilt: Option<&str>,
-) {
-    let b = j
-        .begin_obj_field("store")
-        .field_str("path", &path.display().to_string())
-        .field_int("snapshot_bytes", stats.snapshot_bytes)
-        .field_int("wal_bytes", stats.wal_bytes)
-        .field_int("generation", stats.generation)
-        .field_int("wal_records", stats.wal_records as u64)
-        .field_str("recovery", recovery.label())
-        .field_str("recovery_detail", &recovery.to_string());
+) -> Value {
+    let mut store = vec![
+        ("path".into(), path.display().to_string().into()),
+        ("snapshot_bytes".into(), stats.snapshot_bytes.into()),
+        ("wal_bytes".into(), stats.wal_bytes.into()),
+        ("generation".into(), stats.generation.into()),
+        ("wal_records".into(), stats.wal_records.into()),
+        ("recovery".into(), recovery.label().into()),
+        ("recovery_detail".into(), recovery.to_string().into()),
+    ];
     if let Some(reason) = db_rebuilt {
-        b.field_str("db_rebuilt", reason);
+        store.push(("db_rebuilt".into(), reason.into()));
     }
-    b.end_obj();
+    Value::Obj(store)
 }
 
 fn stats(args: &[String]) -> Result<(), String> {
@@ -539,32 +554,32 @@ fn stats(args: &[String]) -> Result<(), String> {
     let path = path.ok_or("stats needs a graph file or --store <path>")?;
     let g = load(path)?;
     if json {
-        println!("{}", stats_json(&g));
+        outln!("{}", stats_json(&g));
         return Ok(());
     }
-    println!(
+    outln!(
         "vertices: {}, edges: {}, attribute values: {}",
         g.vertex_count(),
         g.edge_count(),
         g.attr_count()
     );
-    println!(
+    outln!(
         "connected: {}, components: {}",
         g.is_connected(),
         g.component_count()
     );
     if let Some(d) = metrics::degree_stats(&g) {
-        println!("degree: min {} / mean {:.2} / max {}", d.min, d.mean, d.max);
+        outln!("degree: min {} / mean {:.2} / max {}", d.min, d.mean, d.max);
     }
-    println!(
+    outln!(
         "mean labels/vertex: {:.2}, attribute homophily: {:.3}, mean clustering: {:.3}",
         g.mean_labels_per_vertex(),
         metrics::attribute_homophily(&g),
         metrics::mean_clustering(&g)
     );
-    println!("most frequent attribute values:");
+    outln!("most frequent attribute values:");
     for (a, count) in metrics::attribute_histogram(&g).into_iter().take(10) {
-        println!("  {:<24} {count}", g.attrs().name(a).unwrap_or("?"));
+        outln!("  {:<24} {count}", g.attrs().name(a).unwrap_or("?"));
     }
     Ok(())
 }
@@ -595,51 +610,45 @@ fn stats_store(store_path: &str, json: bool) -> Result<(), String> {
         })
     });
     if json {
-        let mut j = Json::new();
-        j.begin_obj();
-        j.field_str("command", "stats");
-        store_json(
-            &mut j,
-            store.path(),
-            s,
-            &recovered.outcome,
-            state.and_then(|st| st.db_note.as_deref()),
-        );
+        let db_note = state.and_then(|st| st.db_note.as_deref());
+        let health = store_json(store.path(), s, &recovered.outcome, db_note);
+        let mut doc = vec![("command".into(), "stats".into()), ("store".into(), health)];
         if let Some(st) = state {
-            graph_json(&mut j, &st.graph);
+            doc.push(("graph".into(), graph_json(&st.graph)));
             if let Some(mode) = &mode {
-                j.field_str("coreset_mode", mode);
+                doc.push(("coreset_mode".into(), mode.as_str().into()));
             }
             if let Some(gain) = gain {
-                j.field_str("gain_policy", gain);
+                doc.push(("gain_policy".into(), gain.into()));
             }
-            j.field_bool("db_section", st.db.is_some());
+            doc.push(("db_section".into(), st.db.is_some().into()));
             if let Some(db) = &st.db {
-                j.field_int("db_rows", db.row_count() as u64);
+                doc.push(("db_rows".into(), db.row_count().into()));
             }
         }
-        j.end_obj();
-        println!("{}", j.finish());
+        outln!("{}", Value::Obj(doc).to_json());
         return Ok(());
     }
-    println!("store: {}", store.path().display());
-    println!(
+    outln!("store: {}", store.path().display());
+    outln!(
         "snapshot: {} bytes (generation {})",
-        s.snapshot_bytes, s.generation
+        s.snapshot_bytes,
+        s.generation
     );
-    println!(
+    outln!(
         "wal: {} bytes, {} record(s) since last checkpoint",
-        s.wal_bytes, s.wal_records
+        s.wal_bytes,
+        s.wal_records
     );
     match &recovered.outcome {
         o @ (RecoveryOutcome::Fresh | RecoveryOutcome::Clean { .. }) => {
-            println!("recovery: {}", o.label());
+            outln!("recovery: {}", o.label());
         }
-        o => println!("recovery: {} — {o}", o.label()),
+        o => outln!("recovery: {} — {o}", o.label()),
     }
     match state {
         Some(st) => {
-            println!(
+            outln!(
                 "graph: {} vertices, {} edges, {} attribute values \
                  (+{} WAL delta(s) to replay)",
                 st.graph.vertex_count(),
@@ -648,24 +657,24 @@ fn stats_store(store_path: &str, json: bool) -> Result<(), String> {
                 st.deltas.len()
             );
             if let (Some(mode), Some(gain)) = (&mode, gain) {
-                println!("config: coreset mode {mode}, gain policy {gain}");
+                outln!("config: coreset mode {mode}, gain policy {gain}");
             }
             match &st.db {
-                Some(db) => println!("database: {} serialized row(s)", db.row_count()),
+                Some(db) => outln!("database: {} serialized row(s)", db.row_count()),
                 None => {
                     let why = st
                         .db_note
                         .as_deref()
                         .unwrap_or("none serialized for this configuration");
-                    println!("database: cold rebuild on open ({why})");
+                    outln!("database: cold rebuild on open ({why})");
                 }
             }
         }
         None if matches!(recovered.outcome, RecoveryOutcome::Fresh) => {
-            println!("graph: none — the store has never been checkpointed");
+            outln!("graph: none — the store has never been checkpointed");
         }
         None => {
-            println!("graph: unrecoverable — the next successful mine re-seeds the store");
+            outln!("graph: unrecoverable — the next successful mine re-seeds the store");
         }
     }
     Ok(())
@@ -674,41 +683,42 @@ fn stats_store(store_path: &str, json: bool) -> Result<(), String> {
 /// The `stats --json` document: graph shape plus the structural
 /// metrics the human-readable listing shows.
 fn stats_json(g: &AttributedGraph) -> String {
-    let mut j = Json::new();
-    j.begin_obj();
-    j.field_str("command", "stats");
-    graph_json(&mut j, g);
-    j.field_bool("connected", g.is_connected());
-    j.field_int("components", g.component_count() as u64);
+    let mut doc = vec![
+        ("command".into(), "stats".into()),
+        ("graph".into(), graph_json(g)),
+        ("connected".into(), g.is_connected().into()),
+        ("components".into(), g.component_count().into()),
+    ];
     if let Some(d) = metrics::degree_stats(g) {
-        j.begin_obj_field("degree")
-            .field_int("min", d.min as u64)
-            .field_num("mean", d.mean)
-            .field_int("max", d.max as u64)
-            .end_obj();
+        let degree = Value::Obj(vec![
+            ("min".into(), d.min.into()),
+            ("mean".into(), d.mean.into()),
+            ("max".into(), d.max.into()),
+        ]);
+        doc.push(("degree".into(), degree));
     }
-    j.field_num("mean_labels_per_vertex", g.mean_labels_per_vertex());
-    j.field_num("attribute_homophily", metrics::attribute_homophily(g));
-    j.field_num("mean_clustering", metrics::mean_clustering(g));
-    // Posting-row representation mix of the pristine inverted database:
-    // how many rows the adaptive density thresholds send to bitmaps on
-    // this dataset, before any merge traffic.
-    let db = cspm::core::InvertedDb::build(g, CoresetMode::SingleValue, GainPolicy::Total);
-    let p = db.posting_store().repr_stats();
-    j.begin_obj_field("posting")
-        .field_int("sparse_rows", p.sparse_rows as u64)
-        .field_int("bitmap_rows", p.bitmap_rows as u64)
-        .end_obj();
-    j.begin_arr_field("top_attribute_values");
-    for (a, count) in metrics::attribute_histogram(g).into_iter().take(10) {
-        j.begin_obj()
-            .field_str("value", g.attrs().name(a).unwrap_or("?"))
-            .field_int("count", count as u64)
-            .end_obj();
-    }
-    j.end_arr();
-    j.end_obj();
-    j.finish()
+    let top = metrics::attribute_histogram(g)
+        .into_iter()
+        .take(10)
+        .map(|(a, count)| {
+            Value::Obj(vec![
+                ("value".into(), g.attrs().name(a).unwrap_or("?").into()),
+                ("count".into(), count.into()),
+            ])
+        });
+    doc.extend([
+        (
+            "mean_labels_per_vertex".into(),
+            g.mean_labels_per_vertex().into(),
+        ),
+        (
+            "attribute_homophily".into(),
+            metrics::attribute_homophily(g).into(),
+        ),
+        ("mean_clustering".into(), metrics::mean_clustering(g).into()),
+        ("top_attribute_values".into(), Value::Arr(top.collect())),
+    ]);
+    Value::Obj(doc).to_json()
 }
 
 fn generate(args: &[String]) -> Result<(), String> {
@@ -746,7 +756,7 @@ fn generate(args: &[String]) -> Result<(), String> {
     save_dataset(&dataset, std::path::Path::new(out))
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     let (n, m, a) = dataset.statistics();
-    println!(
+    outln!(
         "wrote {} ({n} vertices, {m} edges, {a} attribute values) to {out}",
         dataset.name
     );
@@ -761,7 +771,7 @@ fn verify(args: &[String]) -> Result<(), String> {
     let result = cspm::core::mine(&g, Variant::Partial, CspmConfig::default());
     let errors = verify_lossless(&g, &result.db);
     if errors.is_empty() {
-        println!(
+        outln!(
             "ok: model of {} a-stars decodes the graph losslessly (DL ratio {:.3})",
             result.model.len(),
             result.compression_ratio()
@@ -823,8 +833,6 @@ fn serve(args: &[String]) -> Result<(), String> {
 /// the daemon uses) and hands it to [`client_call`]. Argument mistakes
 /// stay ordinary usage errors (code 1 with the usage banner).
 fn client(args: &[String]) -> Result<(), String> {
-    use cspm::serve::json::Value;
-
     let op = args
         .first()
         .ok_or("client needs an op: ping|open|delta|mine|subscribe|stats|metrics|close|shutdown")?
@@ -949,7 +957,6 @@ fn client(args: &[String]) -> Result<(), String> {
 /// no usage banner follows), **2** when the transport failed (no
 /// daemon, dead socket, a hang-up or a non-JSON line).
 fn client_call(socket: &str, op: &str, request: &str) {
-    use cspm::serve::json::Value;
     use std::io::{BufRead as _, BufReader, Write as _};
     use std::os::unix::net::UnixStream;
     use std::time::Duration;
@@ -983,12 +990,12 @@ fn client_call(socket: &str, op: &str, request: &str) {
         let v = cspm::serve::json::parse(line)
             .unwrap_or_else(|e| transport_failed(&format!("daemon sent invalid JSON: {e}")));
         if v.get("ok").and_then(Value::as_bool) != Some(true) {
-            println!("{line}");
+            outln!("{line}");
             daemon_refused(&v);
         }
         match v.get("text").and_then(Value::as_str) {
-            Some(text) if op == "metrics" => print!("{text}"),
-            _ => println!("{line}"),
+            Some(text) if op == "metrics" => emit(format_args!("{text}")),
+            _ => outln!("{line}"),
         }
         if op != "subscribe" || v.get("event").and_then(Value::as_str) == Some("done") {
             return;
@@ -1006,8 +1013,7 @@ fn transport_failed(msg: &str) -> ! {
 
 /// Server-side refusal (`"ok":false` on the wire): report the typed
 /// error on stderr and exit 1. The response line is already on stdout.
-fn daemon_refused(v: &cspm::serve::json::Value) -> ! {
-    use cspm::serve::json::Value;
+fn daemon_refused(v: &Value) -> ! {
     let (code, message) = match v.get("error") {
         Some(err) => (
             err.get("code").and_then(Value::as_str).unwrap_or("?"),

@@ -259,8 +259,8 @@ fn partial_spends_fewer_gain_evals_than_basic() {
         prev = Some(hub);
     }
     let g = b.build().unwrap();
-    let basic = mine(&g, Variant::Basic, CspmConfig::instrumented());
-    let partial = mine(&g, Variant::Partial, CspmConfig::instrumented());
+    let basic = mine(&g, Variant::Basic, CspmConfig::default());
+    let partial = mine(&g, Variant::Partial, CspmConfig::default());
     assert!(
         basic.merges >= 2,
         "expected several merges, got {}",

@@ -93,7 +93,7 @@ fn basic_converges_on_paper_example() {
         Variant::Basic,
         CspmConfig {
             gain_policy: GainPolicy::DataOnly,
-            ..CspmConfig::instrumented()
+            ..CspmConfig::default()
         },
     );
     assert!(res.final_dl <= res.initial_dl + 1e-9);
@@ -123,7 +123,7 @@ fn assert_monotone_trace(res: &CspmResult) {
 #[test]
 fn basic_dl_trace_is_monotone_decreasing() {
     let (g, _) = paper_example();
-    let res = mine(&g, Variant::Basic, CspmConfig::instrumented());
+    let res = mine(&g, Variant::Basic, CspmConfig::default());
     assert_monotone_trace(&res);
     for it in &res.stats.iterations {
         assert!(it.update_ratio() <= 1.0);
@@ -133,13 +133,13 @@ fn basic_dl_trace_is_monotone_decreasing() {
 #[test]
 fn partial_dl_is_monotone() {
     let (g, _) = paper_example();
-    assert_monotone_trace(&mine(&g, Variant::Partial, CspmConfig::instrumented()));
+    assert_monotone_trace(&mine(&g, Variant::Partial, CspmConfig::default()));
 }
 
 #[test]
 fn partial_update_ratio_stays_below_one_after_warmup() {
     let (g, _) = paper_example();
-    let res = mine(&g, Variant::Partial, CspmConfig::instrumented());
+    let res = mine(&g, Variant::Partial, CspmConfig::default());
     for it in &res.stats.iterations {
         assert!(it.update_ratio() <= 1.0);
     }

@@ -56,8 +56,8 @@ proptest! {
     fn dl_decreases_monotonically(g in arb_graph(), data_only in any::<bool>()) {
         let policy = if data_only { GainPolicy::DataOnly } else { GainPolicy::Total };
         for result in [
-            mine(&g, Variant::Basic, CspmConfig { gain_policy: policy, ..CspmConfig::instrumented() }),
-            mine(&g, Variant::Partial, CspmConfig { gain_policy: policy, ..CspmConfig::instrumented() }),
+            mine(&g, Variant::Basic, CspmConfig { gain_policy: policy, ..CspmConfig::default() }),
+            mine(&g, Variant::Partial, CspmConfig { gain_policy: policy, ..CspmConfig::default() }),
         ] {
             let mut prev = result.initial_dl;
             let mut prev_data = f64::INFINITY;

@@ -69,7 +69,7 @@ proptest! {
                 for threads in [1usize, 4] {
                     let config = CspmConfig {
                         gain_policy,
-                        ..CspmConfig::instrumented()
+                        ..CspmConfig::default()
                     }
                     .with_threads(threads);
                     let res = mine(&g, variant, config);
