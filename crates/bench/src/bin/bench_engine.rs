@@ -31,11 +31,10 @@
 //!
 //! With `--input` (requires the `real-data` feature), the generator
 //! suite is replaced by the given real dataset dumps; the parse phase
-//! is recorded separately from the merge loops as `<name>/parse`
-//! (snapshot caching is disabled so the record times the parser, not
-//! the cache), and `--out` defaults to `BENCH_engine.inputs.json` so a
-//! fixture run never clobbers the committed generator-suite baseline
-//! that `bench_compare` gates on.
+//! is recorded separately from the merge loops as `<name>/parse`, and
+//! `--out` defaults to `BENCH_engine.inputs.json` so a fixture run
+//! never clobbers the committed generator-suite baseline that
+//! `bench_compare` gates on.
 //!
 //! `bench_compare` diffs the emitted JSON against the committed
 //! baseline and gates CI on merge-loop regressions.

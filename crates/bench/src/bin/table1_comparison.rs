@@ -42,7 +42,7 @@ fn main() {
     // Krimp needs a pre-mined candidate collection (Eclat), SLIM does not.
     let db = cspm_itemset::TransactionDb::from_rows(vec![vec![0, 1], vec![0, 1], vec![2]]);
     let k = cspm_itemset::krimp(&db, cspm_itemset::KrimpConfig::default());
-    let s = cspm_itemset::slim(&db, cspm_itemset::SlimConfig::default());
+    let s = cspm_itemset::slim(&db);
     println!(
         "  [ok] Krimp evaluated {} pre-mined candidates; SLIM generated {} on the fly",
         k.evaluated, s.evaluated

@@ -17,7 +17,7 @@ use cspm_bench::{fmt_secs, hr, parse_args};
 use cspm_core::{mine, CspmConfig, Variant};
 use cspm_datasets::benchmark_suite;
 use cspm_graph::AttributedGraph;
-use cspm_itemset::{slim, SlimConfig, TransactionDb};
+use cspm_itemset::{slim, TransactionDb};
 
 /// The paper's SLIM-on-graphs protocol: one transaction per adjacency
 /// tuple, containing the vertex's and its neighbours' attribute values.
@@ -59,7 +59,7 @@ fn main() {
 
         let slim_cell = if g.vertex_count() <= SLIM_VERTEX_CAP {
             let t = Instant::now();
-            let s = slim(&graph_transactions(g), SlimConfig::default());
+            let s = slim(&graph_transactions(g));
             let _ = s;
             fmt_secs(t.elapsed().as_secs_f64())
         } else {

@@ -22,30 +22,32 @@ pub enum CoresetMode {
     #[default]
     SingleValue,
     /// Multi-value coresets mined by Krimp over the vertex→attribute
-    /// transaction table (requires a minimum support for its candidate
-    /// miner).
-    Krimp {
-        /// Absolute minimum support for Eclat candidates.
-        min_support: u32,
-    },
+    /// transaction table, with Eclat candidates at
+    /// [`CoresetMode::KRIMP_MIN_SUPPORT`].
+    Krimp,
     /// Multi-value coresets mined by SLIM (parameter-free).
     Slim,
 }
 
+impl CoresetMode {
+    /// Absolute minimum support of the Eclat candidates behind
+    /// [`CoresetMode::Krimp`]: an itemset must cover two vertices to be
+    /// a candidate coreset at all.
+    pub const KRIMP_MIN_SUPPORT: u32 = 2;
+}
+
 /// CSPM configuration. The defaults reproduce the paper's parameter-free
-/// setting. Three fields change *what* is found: `gain_policy` (how a
-/// merge is priced), `coreset_mode` (which coresets exist) and
-/// `max_merges` (where mining stops). The thread count changes only how
-/// fast the answer is computed, never which answer.
+/// setting. Two fields change *what* is found: `gain_policy` (how a
+/// merge is priced) and `coreset_mode` (which coresets exist). The
+/// thread count changes only how fast the answer is computed, never
+/// which answer. Mining always runs to convergence; to stop a run
+/// early, break from a [`ProgressObserver`](crate::ProgressObserver).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CspmConfig {
     /// Gain accounting policy.
     pub gain_policy: GainPolicy,
     /// Coreset formation mode.
     pub coreset_mode: CoresetMode,
-    /// Optional cap on accepted merges (safety valve for huge inputs;
-    /// `None` = run to convergence as in the paper).
-    pub max_merges: Option<usize>,
     /// Worker threads for candidate gain scoring (`0` = one per
     /// available core, capped at [`CspmConfig::MAX_AUTO_THREADS`]).
     /// Scoring is deterministic at every thread count: results are
@@ -129,7 +131,6 @@ mod tests {
         let c = CspmConfig::default();
         assert_eq!(c.gain_policy, GainPolicy::Total);
         assert_eq!(c.coreset_mode, CoresetMode::SingleValue);
-        assert!(c.max_merges.is_none());
         assert_eq!(c.threads, 0, "auto thread detection by default");
         assert_eq!(c.with_threads(4).threads, 4);
     }

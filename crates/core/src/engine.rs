@@ -76,8 +76,10 @@ const GAIN_EPS: f64 = 1e-9;
 /// run is marked in [`RunStats::cancelled`].
 ///
 /// Observers are how long-lived sessions surface progress (see
-/// [`MiningSession::run_with`](crate::MiningSession::run_with)); the
-/// one-shot entry points run with a no-op observer.
+/// [`MiningSession::run_with`](crate::MiningSession::run_with)), and
+/// how a run is stopped early: a daemon deadline, a disconnected
+/// subscriber and a merge cap are all observers that break. The
+/// one-shot entry points run with [`RunToCompletion`].
 pub trait ProgressObserver {
     /// One accepted merge happened; `stat` describes it. Return
     /// [`ControlFlow::Continue`] to keep mining or
@@ -100,8 +102,9 @@ pub trait ProgressObserver {
     }
 }
 
-/// The observer the plain entry points use: never cancels.
-pub(crate) struct RunToCompletion;
+/// The observer the plain entry points use: never cancels, and
+/// ignores warnings.
+pub struct RunToCompletion;
 
 impl ProgressObserver for RunToCompletion {
     fn on_iteration(&mut self, _stat: &IterationStat) -> ControlFlow<()> {
@@ -264,23 +267,16 @@ pub(crate) fn run_loop(
     let threads = resolve_threads(config.threads);
     let mut merges = 0usize;
     let mut scheduler = CandidateScheduler::default();
-    let cap_reached = |merges: usize| config.max_merges.is_some_and(|m| merges >= m);
 
     // Algorithm 1 line 5 / Algorithm 3 lines 5–6: the initial candidate
     // pool. Basic only ever needs the front of the queue — everything
-    // else is regenerated after the next merge anyway. A pre-satisfied
-    // merge cap skips the sweep entirely.
-    if !cap_reached(merges) {
-        let pairs = db.sharing_pairs();
-        stats.total_gain_evals += seed_pairs(&db, &pairs, &mut scheduler, variant, threads);
-    }
+    // else is regenerated after the next merge anyway.
+    let pairs = db.sharing_pairs();
+    stats.total_gain_evals += seed_pairs(&db, &pairs, &mut scheduler, variant, threads);
 
-    while !cap_reached(merges) {
-        let Some((x, y, gain, mut gain_evals)) =
-            pop_next_positive(&mut scheduler, &db, variant, &mut stats)
-        else {
-            break;
-        };
+    while let Some((x, y, gain, mut gain_evals)) =
+        pop_next_positive(&mut scheduler, &db, variant, &mut stats)
+    {
         // Capture relations before any removal (the new pattern inherits
         // candidate partners from both parents).
         let (rel_x, rel_y) = match variant {
@@ -295,9 +291,11 @@ pub(crate) fn run_loop(
         // upkeep: everything below this point only prepares the next
         // iteration (an Algorithm 1 regeneration sweep, or the
         // Algorithm 4 update batch) and would be wasted work on a
-        // cancellation. The stat therefore counts the evals spent
-        // reaching this merge; the recorded per-iteration stats
-        // additionally include the upkeep evals, as they always have.
+        // cancellation, so a run stopped after its k-th merge scores
+        // nothing it then throws away. The stat therefore counts the
+        // evals spent reaching this merge; the recorded per-iteration
+        // stats additionally include the upkeep evals, as they always
+        // have.
         let live = db.live_leafset_count() as u64;
         let mut stat = IterationStat {
             gain_evals,
@@ -316,12 +314,8 @@ pub(crate) fn run_loop(
         match variant {
             Variant::Basic => {
                 scheduler.clear();
-                // Skip the regeneration sweep after the final permitted
-                // merge — the loop is about to break on the cap anyway.
-                if !cap_reached(merges) {
-                    let pairs = db.sharing_pairs();
-                    gain_evals += seed_pairs(&db, &pairs, &mut scheduler, variant, threads);
-                }
+                let pairs = db.sharing_pairs();
+                gain_evals += seed_pairs(&db, &pairs, &mut scheduler, variant, threads);
             }
             Variant::Partial => {
                 let n = outcome.new_leafset;
@@ -681,24 +675,54 @@ mod tests {
         assert_eq!(stats.total_gain_evals, poisoned, "one revalidation each");
     }
 
+    /// An observer that stops the run after its `k`-th merge.
+    fn stop_after(k: usize) -> impl ProgressObserver {
+        let mut seen = 0;
+        crate::FnObserver(move |_: &IterationStat| {
+            seen += 1;
+            if seen < k {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
+        })
+    }
+
     /// Algorithm 1 re-scores every sharing pair after every merge: a
     /// converged Basic run spends the initial sweep plus one sweep of
     /// the pairs left after each merge.
     #[test]
     fn basic_spends_one_full_sweep_per_merge() {
         let d = many_label_graph(60, 6);
-        let capped = |m| CspmConfig {
-            max_merges: m,
-            ..Default::default()
-        };
-        let pairs_after = |m| {
-            let res = crate::mine(&d, Variant::Basic, capped(Some(m)));
-            res.db.sharing_pairs().len() as u64
-        };
-        let run = crate::mine(&d, Variant::Basic, capped(None));
+        let run = crate::mine(&d, Variant::Basic, CspmConfig::default());
         assert!(run.merges >= 2, "fixture merged only {} times", run.merges);
-        let sweeps: u64 = (0..=run.merges).map(pairs_after).sum();
+        let mut session = crate::Miner::new().variant(Variant::Basic).build();
+        session.load(&d);
+        let mut sweeps = session.pristine_db().unwrap().sharing_pairs().len() as u64;
+        for m in 1..=run.merges {
+            let stopped = session.run_with(&mut stop_after(m)).unwrap();
+            assert_eq!(stopped.merges, m);
+            sweeps += stopped.db.sharing_pairs().len() as u64;
+        }
         assert_eq!(run.stats.total_gain_evals, sweeps);
+    }
+
+    /// A Partial run stopped after its first merge scores no Algorithm 4
+    /// batch for a second one: it spends the seed sweep and the popped
+    /// pair's revalidation, nothing more. (Basic's skipped sweep is
+    /// pinned by `basic_sweeps_every_pair_on_large_graphs`.)
+    #[test]
+    fn stopped_partial_run_skips_its_update_batch() {
+        let d = many_label_graph(60, 6);
+        let mut session = crate::Miner::new().build();
+        session.load(&d);
+        let seed = session.pristine_db().unwrap().sharing_pairs().len() as u64;
+        let stopped = session.run_with(&mut stop_after(1)).unwrap();
+        assert!(stopped.stats.cancelled && stopped.merges == 1);
+        assert_eq!(stopped.stats.total_gain_evals, seed + 1);
+        // Unstopped, the same merge is followed by a non-empty batch.
+        let full = crate::mine(&d, Variant::Partial, CspmConfig::default());
+        assert!(full.stats.iterations[0].gain_evals > 1);
     }
 
     #[test]

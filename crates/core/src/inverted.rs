@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use cspm_graph::{AttrId, AttributedGraph, VertexId};
-use cspm_itemset::{krimp, slim, KrimpConfig, SlimConfig, TransactionDb};
+use cspm_itemset::{krimp, slim, KrimpConfig, TransactionDb};
 use cspm_mdl::{xlog2x, StandardCodeTable};
 
 use crate::config::{CoresetMode, GainPolicy};
@@ -236,12 +236,12 @@ impl InvertedDb {
                     )
                 })
                 .collect(),
-            CoresetMode::Krimp { min_support } => {
+            CoresetMode::Krimp => {
                 let db = vertex_transactions(g);
                 let res = krimp(
                     &db,
                     KrimpConfig {
-                        min_support,
+                        min_support: CoresetMode::KRIMP_MIN_SUPPORT,
                         prune: true,
                         closed_candidates: true,
                     },
@@ -250,7 +250,7 @@ impl InvertedDb {
             }
             CoresetMode::Slim => {
                 let db = vertex_transactions(g);
-                let res = slim(&db, SlimConfig::default());
+                let res = slim(&db);
                 coresets_from_code_table(&res.code_table, &db)
             }
         };

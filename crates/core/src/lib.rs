@@ -74,7 +74,7 @@ mod stats;
 pub use config::{CoresetMode, CspmConfig, GainPolicy, IterationStat, RunStats};
 pub use decode::{decode_neighborhood, true_neighborhood, verify_lossless, LossError};
 pub use dynamic::{mine_dynamic, DynamicResult, TemporalOccurrences};
-pub use engine::{CandidateScheduler, CspmResult, ProgressObserver, Variant};
+pub use engine::{CandidateScheduler, CspmResult, ProgressObserver, RunToCompletion, Variant};
 pub use inverted::{
     Coreset, CoresetId, InvertedDb, LeafsetId, MergeOutcome, PatchError, PatchStats, RestoreError,
 };

@@ -7,9 +7,11 @@
 //! Two layers live here:
 //!
 //! * free functions over sorted slices (`intersect`, `union`, …) — the
-//!   reference set algebra, also used directly by the gain formulas.
-//!   `intersect` / `intersect_count` gallop (exponential probe + binary
-//!   search) when one side is ≥ [`GALLOP_SKEW`]× longer than the other;
+//!   reference set algebra that the store's sparse kernels call and its
+//!   tests compare against. Gains read rows only through
+//!   [`PostingStore`]. `intersect` / `intersect_count` gallop
+//!   (exponential probe + binary search) when one side is
+//!   ≥ [`GALLOP_SKEW`]× longer than the other;
 //! * [`PostingStore`] — an arena that packs every row's positions into
 //!   one contiguous `Vec<VertexId>` and hands out `(offset, len)` spans
 //!   ([`RowId`]), with in-place difference/union over spans and a
@@ -648,20 +650,6 @@ impl PostingStore {
                 self.slots.push(slot);
                 RowId(self.slots.len() as u32 - 1)
             }
-        }
-    }
-
-    /// The row's positions as a borrowed slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row is bitmap-encoded — use [`Self::positions`]
-    /// when the caller cannot guarantee a sparse row.
-    pub fn get(&self, row: RowId) -> &[VertexId] {
-        let s = self.slots[row.0 as usize];
-        match s.repr {
-            Repr::Sparse => &self.data[s.offset..s.offset + s.len],
-            Repr::Bitmap { .. } => panic!("PostingStore::get on a bitmap row; use positions()"),
         }
     }
 
@@ -1324,8 +1312,8 @@ mod tests {
         let mut st = PostingStore::new();
         let a = st.insert(&[1, 3, 5, 7]);
         let b = st.insert(&[2, 3, 5, 8]);
-        assert_eq!(st.get(a), &[1, 3, 5, 7]);
-        assert_eq!(st.get(b), &[2, 3, 5, 8]);
+        assert_eq!(st.positions(a).as_ref(), &[1, 3, 5, 7]);
+        assert_eq!(st.positions(b).as_ref(), &[2, 3, 5, 8]);
         assert_eq!(st.len(a), 4);
         assert_eq!(st.live_len(), 8);
         assert_eq!(st.intersect_count(a, b), 2);
@@ -1342,7 +1330,7 @@ mod tests {
         let mut reference = vec![1, 2, 3, 4, 5, 9];
         difference_inplace(&mut reference, &removed);
         let new_len = st.difference(r, &removed);
-        assert_eq!(st.get(r), reference.as_slice());
+        assert_eq!(st.positions(r).as_ref(), reference.as_slice());
         assert_eq!(new_len, reference.len());
         assert_eq!(st.live_len(), reference.len());
     }
@@ -1353,10 +1341,10 @@ mod tests {
         let r = st.insert(&[1, 4, 9, 12, 15, 20]);
         // Shrink first so the span has slack, then union back in.
         st.difference(r, &[4, 12, 20]);
-        assert_eq!(st.get(r), &[1, 9, 15]);
+        assert_eq!(st.positions(r).as_ref(), &[1, 9, 15]);
         let arena_before = st.arena_len();
         let n = st.union_in_place(r, &[2, 9, 16]);
-        assert_eq!(st.get(r), &[1, 2, 9, 15, 16]);
+        assert_eq!(st.positions(r).as_ref(), &[1, 2, 9, 15, 16]);
         assert_eq!(n, 5);
         // Fit inside the slack: the arena did not grow.
         assert_eq!(st.arena_len(), arena_before);
@@ -1368,7 +1356,7 @@ mod tests {
         let r = st.insert(&[5, 10]);
         let n = st.union_in_place(r, &[1, 2, 3, 10, 11]);
         assert_eq!(n, 6);
-        assert_eq!(st.get(r), &[1, 2, 3, 5, 10, 11]);
+        assert_eq!(st.positions(r).as_ref(), &[1, 2, 3, 5, 10, 11]);
         assert_eq!(st.live_len(), 6);
     }
 
@@ -1390,13 +1378,20 @@ mod tests {
         st.free_spans[4].push((offset, 3));
         let big: Vec<VertexId> = (0..20).collect();
         let r = st.insert(&big);
-        assert_eq!(st.get(r), big.as_slice(), "row must round-trip intact");
-        assert_eq!(st.get(guard), &[100, 200, 300, 400, 500, 600, 700, 800]);
+        assert_eq!(
+            st.positions(r).as_ref(),
+            big.as_slice(),
+            "row must round-trip intact"
+        );
+        assert_eq!(
+            st.positions(guard).as_ref(),
+            &[100, 200, 300, 400, 500, 600, 700, 800]
+        );
         // The misfiled span was re-filed into its true class (1) and is
         // still usable for a request it actually fits.
         let small = st.insert(&[7, 8]);
-        assert_eq!(st.get(small), &[7, 8]);
-        assert_eq!(st.get(r), big.as_slice());
+        assert_eq!(st.positions(small).as_ref(), &[7, 8]);
+        assert_eq!(st.positions(r).as_ref(), big.as_slice());
     }
 
     /// Repeated difference/union shrink-grow traffic keeps every row
@@ -1412,7 +1407,8 @@ mod tests {
                 st.insert(&pos)
             })
             .collect();
-        let mut expected: Vec<Vec<VertexId>> = rows.iter().map(|&r| st.get(r).to_vec()).collect();
+        let mut expected: Vec<Vec<VertexId>> =
+            rows.iter().map(|&r| st.positions(r).to_vec()).collect();
         for round in 0..40 {
             for (i, &r) in rows.iter().enumerate() {
                 let cut: Vec<VertexId> = universe
@@ -1431,7 +1427,11 @@ mod tests {
                 expected[i] = union(&expected[i], &grow);
             }
             for (i, &r) in rows.iter().enumerate() {
-                assert_eq!(st.get(r), expected[i].as_slice(), "row {i} round {round}");
+                assert_eq!(
+                    st.positions(r).as_ref(),
+                    expected[i].as_slice(),
+                    "row {i} round {round}"
+                );
             }
         }
         let live: usize = expected.iter().map(Vec::len).sum();
@@ -1475,7 +1475,10 @@ mod tests {
             .filter(|&(i, _)| i % 3 != 0)
             .map(|(_, &r)| r)
             .collect();
-        let expected: Vec<Vec<VertexId>> = survivors.iter().map(|&r| st.get(r).to_vec()).collect();
+        let expected: Vec<Vec<VertexId>> = survivors
+            .iter()
+            .map(|&r| st.positions(r).to_vec())
+            .collect();
 
         assert!(
             st.arena_len() > st.live_units(),
@@ -1491,17 +1494,21 @@ mod tests {
         assert_eq!(st.live_units(), st.live_len());
         assert_eq!(st.fragmentation(), 1.0);
         for (r, want) in survivors.iter().zip(&expected) {
-            assert_eq!(st.get(*r), want.as_slice(), "row must decode identically");
+            assert_eq!(
+                st.positions(*r).as_ref(),
+                want.as_slice(),
+                "row must decode identically"
+            );
         }
         // The store stays fully usable: grow a compacted row (forces a
         // relocation — spans now have zero slack) and insert a new one.
         let grown = union(&expected[0], &[500, 501]);
         st.union_in_place(survivors[0], &[500, 501]);
-        assert_eq!(st.get(survivors[0]), grown.as_slice());
+        assert_eq!(st.positions(survivors[0]).as_ref(), grown.as_slice());
         let fresh = st.insert(&[1, 2, 3]);
-        assert_eq!(st.get(fresh), &[1, 2, 3]);
+        assert_eq!(st.positions(fresh).as_ref(), &[1, 2, 3]);
         for (r, want) in survivors.iter().zip(&expected).skip(1) {
-            assert_eq!(st.get(*r), want.as_slice());
+            assert_eq!(st.positions(*r).as_ref(), want.as_slice());
         }
     }
 
@@ -1530,11 +1537,11 @@ mod tests {
         let b = st.insert(&[10, 20, 30]);
         // The new row fits inside the recycled span: no arena growth.
         assert_eq!(st.arena_len(), len_after_a);
-        assert_eq!(st.get(b), &[10, 20, 30]);
+        assert_eq!(st.positions(b).as_ref(), &[10, 20, 30]);
         // And the split remainder is still usable.
         let c = st.insert(&[7, 8, 9]);
         assert_eq!(st.arena_len(), len_after_a);
-        assert_eq!(st.get(c), &[7, 8, 9]);
+        assert_eq!(st.positions(c).as_ref(), &[7, 8, 9]);
     }
 
     // -- adaptive representation ---------------------------------------
@@ -1564,15 +1571,7 @@ mod tests {
         let mut sp = PostingStore::with_policy(PostingPolicy::SparseOnly);
         let rs = sp.insert(&ids);
         assert!(!is_bitmap(&sp, rs));
-        assert_eq!(sp.get(rs), ids.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "bitmap row")]
-    fn get_panics_on_bitmap_rows() {
-        let mut st = PostingStore::new();
-        let r = st.insert(&dense(0, 512));
-        let _ = st.get(r);
+        assert_eq!(sp.positions(rs).as_ref(), ids.as_slice());
     }
 
     /// Every kernel pairing must compute the same sets as the reference
@@ -1656,7 +1655,7 @@ mod tests {
         reference.truncate(10);
         assert!(!is_bitmap(&st, r), "10 ids cannot stay a 16-word bitmap");
         assert_eq!(st.repr_stats().flips_to_sparse, 1);
-        assert_eq!(st.get(r), reference.as_slice());
+        assert_eq!(st.positions(r).as_ref(), reference.as_slice());
         assert_eq!(st.live_len(), reference.len());
         assert_eq!(st.live_units(), reference.len());
     }
@@ -1683,7 +1682,7 @@ mod tests {
         reference.push(70_000);
         assert!(!is_bitmap(&st, r), "diluted row must decode to sparse");
         assert_eq!(st.repr_stats().flips_to_sparse, 1);
-        assert_eq!(st.get(r), reference.as_slice());
+        assert_eq!(st.positions(r).as_ref(), reference.as_slice());
         assert_eq!(st.live_len(), reference.len());
     }
 
@@ -1834,7 +1833,7 @@ mod tests {
         assert_eq!(st.slots[b2.0 as usize].offset % BLOCK_WORDS, 0);
         assert_eq!(st.positions(b1).as_ref(), want_b1.as_slice());
         assert_eq!(st.positions(b2).as_ref(), want_b2.as_slice());
-        assert_eq!(st.get(s1), &[5, 100, 900]);
+        assert_eq!(st.positions(s1).as_ref(), &[5, 100, 900]);
         // Still fully usable post-compaction.
         st.union_in_place(b1, &[100_000]);
         let fresh = st.insert(&dense(0, 512));

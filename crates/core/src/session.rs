@@ -131,12 +131,6 @@ impl Miner {
         self
     }
 
-    /// Optional cap on accepted merges per run.
-    pub fn max_merges(mut self, cap: Option<usize>) -> Self {
-        self.config.max_merges = cap;
-        self
-    }
-
     /// The configuration this builder will hand its sessions.
     pub fn config(&self) -> &CspmConfig {
         &self.config
@@ -531,11 +525,11 @@ mod tests {
         let m = Miner::new()
             .threads(3)
             .gain_policy(GainPolicy::DataOnly)
-            .max_merges(Some(7))
+            .coreset_mode(CoresetMode::Krimp)
             .variant(Variant::Basic);
         assert_eq!(m.config().threads, 3);
         assert_eq!(m.config().gain_policy, GainPolicy::DataOnly);
-        assert_eq!(m.config().max_merges, Some(7));
+        assert_eq!(m.config().coreset_mode, CoresetMode::Krimp);
         assert_eq!(m.variant, Variant::Basic);
     }
 

@@ -77,7 +77,7 @@ impl std::fmt::Display for ModelSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mine, CspmConfig, Variant};
+    use crate::{mine, CoresetMode, CspmConfig, GainPolicy, InvertedDb, MinedModel, Variant};
     use cspm_graph::fixtures::paper_example;
 
     #[test]
@@ -98,15 +98,8 @@ mod tests {
     #[test]
     fn mean_size_of_unmerged_model_is_one() {
         let (g, _) = paper_example();
-        let res = mine(
-            &g,
-            Variant::Partial,
-            CspmConfig {
-                max_merges: Some(0),
-                ..Default::default()
-            },
-        );
-        let s = ModelSummary::new(&res.db, &res.model);
+        let db = InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::Total);
+        let s = ModelSummary::new(&db, &MinedModel::from_db(&db));
         assert!((s.mean_leafset_size - 1.0).abs() < 1e-12);
         assert_eq!(s.merged_rows, 0);
     }

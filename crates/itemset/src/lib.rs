@@ -32,5 +32,5 @@ pub use closed::{closed_itemsets, closed_only};
 pub use cover::{CodeTable, CoverResult, DlBreakdown, Pattern};
 pub use eclat::{eclat, FrequentItemset};
 pub use krimp::{krimp, KrimpConfig, KrimpResult};
-pub use slim::{slim, SlimConfig, SlimResult};
+pub use slim::{slim, SlimResult};
 pub use transaction::{Item, TransactionDb};

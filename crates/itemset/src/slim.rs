@@ -12,26 +12,10 @@ use std::collections::HashMap;
 use crate::cover::{CodeTable, CoverResult, DlBreakdown, Pattern};
 use crate::transaction::{Item, TransactionDb};
 
-/// Configuration for [`slim`].
-#[derive(Debug, Clone, Copy)]
-pub struct SlimConfig {
-    /// Upper bound on accepted merges; `None` runs to convergence.
-    /// (A safety valve for very large inputs, not an algorithm knob.)
-    pub max_accepted: Option<usize>,
-    /// Evaluate at most this many top-ranked candidates per iteration
-    /// before giving up on the iteration. SLIM's estimate ordering means
-    /// the accepted candidate is almost always near the front.
-    pub eval_budget_per_iter: usize,
-}
-
-impl Default for SlimConfig {
-    fn default() -> Self {
-        Self {
-            max_accepted: None,
-            eval_budget_per_iter: 64,
-        }
-    }
-}
+/// Each iteration evaluates at most this many top-ranked candidates
+/// before giving up. SLIM's estimate ordering means the accepted
+/// candidate is almost always near the front.
+const EVAL_BUDGET_PER_ITER: usize = 64;
 
 /// Result of a SLIM run.
 #[derive(Debug, Clone)]
@@ -57,8 +41,9 @@ impl SlimResult {
     }
 }
 
-/// Runs SLIM to convergence (or budget exhaustion).
-pub fn slim(db: &TransactionDb, config: SlimConfig) -> SlimResult {
+/// Runs SLIM to convergence: until no candidate among an iteration's
+/// top-ranked few lowers the total description length.
+pub fn slim(db: &TransactionDb) -> SlimResult {
     let mut ct = CodeTable::singletons(db);
     let (mut cover, baseline) = ct.evaluate(db);
     let mut dl = baseline;
@@ -66,12 +51,9 @@ pub fn slim(db: &TransactionDb, config: SlimConfig) -> SlimResult {
     let mut evaluated = 0usize;
 
     loop {
-        if config.max_accepted.is_some_and(|m| accepted >= m) {
-            break;
-        }
         let candidates = ranked_candidates(&ct, &cover);
         let mut improved = false;
-        for (x, y, _est) in candidates.into_iter().take(config.eval_budget_per_iter) {
+        for (x, y, _est) in candidates.into_iter().take(EVAL_BUDGET_PER_ITER) {
             let union: Vec<Item> = merge_items(ct.patterns()[x].items(), ct.patterns()[y].items());
             if ct.contains(&union) {
                 continue;
@@ -184,7 +166,7 @@ mod tests {
 
     #[test]
     fn slim_discovers_planted_patterns_without_candidates() {
-        let res = slim(&patterned_db(), SlimConfig::default());
+        let res = slim(&patterned_db());
         assert!(res.accepted >= 2);
         assert!(res.code_table.contains(&[0, 1, 2]));
         assert!(res.code_table.contains(&[3, 4]));
@@ -194,27 +176,15 @@ mod tests {
     #[test]
     fn dl_is_monotone_over_acceptances() {
         // Every accepted merge strictly lowers DL, so final <= baseline.
-        let res = slim(&patterned_db(), SlimConfig::default());
+        let res = slim(&patterned_db());
         assert!(res.dl.total() < res.baseline.total());
-    }
-
-    #[test]
-    fn max_accepted_caps_model_growth() {
-        let res = slim(
-            &patterned_db(),
-            SlimConfig {
-                max_accepted: Some(1),
-                ..Default::default()
-            },
-        );
-        assert_eq!(res.accepted, 1);
     }
 
     #[test]
     fn converges_on_patternless_data() {
         // All-distinct transactions: nothing co-occurs twice, no merge.
         let db = TransactionDb::from_rows(vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
-        let res = slim(&db, SlimConfig::default());
+        let res = slim(&db);
         assert_eq!(res.accepted, 0);
         assert!((res.dl.total() - res.baseline.total()).abs() < 1e-9);
     }
@@ -222,7 +192,7 @@ mod tests {
     #[test]
     fn cover_remains_lossless_after_slim() {
         let db = patterned_db();
-        let res = slim(&db, SlimConfig::default());
+        let res = slim(&db);
         for (t, used) in db.iter().zip(&res.cover.covers) {
             let mut rebuilt: Vec<Item> = used
                 .iter()

@@ -26,18 +26,18 @@
 //! byte of every write under kill/truncate/flip faults and asserts
 //! exactly this.
 //!
-//! Recovery anomalies — a truncated WAL tail, a snapshot fallback, a
-//! warm database that had to be rebuilt — are reported through
-//! [`ProgressObserver::on_warning`] at open and kept queryable on the
-//! session ([`DurableSession::recovery`],
-//! [`DurableSession::db_rebuilt`]).
+//! Recovery anomalies are kept queryable on the session
+//! ([`DurableSession::recovery`], [`DurableSession::db_rebuilt`]).
+//! Three are also reported through [`ProgressObserver::on_warning`] at
+//! open: a snapshot fallback, a warm database that had to be rebuilt,
+//! and a WAL record that no longer applies. A torn WAL tail shows only
+//! in `recovery()`.
 
-use std::ops::ControlFlow;
 use std::path::Path;
 
 use cspm_core::engine::CspmResult;
 use cspm_core::{
-    CspmConfig, DeltaStats, InvertedDb, IterationStat, Miner, MiningSession, ProgressObserver,
+    CspmConfig, DeltaStats, InvertedDb, Miner, MiningSession, ProgressObserver, RunToCompletion,
     SessionError,
 };
 use cspm_graph::dynamic::GraphDelta;
@@ -87,15 +87,6 @@ impl From<SessionError> for DurableError {
     }
 }
 
-/// Observer that runs to completion and swallows warnings.
-struct Quiet;
-
-impl ProgressObserver for Quiet {
-    fn on_iteration(&mut self, _stat: &IterationStat) -> ControlFlow<()> {
-        ControlFlow::Continue(())
-    }
-}
-
 /// A [`MiningSession`] backed by a [`SessionStore`]. See the
 /// [module docs](self) for the consistency contract.
 #[derive(Debug)]
@@ -121,12 +112,14 @@ impl DurableSession {
     /// cold-rebuilt from the stored graph otherwise. Valid WAL deltas
     /// are replayed on top.
     pub fn open(miner: Miner, path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        Self::open_with(miner, path, &mut Quiet)
+        Self::open_with(miner, path, &mut RunToCompletion)
     }
 
-    /// [`Self::open`], reporting recovery anomalies (WAL truncation,
-    /// snapshot fallback, cold database rebuilds) to `observer` via
-    /// [`ProgressObserver::on_warning`] as they are discovered.
+    /// [`Self::open`], reporting recovery anomalies (snapshot
+    /// fallback, cold database rebuilds, a WAL record that no longer
+    /// applies) to `observer` via [`ProgressObserver::on_warning`] as
+    /// they are discovered. A torn WAL tail is only in
+    /// [`Self::recovery`].
     pub fn open_with(
         miner: Miner,
         path: impl AsRef<Path>,
@@ -302,7 +295,7 @@ impl DurableSession {
     /// Re-runs the merge loop on the retained (possibly
     /// delta-patched) database. Pure compute — no store traffic.
     pub fn run(&mut self) -> Result<CspmResult, DurableError> {
-        self.run_with(&mut Quiet)
+        self.run_with(&mut RunToCompletion)
     }
 
     /// [`Self::run`] with a progress observer.
@@ -350,13 +343,6 @@ impl DurableSession {
         }
         result.map_err(DurableError::Session)
     }
-
-    /// Stage-and-mine convenience: stages `delta` durably, then
-    /// re-runs the merge loop warm.
-    pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<CspmResult, DurableError> {
-        self.stage_delta(delta)?;
-        self.run()
-    }
 }
 
 /// Extension trait putting the durable spelling on [`Miner`]:
@@ -377,6 +363,7 @@ impl Durable for Miner {
 mod tests {
     use super::*;
     use crate::fault::{Fault, FaultTarget};
+    use cspm_core::CoresetMode;
     use cspm_graph::dynamic::DeltaVertex;
     use cspm_graph::fixtures::paper_example;
     use std::path::PathBuf;
@@ -439,6 +426,29 @@ mod tests {
         assert_eq!(model_digest(&warm), model_digest(&cold));
     }
 
+    /// A multi-value store keeps its coreset mode: the META frame's
+    /// Krimp tag reads back as the configuration it was written under,
+    /// so the reopen is clean and takes no different-configuration
+    /// rebuild.
+    #[test]
+    fn krimp_store_reopens_under_its_own_configuration() {
+        let path = temp_store("krimp");
+        let (g, _) = paper_example();
+        let miner = || Miner::new().threads(1).coreset_mode(CoresetMode::Krimp);
+        let mut durable = miner().durable(&path).unwrap();
+        let cold = durable.mine(&g).unwrap();
+        drop(durable);
+
+        let mut reopened = miner().durable(&path).unwrap();
+        assert_eq!(reopened.db_rebuilt(), None);
+        assert_eq!(
+            *reopened.recovery(),
+            RecoveryOutcome::Clean { wal_records: 0 }
+        );
+        let warm = reopened.run().unwrap();
+        assert_eq!(warm.final_dl.to_bits(), cold.final_dl.to_bits());
+    }
+
     #[test]
     fn staged_deltas_survive_reopen() {
         let path = temp_store("deltas");
@@ -465,7 +475,7 @@ mod tests {
         );
         assert_eq!(reopened.session().graph(), Some(reference.graph().unwrap()));
         let a = reopened.run().unwrap();
-        let b = reference.run_with(&mut Quiet).unwrap();
+        let b = reference.run_with(&mut RunToCompletion).unwrap();
         assert_eq!(a.final_dl.to_bits(), b.final_dl.to_bits());
         assert_eq!(model_digest(&a), model_digest(&b));
     }

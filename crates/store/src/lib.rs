@@ -770,20 +770,24 @@ struct WalRead {
     dropped_bytes: u64,
 }
 
-/// Mode → persisted `(tag, krimp_min_support)`.
+/// Mode → persisted `(tag, krimp_min_support)`. The `u32` is
+/// [`CoresetMode::KRIMP_MIN_SUPPORT`] for Krimp and 0 otherwise.
 fn mode_to_tags(mode: CoresetMode) -> (u8, u32) {
     match mode {
         CoresetMode::SingleValue => (MODE_SINGLE, 0),
-        CoresetMode::Krimp { min_support } => (MODE_KRIMP, min_support),
+        CoresetMode::Krimp => (MODE_KRIMP, CoresetMode::KRIMP_MIN_SUPPORT),
         CoresetMode::Slim => (MODE_SLIM, 0),
     }
 }
 
+/// Persisted tags → mode. A Krimp tag with any other minimum support
+/// names a configuration this build cannot mine, so it reads as `None`
+/// and the open takes the different-configuration rebuild.
 fn mode_from_tags(tag: u8, min_support: u32) -> Option<CoresetMode> {
-    match tag {
-        MODE_SINGLE => Some(CoresetMode::SingleValue),
-        MODE_KRIMP => Some(CoresetMode::Krimp { min_support }),
-        MODE_SLIM => Some(CoresetMode::Slim),
+    match (tag, min_support) {
+        (MODE_SINGLE, _) => Some(CoresetMode::SingleValue),
+        (MODE_KRIMP, CoresetMode::KRIMP_MIN_SUPPORT) => Some(CoresetMode::Krimp),
+        (MODE_SLIM, _) => Some(CoresetMode::Slim),
         _ => None,
     }
 }
@@ -1203,5 +1207,24 @@ mod tests {
         assert_eq!(state.mode, Some(CoresetMode::Slim));
         assert!(state.db.is_none());
         assert!(state.db_note.is_none());
+    }
+
+    #[test]
+    fn only_the_fixed_min_support_reads_back_as_krimp() {
+        for mode in [
+            CoresetMode::SingleValue,
+            CoresetMode::Krimp,
+            CoresetMode::Slim,
+        ] {
+            let (tag, min_support) = mode_to_tags(mode);
+            assert_eq!(mode_from_tags(tag, min_support), Some(mode));
+        }
+        for min_support in [0, 1, 3, u32::MAX] {
+            assert_eq!(
+                mode_from_tags(MODE_KRIMP, min_support),
+                None,
+                "{min_support}"
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cspm_core::engine::CspmResult;
-use cspm_core::{Miner, MiningSession, ProgressObserver};
+use cspm_core::{Miner, MiningSession, RunToCompletion};
 use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm_graph::{AttributedGraph, GraphBuilder};
 use cspm_store::{Durable, DurableSession, Fault, FaultTarget, RecoveryOutcome, StoreError};
@@ -139,13 +139,6 @@ fn digest(res: &CspmResult) -> Vec<AstarDigest> {
         .collect()
 }
 
-struct RunToEnd;
-impl ProgressObserver for RunToEnd {
-    fn on_iteration(&mut self, _: &cspm_core::IterationStat) -> std::ops::ControlFlow<()> {
-        std::ops::ControlFlow::Continue(())
-    }
-}
-
 /// One in-memory reference state: the graph and the mining digest a
 /// correct recovery must reproduce bit-for-bit.
 struct Reference {
@@ -156,7 +149,7 @@ struct Reference {
 
 impl Reference {
     fn of(session: &mut MiningSession) -> Self {
-        let res = session.run_with(&mut RunToEnd).unwrap();
+        let res = session.run_with(&mut RunToCompletion).unwrap();
         Self {
             graph: session.graph().unwrap().clone(),
             digest: digest(&res),

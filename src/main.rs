@@ -261,7 +261,7 @@ fn mine(args: &[String]) -> Result<(), String> {
             }
             "--multi-core" => {
                 config.coreset_mode = match it.next().map(String::as_str) {
-                    Some("krimp") => CoresetMode::Krimp { min_support: 2 },
+                    Some("krimp") => CoresetMode::Krimp,
                     Some("slim") => CoresetMode::Slim,
                     _ => return Err("--multi-core needs 'krimp' or 'slim'".into()),
                 };
@@ -599,7 +599,9 @@ fn stats_store(store_path: &str, json: bool) -> Result<(), String> {
     let mode = state.and_then(|st| {
         st.mode.map(|m| match m {
             CoresetMode::SingleValue => "single-value".to_string(),
-            CoresetMode::Krimp { min_support } => format!("krimp(min_support={min_support})"),
+            CoresetMode::Krimp => {
+                format!("krimp(min_support={})", CoresetMode::KRIMP_MIN_SUPPORT)
+            }
             CoresetMode::Slim => "slim".to_string(),
         })
     });
@@ -789,42 +791,32 @@ fn verify(args: &[String]) -> Result<(), String> {
 /// until SIGTERM/SIGINT, then drain connections, checkpoint durable
 /// tenants, and remove the socket file (exit 0).
 fn serve(args: &[String]) -> Result<(), String> {
-    let mut socket: Option<String> = None;
-    let mut config_rest = Vec::new();
+    // `--socket` is required; it is checked once every flag is read.
+    let mut socket: Option<&String> = None;
+    let mut config = cspm::serve::ServerConfig::new("");
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--socket" => socket = Some(value("--socket")?),
-            "--store-dir" => config_rest.push(("store-dir", value("--store-dir")?)),
-            "--threads" => config_rest.push(("threads", value("--threads")?)),
-            "--mem-budget" => config_rest.push(("mem-budget", value("--mem-budget")?)),
-            other => return Err(format!("unknown serve flag '{other}'")),
-        }
-    }
-    let socket = socket.ok_or("serve needs --socket <path>")?;
-    let mut config = cspm::serve::ServerConfig::new(&socket);
-    for (flag, raw) in config_rest {
-        match flag {
-            "store-dir" => config.store_dir = Some(raw.into()),
-            "threads" => {
+            "--store-dir" => config.store_dir = Some(value("--store-dir")?.into()),
+            "--threads" => {
+                let raw = value("--threads")?;
                 config.threads = raw
                     .parse()
                     .map_err(|_| format!("--threads must be an integer, got '{raw}'"))?;
             }
-            "mem-budget" => {
+            "--mem-budget" => {
+                let raw = value("--mem-budget")?;
                 config.mem_budget = Some(
                     raw.parse()
                         .map_err(|_| format!("--mem-budget must be bytes, got '{raw}'"))?,
                 );
             }
-            _ => unreachable!(),
+            other => return Err(format!("unknown serve flag '{other}'")),
         }
     }
+    config.socket = socket.ok_or("serve needs --socket <path>")?.into();
     cspm::serve::Server::run_until_signalled(config).map_err(|e| format!("serve: {e}"))
 }
 

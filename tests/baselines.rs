@@ -5,7 +5,7 @@
 use cspm::core::{mine, CoresetMode, CspmConfig, GainPolicy, InvertedDb, Variant};
 use cspm::datasets::{dblp_like, Scale};
 use cspm::graph::AttributedGraph;
-use cspm::itemset::{slim, SlimConfig, TransactionDb};
+use cspm::itemset::{slim, TransactionDb};
 
 /// Table III protocol: "treating coresets in each adjacency list tuple
 /// as items" — one transaction per vertex containing its own and its
@@ -28,7 +28,7 @@ fn graph_to_transactions(g: &AttributedGraph) -> TransactionDb {
 fn slim_on_graph_compresses_dblp_like() {
     let d = dblp_like(Scale::Tiny, 3);
     let db = graph_to_transactions(&d.graph);
-    let res = slim(&db, SlimConfig::default());
+    let res = slim(&db);
     assert!(
         res.compression_ratio() < 1.0,
         "ratio {}",
@@ -42,7 +42,7 @@ fn cspm_and_slim_find_related_structure() {
     // Both compressors should agree that the data is compressible; CSPM
     // additionally localises the correlations into (core, leaf) roles.
     let d = dblp_like(Scale::Tiny, 3);
-    let slim_res = slim(&graph_to_transactions(&d.graph), SlimConfig::default());
+    let slim_res = slim(&graph_to_transactions(&d.graph));
     let cspm_res = mine(&d.graph, Variant::Partial, CspmConfig::default());
     assert!(slim_res.compression_ratio() < 1.0);
     assert!(cspm_res.compression_ratio() < 1.0);
@@ -65,7 +65,7 @@ fn multi_value_coresets_via_krimp_and_slim() {
         }
     }
     let g = b.build().unwrap();
-    for mode in [CoresetMode::Krimp { min_support: 2 }, CoresetMode::Slim] {
+    for mode in [CoresetMode::Krimp, CoresetMode::Slim] {
         let db = InvertedDb::build(&g, mode, GainPolicy::Total);
         assert!(db.coreset_count() > 0, "{mode:?}");
         let has_multi = db.coresets().iter().any(|c| c.items.len() >= 2);
@@ -80,7 +80,7 @@ fn multi_value_coresets_via_krimp_and_slim() {
     // The sparse DBLP-like graph still mines end to end in both modes
     // even when the pre-pass keeps only singletons.
     let d = dblp_like(Scale::Tiny, 3);
-    for mode in [CoresetMode::Krimp { min_support: 2 }, CoresetMode::Slim] {
+    for mode in [CoresetMode::Krimp, CoresetMode::Slim] {
         let cfg = CspmConfig {
             coreset_mode: mode,
             ..Default::default()

@@ -3,10 +3,12 @@
 //! posting-list store must behave exactly like the reference
 //! sorted-slice algebra.
 
+use std::ops::ControlFlow;
+
 use cspm::core::positions::{difference_inplace, intersect, intersect_count, union};
 use cspm::core::{
-    mine, verify_lossless, CoresetMode, CspmConfig, CspmResult, GainPolicy, InvertedDb, Miner,
-    PostingPolicy, PostingStore, Variant,
+    mine, verify_lossless, CoresetMode, CspmConfig, CspmResult, FnObserver, GainPolicy, InvertedDb,
+    IterationStat, Miner, PostingPolicy, PostingStore, Variant,
 };
 use cspm::datasets::{dblp_trend_like, planted_astars, PlantedConfig, Scale};
 use cspm::graph::fixtures::paper_example;
@@ -174,25 +176,34 @@ fn mining_is_bit_identical_at_threads_1_2_8() {
 #[test]
 fn basic_sweeps_every_pair_on_large_graphs() {
     let g = dblp_trend_like(Scale::Paper, 2023).graph;
-    let capped = |merges, threads| {
-        CspmConfig {
-            max_merges: Some(merges),
-            ..Default::default()
-        }
-        .with_threads(threads)
+    // A Basic run stopped after its `merges`-th merge.
+    let stopped = |merges: usize, threads| {
+        let mut session = Miner::new()
+            .threads(threads)
+            .variant(Variant::Basic)
+            .build();
+        session.load(&g);
+        let mut seen = 0;
+        session
+            .run_with(&mut FnObserver(|_: &IterationStat| {
+                seen += 1;
+                if seen < merges {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(())
+                }
+            }))
+            .unwrap()
     };
     let initial = InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::Total)
         .sharing_pairs()
         .len() as u64;
     assert!(initial > 10_000, "fixture has only {initial} pairs");
-    let after_first = mine(&g, Variant::Basic, capped(1, 1))
-        .db
-        .sharing_pairs()
-        .len() as u64;
-    let two = mine(&g, Variant::Basic, capped(2, 1));
+    let after_first = stopped(1, 1).db.sharing_pairs().len() as u64;
+    let two = stopped(2, 1);
     assert_eq!(two.merges, 2);
     assert_eq!(two.stats.total_gain_evals, initial + after_first);
-    let fanned = mine(&g, Variant::Basic, capped(2, 4));
+    let fanned = stopped(2, 4);
     let digest = |r: &CspmResult| (r.final_dl.to_bits(), r.merges, r.stats.total_gain_evals);
     assert_eq!(digest(&fanned), digest(&two), "Basic diverged at 4 threads");
 }
@@ -212,7 +223,9 @@ fn basic_sweeps_every_pair_on_large_graphs() {
 /// run time.
 #[test]
 fn bench_datasets_keep_their_digests() {
-    use cspm::datasets::{dblp_like as dblp, dblp_trend_like as trend, usflight_like as flight};
+    use cspm::datasets::{
+        dblp_like as dblp, dblp_trend_like as trend, usflight_like as flight, Dataset,
+    };
     use Scale::{Paper, Small};
     use Variant::{Basic, Partial};
     let cases = [
@@ -223,20 +236,40 @@ fn bench_datasets_keep_their_digests() {
         (trend(Small, 2022), Partial, "40d85a78dbbc3481", 171, 4_498),
         (dblp(Paper, 2022), Partial, "40f4ef11d02d217c", 91, 7_236),
     ];
+    let digest = |d: &Dataset, variant, config| {
+        let run = mine(&d.graph, variant, config);
+        let dl_hex = format!("{:016x}", run.final_dl.to_bits());
+        (dl_hex, run.merges, run.stats.total_gain_evals)
+    };
     for (d, variant, dl_hex, merges, evals) in cases {
-        let run = mine(&d.graph, variant, CspmConfig::default());
-        let got = (
-            format!("{:016x}", run.final_dl.to_bits()),
-            run.merges,
-            run.stats.total_gain_evals,
-        );
         let n = d.graph.vertex_count();
         assert_eq!(
-            got,
+            digest(&d, variant, CspmConfig::default()),
             (dl_hex.to_owned(), merges, evals),
             "{} ({n} vertices) {variant:?}",
             d.name
         );
+    }
+    // Multi-value coresets (§IV-F, Step 1). Krimp and SLIM find the same
+    // coresets on both graphs, so each row holds for both modes; a Krimp
+    // minimum support of 1 or 3 gives a different digest on each graph.
+    let multi_value = [
+        (flight(Small, 2022), "40b9162197df4586", 34, 670),
+        (trend(Small, 2022), "40d84cb556c30a24", 171, 4_493),
+    ];
+    for (d, dl_hex, merges, evals) in multi_value {
+        for mode in [CoresetMode::Krimp, CoresetMode::Slim] {
+            let config = CspmConfig {
+                coreset_mode: mode,
+                ..CspmConfig::default()
+            };
+            assert_eq!(
+                digest(&d, Partial, config),
+                (dl_hex.to_owned(), merges, evals),
+                "{} {mode:?}",
+                d.name
+            );
+        }
     }
 }
 
@@ -413,7 +446,7 @@ proptest! {
         let mut reference = a.clone();
         difference_inplace(&mut reference, &b);
         let new_len = store.difference(ra, &b);
-        prop_assert_eq!(store.get(ra), reference.as_slice());
+        prop_assert_eq!(store.positions(ra).to_vec(), reference.as_slice());
         prop_assert_eq!(new_len, reference.len());
     }
 
@@ -434,7 +467,7 @@ proptest! {
         store.difference(ra, &shrink);
         let expected = union(&reference, &b);
         let new_len = store.union_in_place(ra, &b);
-        prop_assert_eq!(store.get(ra), expected.as_slice());
+        prop_assert_eq!(store.positions(ra).to_vec(), expected.as_slice());
         prop_assert_eq!(new_len, expected.len());
         prop_assert!(store.live_len() >= expected.len());
     }
@@ -455,15 +488,15 @@ proptest! {
         // Mutate b heavily; a and c must be unaffected.
         store.difference(rb, &cut);
         store.union_in_place(rb, &cut);
-        prop_assert_eq!(store.get(ra), a.as_slice());
-        prop_assert_eq!(store.get(rc), c.as_slice());
+        prop_assert_eq!(store.positions(ra).to_vec(), a.as_slice());
+        prop_assert_eq!(store.positions(rc).to_vec(), c.as_slice());
         let expected_b = union(&{ let mut t = b.clone(); difference_inplace(&mut t, &cut); t }, &cut);
-        prop_assert_eq!(store.get(rb), expected_b.as_slice());
+        prop_assert_eq!(store.positions(rb).to_vec(), expected_b.as_slice());
         // Releasing a row recycles its span without disturbing others.
         store.release(ra);
         let rd = store.insert(&cut);
-        prop_assert_eq!(store.get(rd), cut.as_slice());
-        prop_assert_eq!(store.get(rc), c.as_slice());
+        prop_assert_eq!(store.positions(rd).to_vec(), cut.as_slice());
+        prop_assert_eq!(store.positions(rc).to_vec(), c.as_slice());
     }
 
     /// Every adaptive kernel pairing — sparse×sparse (galloping and
@@ -519,8 +552,8 @@ proptest! {
         prop_assert_eq!(adaptive.union_in_place(aa, &b), sparse.union_in_place(sa, &b));
         prop_assert_eq!(adaptive.difference(ab, &a), sparse.difference(sb, &a));
         let (ua, ub) = (adaptive.positions(aa).into_owned(), adaptive.positions(ab).into_owned());
-        prop_assert_eq!(ua.as_slice(), sparse.get(sa));
-        prop_assert_eq!(ub.as_slice(), sparse.get(sb));
+        prop_assert_eq!(ua.as_slice(), sparse.positions(sa).to_vec());
+        prop_assert_eq!(ub.as_slice(), sparse.positions(sb).to_vec());
         let stats = sparse.repr_stats();
         prop_assert_eq!(stats.bitmap_rows, 0);
         prop_assert_eq!(stats.flips_to_bitmap, 0);

@@ -144,18 +144,3 @@ fn partial_update_ratio_stays_below_one_after_warmup() {
         assert!(it.update_ratio() <= 1.0);
     }
 }
-
-#[test]
-fn max_merges_cap_is_respected() {
-    let (g, _) = paper_example();
-    let res = mine(
-        &g,
-        Variant::Basic,
-        CspmConfig {
-            max_merges: Some(0),
-            ..Default::default()
-        },
-    );
-    assert_eq!(res.merges, 0);
-    assert!((res.final_dl - res.initial_dl).abs() < 1e-12);
-}

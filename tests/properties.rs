@@ -1,26 +1,48 @@
 //! Property-based tests of the core invariants, on random attributed
-//! graphs and random transaction databases.
+//! graphs and random transaction databases, and of the parsers that
+//! read untrusted input: wire JSON, request lines with their deltas,
+//! and graph text.
 
 use cspm::core::{mine, CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner, Variant};
 use cspm::graph::dynamic::{DeltaVertex, GraphDelta};
-use cspm::graph::{AttributedGraph, GraphBuilder};
-use cspm::itemset::{eclat, krimp, slim, KrimpConfig, SlimConfig, TransactionDb};
+use cspm::graph::{read_graph, AttributedGraph, GraphBuilder};
+use cspm::itemset::{eclat, krimp, slim, KrimpConfig, TransactionDb};
+use cspm::serve::{json, proto, ErrorCode, Value};
 use cspm::store::Durable;
 use proptest::prelude::*;
+
+/// A deterministic xorshift stream: the generators below draw every
+/// choice from one seed.
+struct Stream(u64);
+
+impl Stream {
+    fn new(seed: u64) -> Self {
+        Self(seed | 1)
+    }
+
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[self.below(items.len())]
+    }
+}
 
 /// Strategy: a connected attributed graph with `n` vertices, `k`
 /// attribute values, 1–2 values per vertex, and a chain backbone plus
 /// random extra edges.
 fn arb_graph() -> impl Strategy<Value = AttributedGraph> {
     (4usize..24, 2usize..6, any::<u64>()).prop_map(|(n, k, seed)| {
-        // Deterministic pseudo-random construction from the seed.
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut s = Stream::new(seed);
+        let mut next = || s.next();
         let mut b = GraphBuilder::new();
         for _ in 0..n {
             let a1 = (next() as usize) % k;
@@ -188,7 +210,7 @@ proptest! {
         let db = TransactionDb::from_rows(rows);
         let k = krimp(&db, KrimpConfig::default());
         prop_assert!(k.dl.total() <= k.baseline.total() + 1e-9);
-        let s = slim(&db, SlimConfig::default());
+        let s = slim(&db);
         prop_assert!(s.dl.total() <= s.baseline.total() + 1e-9);
         for (t, used) in db.iter().zip(&s.cover.covers) {
             let mut rebuilt: Vec<u32> = used
@@ -259,13 +281,8 @@ proptest! {
 
         // Grow: new vertices wired to the existing chain, plus labels.
         let n = g.vertex_count() as u32;
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = Stream::new(seed);
+        let mut next = || rng.next();
         let mut grow = GraphDelta::new();
         for i in 0..n.div_ceil(2) {
             let v = grow.add_vertex([format!("a{}", next() % 4)]);
@@ -302,5 +319,243 @@ proptest! {
         let mut wal = snap.into_os_string();
         wal.push(".wal");
         std::fs::remove_file(wal).ok();
+    }
+}
+
+/// A string mixing what JSON must escape (quotes, backslashes, every
+/// control character) with plain, multi-byte and astral characters.
+fn arb_string(s: &mut Stream) -> String {
+    const SPECIAL: [char; 9] = ['"', '\\', '/', '\n', '\r', '\t', '\u{7f}', 'é', '😀'];
+    (0..s.below(8))
+        .map(|_| match s.below(4) {
+            0 => char::from_u32(s.below(0x20) as u32).unwrap(),
+            1 => *s.pick(&SPECIAL),
+            _ => char::from(b'a' + s.below(26) as u8),
+        })
+        .collect()
+}
+
+/// A JSON value nested at most `depth` levels, far below the parser's
+/// 64-level cap. Numbers are integers of magnitude below 2^53 or
+/// arbitrary finite floats.
+fn arb_json(s: &mut Stream, depth: usize) -> Value {
+    match s.below(if depth == 0 { 5 } else { 7 }) {
+        0 => Value::Null,
+        1 => Value::Bool(s.next() & 1 == 1),
+        2 => Value::Str(arb_string(s)),
+        3 => {
+            let magnitude = (s.next() % (1 << 53)) as f64;
+            Value::Num(if s.next() & 1 == 0 {
+                magnitude
+            } else {
+                -magnitude
+            })
+        }
+        4 => loop {
+            let f = f64::from_bits(s.next());
+            if f.is_finite() {
+                break Value::Num(f);
+            }
+        },
+        5 => Value::Arr((0..s.below(4)).map(|_| arb_json(s, depth - 1)).collect()),
+        _ => Value::Obj(
+            (0..s.below(4))
+                .map(|_| (arb_string(s), arb_json(s, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// `bytes` with a few random edits: overwrites, insertions and
+/// deletions, some of them bytes that are not valid UTF-8 alone.
+fn mutate(s: &mut Stream, mut bytes: Vec<u8>) -> Vec<u8> {
+    const BYTES: &[u8] = b"{}[]\":,\\u0123456789-+.eE tfn\x00\x1f\x80\xc3\xff";
+    for _ in 0..s.below(4) {
+        let at = s.below(bytes.len() + 1);
+        let b = *s.pick(BYTES);
+        match s.below(3) {
+            0 if at < bytes.len() => bytes[at] = b,
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, b),
+        }
+    }
+    bytes
+}
+
+/// One item of a wire-delta entry of kind `i` (a base vertex id), `e`
+/// (an id or a `{"new": i}` reference) or `s` (a label). One in eight
+/// is something else: an out-of-range, negative or fractional number,
+/// or any JSON value.
+fn arb_item(s: &mut Stream, kind: char) -> Value {
+    const BAD_IDS: [f64; 4] = [4_294_967_296.0, -1.0, 0.5, 9e15];
+    match (kind, s.below(16)) {
+        (_, 0) => Value::Num(*s.pick(&BAD_IDS)),
+        (_, 1) => arb_json(s, 1),
+        ('e', 2..=3) => Value::Obj(vec![("new".into(), Value::Num(s.below(3) as f64))]),
+        ('s', _) => Value::Str(arb_string(s)),
+        _ => Value::Num(s.below(4) as f64),
+    }
+}
+
+/// A wire-delta field whose entries have the item kinds of `shape`
+/// (`"ee"` is an edge, `"iss"` a label change; one kind is a bare
+/// id). Entries are sometimes cut short or overlong, and the field
+/// sometimes is not an array at all.
+fn arb_delta_field(s: &mut Stream, shape: &str) -> Value {
+    if s.below(16) == 0 {
+        return arb_json(s, 2);
+    }
+    let entry = |s: &mut Stream| {
+        let mut items: Vec<Value> = shape.chars().map(|k| arb_item(s, k)).collect();
+        match s.below(8) {
+            0 => items.truncate(s.below(items.len())),
+            1 => items.push(arb_item(s, 'i')),
+            _ if items.len() == 1 => return items.pop().unwrap(),
+            _ => {}
+        }
+        Value::Arr(items)
+    };
+    Value::Arr((0..s.below(4)).map(|_| entry(s)).collect())
+}
+
+/// A request-shaped object, mostly a `delta` for a valid session name
+/// so that the wire-delta grammar sees most cases, with any of the
+/// optional fields present.
+fn arb_request(s: &mut Stream) -> Value {
+    const OPS: [&str; 10] = [
+        "ping",
+        "open",
+        "mine",
+        "subscribe",
+        "stats",
+        "metrics",
+        "close",
+        "shutdown",
+        "",
+        "DELTA",
+    ];
+    const BAD_NAMES: [&str; 3] = ["..", "bad/name", ""];
+    const DELTA_FIELDS: [(&str, &str); 7] = [
+        ("add_vertices", "ss"),
+        ("add_edges", "ee"),
+        ("add_labels", "is"),
+        ("remove_edges", "ii"),
+        ("remove_labels", "is"),
+        ("remove_vertices", "i"),
+        ("change_labels", "iss"),
+    ];
+    let op = if s.below(4) > 0 {
+        "delta"
+    } else {
+        *s.pick(&OPS)
+    };
+    let session = if s.below(4) > 0 {
+        "t1"
+    } else {
+        *s.pick(&BAD_NAMES)
+    };
+    let mut members = vec![("op".into(), op.into()), ("session".into(), session.into())];
+    if s.below(16) == 0 {
+        members.remove(s.below(2));
+    }
+    for field in ["graph", "deadline_ms", "top"] {
+        if s.below(4) == 0 {
+            let kind = if field == "graph" { 's' } else { 'i' };
+            members.push((field.into(), arb_item(s, kind)));
+        }
+    }
+    for (field, shape) in DELTA_FIELDS {
+        if s.below(3) == 0 {
+            members.push((field.into(), arb_delta_field(s, shape)));
+        }
+    }
+    Value::Obj(members)
+}
+
+/// Graph text built from the format's tokens and their near misses,
+/// with an occasional byte that is not valid UTF-8.
+fn arb_graph_text(s: &mut Stream) -> Vec<u8> {
+    const TAGS: [&str; 6] = ["v", "e", "#", "x", "", "V"];
+    const TOKENS: [&str; 11] = [
+        "0",
+        "1",
+        "2",
+        "7",
+        "-1",
+        "4294967295",
+        "4294967296",
+        "1e3",
+        "a",
+        "b",
+        "\u{a0}",
+    ];
+    let mut text = Vec::new();
+    for _ in 0..s.below(10) {
+        text.extend_from_slice(s.pick(&TAGS).as_bytes());
+        for _ in 0..s.below(4) {
+            text.push(if s.below(8) == 0 { b'\t' } else { b' ' });
+            text.extend_from_slice(s.pick(&TOKENS).as_bytes());
+        }
+        if s.below(16) == 0 {
+            text.push(0xff);
+        }
+        text.push(b'\n');
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The wire parser answers arbitrary bytes — random, or a valid
+    /// document after a few edits, or nesting past its cap — with a
+    /// value or a typed error, never a panic.
+    #[test]
+    fn json_parse_never_panics(
+        seed in any::<u64>(),
+        raw in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut s = Stream::new(seed);
+        let doc = arb_json(&mut s, 3).to_json().into_bytes();
+        let depth = 60 + s.below(10);
+        let inputs = [raw, mutate(&mut s, doc), "[".repeat(depth).into_bytes()];
+        for bytes in inputs {
+            let _ = json::parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    /// Every document the writer produces parses back to an equal value.
+    #[test]
+    fn json_documents_round_trip(seed in any::<u64>()) {
+        let v = arb_json(&mut Stream::new(seed), 4);
+        prop_assert_eq!(json::parse(&v.to_json()), Ok(v));
+    }
+
+    /// Request lines, wire deltas included, decode to a request or a
+    /// typed error. A line that is a JSON object is never reported as
+    /// malformed JSON, and mutated lines never panic.
+    #[test]
+    fn parse_request_never_panics(seed in any::<u64>()) {
+        let mut s = Stream::new(seed);
+        let line = arb_request(&mut s).to_json();
+        if let Err(e) = proto::parse_request(&line) {
+            prop_assert_ne!(e.code, ErrorCode::MalformedJson, "{}: {}", line, e);
+        }
+        let mutated = mutate(&mut s, line.into_bytes());
+        let _ = proto::parse_request(&String::from_utf8_lossy(&mutated));
+    }
+
+    /// The graph text reader returns a graph or a typed error on any
+    /// input, and a graph it returns has no more vertices than its
+    /// records can name.
+    #[test]
+    fn read_graph_never_panics(seed in any::<u64>()) {
+        let text = arb_graph_text(&mut Stream::new(seed));
+        if let Ok(g) = read_graph(text.as_slice()) {
+            let records = text.split(|&b| b == b'\n').count();
+            prop_assert!(g.vertex_count() <= 2 * records);
+        }
     }
 }

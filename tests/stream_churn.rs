@@ -9,7 +9,7 @@
 use cspm::core::engine::CspmResult;
 use cspm::core::{
     CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner, MiningSession, PostingPolicy,
-    ProgressObserver,
+    RunToCompletion,
 };
 use cspm::graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm::graph::{AttributedGraph, GraphBuilder};
@@ -116,13 +116,6 @@ fn digest(res: &CspmResult) -> Vec<AstarDigest> {
         .collect()
 }
 
-struct RunToEnd;
-impl ProgressObserver for RunToEnd {
-    fn on_iteration(&mut self, _: &cspm::core::IterationStat) -> std::ops::ControlFlow<()> {
-        std::ops::ControlFlow::Continue(())
-    }
-}
-
 fn assert_bit_identical(warm: &CspmResult, cold: &CspmResult, label: &str) {
     assert_eq!(
         warm.final_dl.to_bits(),
@@ -162,7 +155,7 @@ fn churned_sessions_mine_bit_identically_to_cold_at_threads_1_and_4() {
                     churn_was_patched = true;
                 }
             }
-            let warm_res = warm.run_with(&mut RunToEnd).unwrap();
+            let warm_res = warm.run_with(&mut RunToCompletion).unwrap();
             let cold_res = Miner::new().threads(threads).build().mine(&rolling);
             assert_bit_identical(
                 &warm_res,
@@ -289,7 +282,7 @@ fn sustained_session_churn_stays_compact_and_bit_identical() {
         }
     }
     assert!(session.compactions() >= 3);
-    let warm = session.run_with(&mut RunToEnd).unwrap();
+    let warm = session.run_with(&mut RunToCompletion).unwrap();
     let cold = Miner::new().threads(1).build().mine(&rolling);
     assert_bit_identical(&warm, &cold, "sustained churn");
 }
