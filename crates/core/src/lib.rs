@@ -65,7 +65,6 @@ pub mod engine;
 mod inverted;
 mod metrics;
 mod model;
-pub mod pool;
 pub mod positions;
 pub mod registry;
 pub mod session;
@@ -79,7 +78,6 @@ pub use inverted::{
     Coreset, CoresetId, InvertedDb, LeafsetId, MergeOutcome, PatchError, PatchStats, RestoreError,
 };
 pub use model::{MinedAStar, MinedModel};
-pub use pool::WorkerPool;
 pub use positions::{PostingPolicy, PostingReprStats, PostingStore, RowId};
 pub use registry::{PressureOutcome, ResidentFootprint, SessionRegistry};
 pub use session::{DeltaStats, FnObserver, Miner, MiningSession, SessionError};

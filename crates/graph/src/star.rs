@@ -33,11 +33,6 @@ impl Star {
     pub fn leaves(&self) -> &[VertexId] {
         &self.leaves
     }
-
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.leaves.len()
-    }
 }
 
 /// An extended star: a [`Star`] whose vertices carry attribute values.

@@ -8,7 +8,7 @@
 //! |---|---|
 //! | [`json`] | [`Value`], the one JSON type: a defensive parser (typed errors with byte offsets, depth-capped) and `to_json`, which writes every response, `cspm client` request and CLI `--json` document |
 //! | [`proto`] | request/response grammar, typed [`proto::ErrorCode`]s, delta decoding |
-//! | [`server`] | listener + connection loop, tenant registry, worker pool, eviction |
+//! | [`server`] | listener + connection loop (each connection's requests, mines included, run on its own thread), tenant registry, `--threads` mine slots, eviction |
 //! | `metrics` | per-op counters/latency histograms on the process-wide telemetry registry, scraped via the `metrics` op |
 //!
 //! The protocol grammar is documented normatively in `docs/FORMATS.md`

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use cspm_telemetry::{global, Counter, Histogram, TIME_BUCKETS};
 
 /// One wire op's request counter + latency histogram (latency measured
-/// from parse to rendered response, queue wait included).
+/// from parse to rendered response, mine-slot wait included).
 pub(crate) struct OpMetrics {
     pub(crate) requests: Counter,
     pub(crate) seconds: Histogram,

@@ -4,10 +4,10 @@
 //! One thread per connection reads request lines (bounded by
 //! [`MAX_FRAME`] even mid-line, so a hostile client cannot balloon the
 //! process) and answers one response line each. `mine` and `subscribe`
-//! are one job on a shared [`WorkerPool`] sized by `--threads` —
-//! connections are cheap, CPU is the bounded resource — differing only
-//! in whether progress lines stream ahead of the terminal line, with
-//! per-request deadlines enforced through
+//! run on that same thread once it holds one of `--threads` mine slots
+//! — connections are cheap, CPU is the bounded resource — differing
+//! only in whether progress lines stream ahead of the terminal line,
+//! with per-request deadlines enforced through
 //! the engine's own [`ProgressObserver`] cancellation: an expired
 //! deadline answers `deadline_exceeded` and leaves the tenant's warm
 //! state untouched (mining always works on a clone of the pristine
@@ -37,14 +37,13 @@ use std::net::Shutdown;
 use std::ops::ControlFlow;
 use std::os::fd::{AsRawFd, IntoRawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cspm_core::pool::WorkerPool;
 use cspm_core::registry::{ResidentFootprint, SessionRegistry};
 use cspm_core::{CspmResult, IterationStat, Miner, MiningSession, ProgressObserver, SessionError};
 use cspm_graph::dynamic::GraphDelta;
@@ -68,9 +67,10 @@ pub struct ServerConfig {
     /// When set, every tenant is durable: checkpointed at
     /// `<store_dir>/<name>.csps`, warm-openable after eviction/restart.
     pub store_dir: Option<PathBuf>,
-    /// Worker-pool size for mining requests (`0` = 1). Engine-internal
-    /// scoring stays single-threaded per run — across-tenant
-    /// parallelism is what a daemon wants on shared hardware.
+    /// How many mines may run at once (`0` = 1), each on the thread of
+    /// the connection that asked for it. Engine-internal scoring stays
+    /// single-threaded per run — across-tenant parallelism is what a
+    /// daemon wants on shared hardware.
     pub threads: usize,
     /// Resident-memory budget in bytes; exceeded → evict idle tenants
     /// LRU-first. `None` = unbounded.
@@ -188,7 +188,7 @@ impl Counters {
 /// State shared by every connection thread.
 struct Shared {
     registry: Mutex<SessionRegistry<Tenant>>,
-    pool: WorkerPool,
+    slots: MineSlots,
     config: ServerConfig,
     /// Set once the drain starts: later requests get `shutting_down`.
     draining: AtomicBool,
@@ -199,7 +199,7 @@ struct Shared {
 
 impl Shared {
     fn miner(&self) -> Miner {
-        // One scoring thread per run: the pool provides across-tenant
+        // One scoring thread per run: the mine slots bound across-tenant
         // parallelism, and nested fan-out would oversubscribe the host.
         Miner::new().threads(1)
     }
@@ -248,8 +248,51 @@ impl Shared {
     }
 }
 
-/// Locks a mutex, recovering from poisoning: a panicked mining job must
-/// not wedge every later request for that tenant (or the registry).
+/// The `--threads` bound on concurrent mines: a count of free slots.
+/// A mine takes one before it locks its tenant, and its [`MineSlot`]
+/// hands it back on drop, during an unwind too.
+struct MineSlots {
+    free: Mutex<usize>,
+    freed: Condvar,
+    /// How many slots exist, as `stats` reports them (`threads`).
+    total: usize,
+}
+
+impl MineSlots {
+    /// `threads` slots; `0` is promoted to one, since a daemon that can
+    /// never mine is always a bug.
+    fn new(threads: usize) -> Self {
+        let total = threads.max(1);
+        Self {
+            free: Mutex::new(total),
+            freed: Condvar::new(),
+            total,
+        }
+    }
+
+    /// Blocks until a slot is free, then takes it.
+    fn acquire(&self) -> MineSlot<'_> {
+        let mut free = self
+            .freed
+            .wait_while(lock(&self.free), |free| *free == 0)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        *free -= 1;
+        MineSlot(self)
+    }
+}
+
+/// One held mine slot.
+struct MineSlot<'a>(&'a MineSlots);
+
+impl Drop for MineSlot<'_> {
+    fn drop(&mut self) {
+        *lock(&self.0.free) += 1;
+        self.0.freed.notify_one();
+    }
+}
+
+/// Locks a mutex, recovering from poisoning: a panicked mine must not
+/// wedge every later request for that tenant (or the registry).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -458,7 +501,7 @@ fn serve_on(
     let socket_path = config.socket.clone();
     let shared = Arc::new(Shared {
         registry: Mutex::new(SessionRegistry::new()),
-        pool: WorkerPool::new(config.threads),
+        slots: MineSlots::new(config.threads),
         config,
         draining: AtomicBool::new(false),
         waker,
@@ -611,11 +654,27 @@ fn handle_connection(shared: &Arc<Shared>, stream: &UnixStream) {
     }
 }
 
-/// One complete response line plus trailing newline (a socket write
-/// has nothing to flush).
+/// One complete response line plus trailing newline, in one write (a
+/// socket write has nothing to flush).
 fn write_line(mut w: &UnixStream, line: &str) -> io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")
+    w.write_all(format!("{line}\n").as_bytes())
+}
+
+/// Writes one progress line without waiting on a slow reader.
+/// `Ok(false)`: the socket's send buffer could take none of it, so the
+/// line is dropped whole. A line the kernel took only in part is
+/// finished blocking, so no torn line reaches the stream. `Err`: the
+/// client is gone.
+fn try_write_line(mut w: &UnixStream, line: &str) -> io::Result<bool> {
+    let bytes = format!("{line}\n").into_bytes();
+    w.set_nonblocking(true)?;
+    let sent = w.write(&bytes);
+    w.set_nonblocking(false)?;
+    match sent {
+        Ok(n) => w.write_all(&bytes[n..]).map(|()| true),
+        Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 /// What one dispatched request produced.
@@ -807,53 +866,40 @@ pub fn dl_bits(dl: f64) -> String {
     format!("{:016x}", dl.to_bits())
 }
 
-/// How many progress events may sit unread between the mining worker
-/// and the connection thread. Past this the observer *drops* events
-/// (counted in `cspm_serve_subscribe_dropped_total`) rather than
-/// blocking the merge loop on a slow client.
-const SUBSCRIBE_BUFFER: usize = 64;
-
-/// One message from the mining worker to the connection thread.
-enum MineEvent {
-    /// A per-merge progress snapshot (`subscribe` only).
-    Progress(IterationStat),
-    /// The run finished: the fully rendered terminal line (or the
-    /// error that should become one) plus whether the deadline fired.
-    Done {
-        rendered: Result<String, ProtoError>,
-        deadline_hit: bool,
-    },
-}
-
-/// The observer of every pooled mine: enforces the request deadline,
-/// stops once the client is gone, and for `subscribe` forwards each
-/// accepted merge as a progress event. `try_send` keeps the merge loop
-/// non-blocking — a full buffer loses an event, never a merge.
-struct MineObserver {
+/// The observer of every mine: enforces the request deadline and, for
+/// `subscribe`, writes each accepted merge's progress line itself. A
+/// line the socket cannot take at once is dropped (counted in
+/// `cspm_serve_subscribe_dropped_total`): a slow reader loses whole
+/// lines, never merges. A failed write means the client is gone, so the
+/// run stops.
+struct MineObserver<'a> {
     deadline: Option<Instant>,
     hit: bool,
-    cancelled: Arc<AtomicBool>,
-    /// The progress sink: `Some` for `subscribe`, `None` for `mine`.
-    progress: Option<SyncSender<MineEvent>>,
+    /// The subscriber's connection and session name: `Some` for
+    /// `subscribe`, `None` for `mine`.
+    progress: Option<(&'a UnixStream, &'a str)>,
+    /// Merges so far: the `iteration` of the latest progress line.
+    merges: u64,
     dropped: u64,
+    /// A progress write failed: the subscriber hung up.
+    gone: bool,
 }
 
-impl ProgressObserver for MineObserver {
+impl ProgressObserver for MineObserver<'_> {
     fn on_iteration(&mut self, stat: &IterationStat) -> ControlFlow<()> {
-        if self.cancelled.load(Ordering::Relaxed) {
-            return ControlFlow::Break(());
-        }
+        self.merges += 1;
         if self.deadline.is_some_and(|at| Instant::now() >= at) {
             self.hit = true;
             return ControlFlow::Break(());
         }
-        if let Some(tx) = &self.progress {
-            match tx.try_send(MineEvent::Progress(*stat)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => self.dropped += 1,
-                // Receiver gone means the connection thread is gone;
-                // nothing is listening, so stop mining this request.
-                Err(TrySendError::Disconnected(_)) => return ControlFlow::Break(()),
+        if let Some((conn, name)) = self.progress {
+            match try_write_line(conn, &render_progress(name, self.merges, stat)) {
+                Ok(true) => {}
+                Ok(false) => self.dropped += 1,
+                Err(_) => {
+                    self.gone = true;
+                    return ControlFlow::Break(());
+                }
             }
         }
         ControlFlow::Continue(())
@@ -879,23 +925,17 @@ fn render_progress(name: &str, iteration: u64, stat: &IterationStat) -> String {
     .to_json()
 }
 
-/// The `mine` and `subscribe` ops: one tenant mine as a pooled job.
-/// `progress` is the subscriber's connection — `Some` writes one event
-/// line per accepted merge as the run goes, `None` (plain `mine`)
-/// streams nothing. Either way the terminal line (or typed error) is
-/// returned for the caller to write.
+/// The `mine` and `subscribe` ops: one tenant mine on the request's own
+/// connection thread. `progress` is the subscriber's connection —
+/// `Some` writes one event line per accepted merge as the run goes,
+/// `None` (plain `mine`) streams nothing. Either way the terminal line
+/// (or typed error) is returned for the caller to write.
 ///
-/// The pool bounds mining CPU across all connections; the job locks
-/// the tenant only once a worker picks it up. Latency is measured from
-/// request receipt, so it includes queue wait — that is what the
-/// client experiences.
-///
-/// Cancellation safety: if a progress write fails, the client is gone
-/// — the observer's `cancelled` flag stops the merge loop at the next
-/// iteration, and this thread keeps *draining* the channel (without
-/// writing) so the worker's blocking `Done` send can never wedge. A
-/// worker panic drops the channel's senders, which surfaces here as a
-/// terminal internal error rather than a hang.
+/// The mine slots bound mining CPU across all connections; a mine locks
+/// its tenant only once it holds a slot. Latency is measured from
+/// request receipt, so it includes the wait for a slot — that is what
+/// the client experiences. A panicking run answers `internal`; its
+/// slot and tenant lock come back as the unwind drops their guards.
 fn do_mine(
     shared: &Arc<Shared>,
     name: &str,
@@ -906,95 +946,49 @@ fn do_mine(
     let stream = progress.is_some();
     let c = &shared.counters;
     c.bump(if stream { &c.subscribes } else { &c.mines });
+    // Pins the tenant across the run *and* budget enforcement.
     let handle = lock_registry(&shared.registry)
         .checkout(name)
         .ok_or_else(|| unknown_session(name))?;
     let started = Instant::now();
-    let job_name = name.to_string();
-    let cancelled = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = sync_channel::<MineEvent>(SUBSCRIBE_BUFFER);
     let mut obs = MineObserver {
         deadline: deadline_ms.map(|ms| started + Duration::from_millis(ms)),
         hit: false,
-        cancelled: Arc::clone(&cancelled),
-        progress: stream.then(|| tx.clone()),
+        progress: progress.map(|conn| (conn, name)),
+        merges: 0,
         dropped: 0,
+        gone: false,
     };
 
-    // Pin the tenant across the pooled run *and* budget enforcement.
-    let pin = Arc::clone(&handle);
-    shared.pool.submit(move || {
+    let slot = shared.slots.acquire();
+    let ran = catch_unwind(AssertUnwindSafe(|| -> Result<String, ProtoError> {
         let mut tenant = lock(&handle);
-        let result = tenant.run_with(&mut obs);
-        let rendered = result.map(|r| {
-            render_mine(
-                stream,
-                &job_name,
-                &tenant,
-                &r,
-                top,
-                started.elapsed().as_millis() as u64,
-            )
-        });
-        drop(tenant);
-        if obs.dropped > 0 {
-            serve_metrics().subscribe_dropped.add(obs.dropped);
-        }
-        // Blocking send is safe: the connection thread drains until it
-        // sees `Done` (or the channel closes), even after a write
-        // failure.
-        let _ = tx.send(MineEvent::Done {
-            rendered,
-            deadline_hit: obs.hit,
-        });
-    });
-
-    let mut conn_alive = true;
-    let mut iteration = 0u64;
-    let mut outcome = None;
-    for event in rx.iter() {
-        match event {
-            MineEvent::Progress(stat) => {
-                iteration += 1;
-                let Some(writer) = progress else {
-                    continue;
-                };
-                if conn_alive
-                    && write_line(writer, &render_progress(name, iteration, &stat)).is_err()
-                {
-                    conn_alive = false;
-                    cancelled.store(true, Ordering::Relaxed);
-                }
-            }
-            MineEvent::Done {
-                rendered,
-                deadline_hit,
-            } => {
-                outcome = Some((rendered, deadline_hit));
-                break;
-            }
-        }
+        let result = tenant.run_with(&mut obs)?;
+        let elapsed_ms = started.elapsed().as_millis() as u64;
+        Ok(render_mine(stream, name, &tenant, &result, top, elapsed_ms))
+    }));
+    drop(slot);
+    if obs.dropped > 0 {
+        serve_metrics().subscribe_dropped.add(obs.dropped);
     }
 
-    let terminal = match outcome {
-        Some((_, true)) => {
+    let terminal = match ran {
+        Err(_) => Err(ProtoError::new(
+            ErrorCode::Internal,
+            "mining job panicked; session state was not persisted",
+        )),
+        Ok(_) if obs.hit => {
             shared.counters.bump(&shared.counters.deadline_hits);
             serve_metrics().deadline_expiries.inc();
             Err(deadline_error(deadline_ms))
         }
-        Some((Ok(rendered), false)) => {
+        Ok(Ok(rendered)) => {
             shared.enforce_budget();
             Ok(Dispatched::Respond(rendered))
         }
-        Some((Err(e), false)) => Err(e),
-        // Channel closed without a Done: the mining job panicked.
-        None => Err(ProtoError::new(
-            ErrorCode::Internal,
-            "mining job panicked; session state was not persisted",
-        )),
+        Ok(Err(e)) => Err(e),
     };
-    drop(pin);
-    if !conn_alive {
+    if obs.gone {
         return Ok(Dispatched::Hangup);
     }
     terminal
@@ -1079,7 +1073,7 @@ fn do_stats(shared: &Arc<Shared>, session: Option<&str>) -> Result<String, Proto
                 ("op".into(), "stats".into()),
                 ("sessions".into(), names.len().into()),
                 ("resident_bytes".into(), bytes.into()),
-                ("threads".into(), shared.pool.threads().into()),
+                ("threads".into(), shared.slots.total.into()),
                 budget,
                 ("names".into(), Value::Arr(names)),
                 ("counters".into(), counters),
@@ -1145,4 +1139,54 @@ fn do_close(shared: &Arc<Shared>, name: &str) -> Result<String, ProtoError> {
         ("checkpointed".into(), checkpointed.into()),
     ])
     .to_json())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    /// A daemon with `threads` slots runs that many mines at once (`0`
+    /// counts as one): one more `acquire`, on another thread, returns
+    /// only once a held slot is dropped.
+    #[test]
+    fn slots_bound_concurrent_mines() {
+        for (threads, slots) in [(0, 1), (1, 1), (2, 2)] {
+            let mine_slots = MineSlots::new(threads);
+            assert_eq!(mine_slots.total, slots, "threads = {threads}");
+            assert_eq!(*lock(&mine_slots.free), slots, "threads = {threads}");
+            let mut held: Vec<_> = (0..slots).map(|_| mine_slots.acquire()).collect();
+            let released = AtomicBool::new(false);
+            let (tx, rx) = channel();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    tx.send(None).unwrap();
+                    let _slot = mine_slots.acquire();
+                    tx.send(Some(released.load(Ordering::SeqCst))).unwrap();
+                });
+                assert_eq!(rx.recv(), Ok(None), "the waiter started");
+                assert!(
+                    rx.recv_timeout(Duration::from_millis(100)).is_err(),
+                    "threads = {threads}: acquired a slot while all {slots} were held"
+                );
+                released.store(true, Ordering::SeqCst);
+                held.pop();
+                assert_eq!(rx.recv(), Ok(Some(true)), "threads = {threads}");
+            });
+        }
+    }
+
+    /// A slot taken inside a run that panics comes back as the guard
+    /// unwinds, so the next mine does not wait for it.
+    #[test]
+    fn a_panicking_mine_hands_its_slot_back() {
+        let mine_slots = MineSlots::new(1);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = mine_slots.acquire();
+            panic!("mine exploded");
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(*lock(&mine_slots.free), 1, "the unwind must free the slot");
+        drop(mine_slots.acquire());
+    }
 }

@@ -126,7 +126,7 @@ fn daemon_mining_is_bit_identical_to_one_shot() {
         Some(one_shot_bits(&g).as_str()),
         "daemon DL must be bit-identical to a one-shot mine"
     );
-    // `mine` shares `subscribe`'s job but answers in its own shape.
+    // `mine` shares `subscribe`'s path but answers in its own shape.
     assert_eq!(mined.get("op").and_then(Value::as_str), Some("mine"));
     assert!(mined.get("event").is_none(), "{}", mined.to_json());
     // Warm re-mine: same bits again.

@@ -463,12 +463,6 @@ impl Histogram {
         self.core.observe(value);
     }
 
-    /// Records a [`std::time::Duration`] in seconds.
-    #[inline]
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_secs_f64());
-    }
-
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.core.count.load(Ordering::Relaxed)

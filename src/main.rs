@@ -132,6 +132,8 @@ mining as a service (wire protocol: docs/FORMATS.md §6):
                        --mem-budget pressure, idle tenants are evicted
                        LRU-first (durable tenants checkpoint to
                        --store-dir for warm re-open)
+  serve --threads N    at most N mines run at once (default 1; 0 = 1),
+                       each on its client's connection thread
   client               one request per invocation: builds the JSON line,
                        prints the daemon's response line on stdout, and
                        exits nonzero when something fails — 1 when the

@@ -1,7 +1,7 @@
 //! Property-based tests of the core invariants, on random attributed
 //! graphs and random transaction databases, and of the parsers that
 //! read untrusted input: wire JSON, request lines with their deltas,
-//! and graph text.
+//! graph text and, with the `real-data` feature, the three dump formats.
 
 use cspm::core::{mine, CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner, Variant};
 use cspm::graph::dynamic::{DeltaVertex, GraphDelta};
@@ -556,6 +556,92 @@ proptest! {
         if let Ok(g) = read_graph(text.as_slice()) {
             let records = text.split(|&b| b == b'\n').count();
             prop_assert!(g.vertex_count() <= 2 * records);
+        }
+    }
+}
+
+/// The dump parsers behind `cspm mine --input` read files from outside
+/// the program. Each fixture under `tests/fixtures/`, sidecar included,
+/// is copied with seeded edits, and `ingest` must answer every copy
+/// with a graph or an `IngestError`, never a panic.
+#[cfg(feature = "real-data")]
+mod dumps {
+    use super::Stream;
+    use cspm::datasets::ingest::{ingest, Format};
+    use proptest::prelude::*;
+    use std::path::PathBuf;
+
+    /// Each format's files: the dump `ingest` is given, then its sidecar.
+    const FIXTURES: [(Format, &[&str]); 3] = [
+        (
+            Format::Pokec,
+            &["pokec_small.txt", "pokec_small.profiles.txt"],
+        ),
+        (Format::Dblp, &["dblp_small.csv"]),
+        (
+            Format::UsFlight,
+            &["usflight_small.csv", "usflight_small.airports.csv"],
+        ),
+    ];
+
+    /// `bytes` after one to six edits: a flipped bit, a deleted run, an
+    /// inserted delimiter, digit or non-UTF-8 byte, a truncation, or a
+    /// duplicated line. One time in eight the file is arbitrary bytes.
+    fn mutate_dump(s: &mut Stream, mut bytes: Vec<u8>) -> Vec<u8> {
+        const BYTES: &[u8] = b"\t,;\"\n\r -+0123456789#\x00\x80\xc3\xff";
+        if s.below(8) == 0 {
+            return (0..s.below(512)).map(|_| s.next() as u8).collect();
+        }
+        for _ in 0..=s.below(6) {
+            let at = s.below(bytes.len() + 1);
+            match s.below(5) {
+                0 if at < bytes.len() => bytes[at] ^= 1 << s.below(8),
+                1 => {
+                    let end = (at + 1 + s.below(16)).min(bytes.len());
+                    bytes.drain(at..end);
+                }
+                2 => bytes.insert(at, *s.pick(BYTES)),
+                3 => bytes.truncate(at),
+                _ => {
+                    let start = bytes[..at]
+                        .iter()
+                        .rposition(|&b| b == b'\n')
+                        .map_or(0, |i| i + 1);
+                    let end = bytes[at..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(bytes.len(), |i| at + i + 1);
+                    let line = bytes[start..end].to_vec();
+                    bytes.splice(end..end, line);
+                }
+            }
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100))]
+
+        #[test]
+        fn dump_parsers_never_panic(seed in any::<u64>()) {
+            let mut s = Stream::new(seed);
+            let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+            let dir = std::env::temp_dir().join("cspm-dump-properties");
+            std::fs::create_dir_all(&dir).unwrap();
+            for (format, files) in FIXTURES {
+                // Edit one file, or all of them when `edit` is past the end.
+                let edit = s.below(files.len() + 1);
+                for (i, name) in files.iter().enumerate() {
+                    let bytes = std::fs::read(fixtures.join(name)).unwrap();
+                    let bytes = if edit == i || edit == files.len() {
+                        mutate_dump(&mut s, bytes)
+                    } else {
+                        bytes
+                    };
+                    std::fs::write(dir.join(name), bytes).unwrap();
+                }
+                let _ = ingest(&dir.join(files[0]), Some(format));
+            }
         }
     }
 }

@@ -1,13 +1,16 @@
 //! End-to-end tests of `cspm serve` + `cspm client` as real processes:
 //! a live daemon, concurrent tenants driven through the client binary,
 //! DL digests asserted bit-identical to one-shot `cspm mine --json`,
-//! and a clean SIGTERM shutdown (exit 0, no leaked socket file).
+//! subscribers that stall or vanish, an acknowledged delta surviving
+//! `kill -9`, and a clean SIGTERM shutdown (exit 0, no leaked socket
+//! file).
 //!
 //! In-process protocol coverage (malformed frames, deadlines, eviction)
 //! lives in `crates/serve/tests/protocol.rs`; this suite only exercises
 //! what needs real binaries and real signals.
 
 use std::io::{BufRead, BufReader, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -46,6 +49,16 @@ fn temp_dir(name: &str) -> PathBuf {
 fn json_at(line: &str, path: &[&str]) -> Option<Value> {
     let doc = json::parse(line).unwrap_or_else(|e| panic!("not one JSON document ({e}): {line}"));
     path.iter().try_fold(&doc, |v, key| v.get(key)).cloned()
+}
+
+/// The value of one sample (`name{labels}` as exposed) in the daemon's
+/// metrics scrape, if it has that sample.
+fn scrape(sock: &str, sample: &str) -> Option<f64> {
+    let (ok, text, err) = cspm(&["client", "metrics", "--socket", sock]);
+    assert!(ok, "metrics: {err}");
+    text.lines()
+        .find_map(|l| l.strip_prefix(sample)?.strip_prefix(' '))
+        .map(|v| v.trim().parse().expect("a sample value is a number"))
 }
 
 /// Writes one raw request line to the daemon and returns its one-line
@@ -228,22 +241,33 @@ fn subscribe_streams_progress_and_metrics_expose_every_layer() {
     let expected = json_at(&resp, &["final_dl_bits"]).expect("mine emits final_dl_bits");
     assert!(expected.as_str().is_some(), "digest is a string: {resp}");
 
-    // Subscribe: at least one progress event line, then the terminal
-    // "done" line, bit-identical to the plain mine (warm ≡ warm).
+    let merges = json_at(&resp, &["merges"])
+        .and_then(|v| v.as_u64())
+        .expect("mine emits merges");
+    assert!(merges >= 1, "the tenant must merge something: {resp}");
+
+    // Subscribe: a reader that keeps up gets one progress line per
+    // merge, numbered 1..=merges, then the terminal "done" line,
+    // bit-identical to the plain mine (warm ≡ warm).
     let (ok, stream, err) = cspm(&["client", "subscribe", "obs", "--socket", sock]);
     assert!(ok, "subscribe: {err}");
     let lines: Vec<&str> = stream.lines().collect();
-    assert!(lines.len() >= 2, "expected progress + done lines: {stream}");
     let done_at = lines
         .iter()
         .position(|l| l.contains("\"event\":\"done\""))
         .expect("stream ends with a done event");
     assert_eq!(done_at, lines.len() - 1, "done must be terminal: {stream}");
-    assert!(done_at >= 1, "no progress line before done: {stream}");
-    for l in &lines[..done_at] {
-        assert!(l.contains("\"event\":\"progress\""), "stray line: {l}");
-        assert!(l.contains("\"dl_after\""), "progress line shape: {l}");
-    }
+    let iterations: Vec<u64> = lines[..done_at]
+        .iter()
+        .map(|l| {
+            assert!(l.contains("\"event\":\"progress\""), "stray line: {l}");
+            assert!(l.contains("\"dl_after\""), "progress line shape: {l}");
+            json_at(l, &["iteration"])
+                .and_then(|v| v.as_u64())
+                .expect("progress carries its iteration")
+        })
+        .collect();
+    assert_eq!(iterations, (1..=merges).collect::<Vec<_>>(), "{stream}");
     let got = json_at(lines[done_at], &["final_dl_bits"]).expect("done carries final_dl_bits");
     assert_eq!(got, expected, "subscribe terminal != plain mine");
 
@@ -324,20 +348,14 @@ fn daemon_reports_typed_errors_and_sigterm_shutdown_is_clean() {
     // The stats counter and the scrape count the same errors.
     let (ok, stats, err) = cspm(&["client", "stats", "--socket", sock]);
     assert!(ok, "stats: {err}");
-    let (ok, text, err) = cspm(&["client", "metrics", "--socket", sock]);
-    assert!(ok, "metrics: {err}");
-    let scraped: u64 = text
-        .lines()
-        .find_map(|l| l.strip_prefix("cspm_serve_errors_total "))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| panic!("no cspm_serve_errors_total sample: {text}"));
+    let scraped = scrape(sock, "cspm_serve_errors_total").expect("errors are scraped");
     assert_eq!(
-        json_at(&stats, &["counters", "errors"]).and_then(|v| v.as_u64()),
+        json_at(&stats, &["counters", "errors"]).and_then(|v| v.as_f64()),
         Some(scraped),
         "stats: {stats}"
     );
     assert_eq!(
-        scraped, 4,
+        scraped, 4.0,
         "ghost mine + oversized frame + unknown op + hostile graph"
     );
 
@@ -425,4 +443,161 @@ fn a_daemon_that_hangs_up_or_answers_garbage_is_a_transport_failure() {
         }
     }
     peer.join().unwrap();
+}
+
+/// A subscriber that reads nothing until its mine is over still gets a
+/// well-formed stream: progress lines the socket could not take were
+/// dropped whole and counted, the rest keep their merge numbers, and
+/// one terminal line follows. A subscriber that hangs up instead
+/// cancels its mine, and the tenant keeps its warm state.
+#[test]
+fn a_stalled_subscriber_gets_whole_lines_and_a_vanished_one_cancels_its_mine() {
+    let dir = temp_dir("stalled");
+    let daemon = Daemon::spawn(&dir.join("d.sock"), &[]);
+    let sock = daemon.socket_str();
+    let graph = dir.join("g.txt");
+    let graph_str = graph.to_str().unwrap();
+    let (ok, _, err) = cspm(&[
+        "generate",
+        "dblp-trend",
+        graph_str,
+        "--scale",
+        "paper",
+        "--seed",
+        "2022",
+    ]);
+    assert!(ok, "generate: {err}");
+    let (ok, _, err) = cspm(&[
+        "client", "open", "dt", "--socket", sock, "--graph", graph_str,
+    ]);
+    assert!(ok, "open: {err}");
+    let (ok, resp, err) = cspm(&["client", "mine", "dt", "--socket", sock]);
+    assert!(ok, "mine: {err}");
+    let expected = json_at(&resp, &["final_dl_bits"]).expect("mine emits final_dl_bits");
+    let merges = json_at(&resp, &["merges"])
+        .and_then(|v| v.as_u64())
+        .expect("mine emits merges");
+
+    // Wait for the daemon to finish the mine before reading a byte.
+    let wait_for_subscribes = |n: f64| {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while scrape(sock, "cspm_serve_request_seconds_count{op=\"subscribe\"}") != Some(n) {
+            assert!(Instant::now() < deadline, "subscribe {n} did not finish");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    };
+    let request = b"{\"op\":\"subscribe\",\"session\":\"dt\"}\n";
+    let mut raw = UnixStream::connect(&daemon.socket).expect("raw connect");
+    raw.write_all(request).unwrap();
+    // End of our requests: the daemon hangs up after its terminal line.
+    raw.shutdown(Shutdown::Write).unwrap();
+    wait_for_subscribes(1.0);
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let lines: Vec<String> = BufReader::new(&raw)
+        .lines()
+        .collect::<Result<_, _>>()
+        .expect("the stream reads to its end");
+    let (done, progress) = lines.split_last().expect("a terminal line");
+    assert!(done.contains("\"event\":\"done\""), "terminal line: {done}");
+    assert_eq!(json_at(done, &["final_dl_bits"]), Some(expected.clone()));
+    let mut last = 0;
+    for line in progress {
+        assert!(
+            line.contains("\"event\":\"progress\""),
+            "stray line: {line}"
+        );
+        let iteration = json_at(line, &["iteration"])
+            .and_then(|v| v.as_u64())
+            .expect("progress carries its iteration");
+        assert!(
+            iteration > last && iteration <= merges,
+            "iteration {iteration} after {last}, {merges} merges"
+        );
+        assert!(last > 0 || iteration == 1, "the first line is merge 1");
+        last = iteration;
+    }
+    let dropped = scrape(sock, "cspm_serve_subscribe_dropped_total").expect("drops are scraped");
+    assert_eq!(
+        progress.len() as f64 + dropped,
+        merges as f64,
+        "every merge's line is either delivered or counted as dropped"
+    );
+
+    // A subscriber that hangs up before its first progress line.
+    let cancelled = "cspm_engine_cancelled_total";
+    assert_eq!(scrape(sock, cancelled), Some(0.0));
+    let mut raw = UnixStream::connect(&daemon.socket).expect("raw connect");
+    raw.write_all(request).unwrap();
+    drop(raw);
+    wait_for_subscribes(2.0);
+    assert_eq!(scrape(sock, cancelled), Some(1.0), "the mine must stop");
+    let (ok, resp, err) = cspm(&["client", "mine", "dt", "--socket", sock]);
+    assert!(ok, "mine after a cancelled subscribe: {err}");
+    assert_eq!(json_at(&resp, &["final_dl_bits"]), Some(expected));
+
+    daemon.terminate();
+}
+
+/// A delta the daemon acknowledged survives `kill -9`: a new daemon on
+/// the same store warm-opens the grown graph and mines what the killed
+/// one mined after the delta.
+#[test]
+fn an_acknowledged_delta_survives_kill_9() {
+    let dir = temp_dir("kill9");
+    let socket = dir.join("d.sock");
+    let sock = socket.to_str().unwrap();
+    let store = dir.join("store");
+    let serve_args = ["--store-dir", store.to_str().unwrap()];
+    let graph = dir.join("g.txt");
+    let graph_str = graph.to_str().unwrap();
+    let (ok, _, err) = cspm(&[
+        "generate", "dblp", graph_str, "--scale", "tiny", "--seed", "7",
+    ]);
+    assert!(ok, "generate: {err}");
+
+    let daemon = Daemon::spawn(&socket, &serve_args);
+    let (ok, resp, err) = cspm(&[
+        "client", "open", "t", "--socket", sock, "--graph", graph_str,
+    ]);
+    assert!(ok, "open: {err}");
+    let vertices = json_at(&resp, &["vertices"])
+        .and_then(|v| v.as_u64())
+        .expect("open reports vertices");
+    let mine = || {
+        let (ok, resp, err) = cspm(&["client", "mine", "t", "--socket", sock]);
+        assert!(ok, "mine: {err}");
+        json_at(&resp, &["final_dl_bits"]).expect("mine emits final_dl_bits")
+    };
+    let d0 = mine();
+    let delta = dir.join("delta.json");
+    std::fs::write(
+        &delta,
+        r#"{"add_vertices":[["a"]],"add_edges":[[0,{"new":0}]]}"#,
+    )
+    .unwrap();
+    let delta = delta.to_str().unwrap();
+    let (ok, _, err) = cspm(&["client", "delta", "t", "--socket", sock, "--file", delta]);
+    assert!(ok, "delta: {err}");
+    let d1 = mine();
+    assert_ne!(d1, d0, "the delta must change the mined DL");
+
+    // `Drop` sends SIGKILL: no drain, no final checkpoint.
+    drop(daemon);
+    assert!(socket.exists(), "a killed daemon leaves its socket file");
+
+    let daemon = Daemon::spawn(&socket, &serve_args);
+    let (ok, resp, err) = cspm(&["client", "open", "t", "--socket", sock]);
+    assert!(ok, "warm open: {err}");
+    assert_eq!(json_at(&resp, &["warm"]), Some(Value::Bool(true)), "{resp}");
+    assert_eq!(
+        json_at(&resp, &["vertices"]).and_then(|v| v.as_u64()),
+        Some(vertices + 1),
+        "{resp}"
+    );
+    assert_eq!(
+        mine(),
+        d1,
+        "the restarted daemon mines the acknowledged delta"
+    );
+    daemon.terminate();
 }
