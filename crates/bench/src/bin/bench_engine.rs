@@ -6,7 +6,10 @@
 //!              [--input FILE]… [--format pokec|dblp|usflight|native|auto]
 //! ```
 //!
-//! Measures, per dataset: the engine's two variants end to end on a
+//! Measures, per dataset, each record the median of 5 repeats: the
+//! counted seed sweep on a pre-built pristine database (`seed_sweep`,
+//! `InvertedDb::seed_gains`: the initial sharing pairs and their
+//! gains), the engine's two variants end to end on a
 //! pre-built inverted database (`merge_loop_incremental` for
 //! CSPM-Partial; `merge_loop_basic` for CSPM-Basic, only where
 //! Algorithm 1's O(pairs × merges) sweeps are tractable, see
@@ -37,7 +40,9 @@
 //! `bench_compare` gates on.
 //!
 //! `bench_compare` diffs the emitted JSON against the committed
-//! baseline and gates CI on merge-loop regressions.
+//! baseline and gates CI on merge-loop regressions; it reads only
+//! `timings_secs`, so the top-level `cores` (the host's available
+//! parallelism) is for the reader.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -219,7 +224,7 @@ fn main() {
     } else {
         ingest_inputs(&inputs, &format, &mut records)
     };
-    let reps = 3;
+    let reps = 5;
 
     for d in &datasets {
         let (n, m, a) = d.statistics();
@@ -227,6 +232,12 @@ fn main() {
 
         let db = InvertedDb::build(&d.graph, CoresetMode::SingleValue, GainPolicy::Total);
         let initial_pairs = db.sharing_pairs().len();
+        let secs = median_secs(reps, || db.seed_gains().expect("a fresh build is pristine"));
+        println!("  seed sweep: {} ({initial_pairs} pairs)", fmt_secs(secs));
+        records.push(Record {
+            name: format!("{}/seed_sweep", d.name),
+            secs,
+        });
         for (label, variant) in [("incremental", Variant::Partial), ("basic", Variant::Basic)] {
             if variant == Variant::Basic && initial_pairs > BASIC_MAX_PAIRS {
                 println!("  merge loop [{label}]: skipped ({initial_pairs} initial pairs)");
@@ -501,6 +512,8 @@ fn main() {
     writeln!(f, "  \"suite\": \"engine\",").unwrap();
     writeln!(f, "  \"scale\": \"{scale:?}\",").unwrap();
     writeln!(f, "  \"seed\": {seed},").unwrap();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    writeln!(f, "  \"cores\": {cores},").unwrap();
     writeln!(f, "  \"timings_secs\": {{").unwrap();
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 == records.len() { "" } else { "," };

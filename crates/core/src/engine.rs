@@ -35,9 +35,15 @@
 //!
 //! Between merges the database is immutable, and every candidate gain
 //! is a pure function of it ([`InvertedDb::pair_gain`], always exact).
-//! Both variants score their candidate batches through one routine that
-//! fans a batch out across a `std::thread::scope` worker pool once it
-//! reaches a per-variant size floor (Algorithm 1's sweeps need a far
+//! The initial sweep of a pristine database (Algorithm 1 line 5,
+//! Algorithm 3 lines 5–6) is scored by counting instead
+//! ([`InvertedDb::seed_gains`]): no leafset has been merged yet, so each
+//! pair's gain follows from co-occurrence counts, to the bit as
+//! `pair_gain` computes it. Every later batch — Algorithm 4's updates,
+//! Partial's revalidation on pop, and Algorithm 1's regeneration sweeps
+//! — goes through `pair_gain`, and the batches go through one routine
+//! that fans a batch out across a `std::thread::scope` worker pool once
+//! it reaches a per-variant size floor (Algorithm 1's sweeps need a far
 //! larger batch than Algorithm 4's updates to pay for the workers).
 //! Workers share the posting arena read-only (no row is cloned);
 //! batches are split into contiguous chunks and the per-pair gains
@@ -271,8 +277,7 @@ pub(crate) fn run_loop(
     // Algorithm 1 line 5 / Algorithm 3 lines 5–6: the initial candidate
     // pool. Basic only ever needs the front of the queue — everything
     // else is regenerated after the next merge anyway.
-    let pairs = db.sharing_pairs();
-    stats.total_gain_evals += seed_pairs(&db, &pairs, &mut scheduler, variant, threads);
+    stats.total_gain_evals += seed_pairs(&db, &mut scheduler, variant, threads);
 
     while let Some((x, y, gain, mut gain_evals)) =
         pop_next_positive(&mut scheduler, &db, variant, &mut stats)
@@ -314,8 +319,7 @@ pub(crate) fn run_loop(
         match variant {
             Variant::Basic => {
                 scheduler.clear();
-                let pairs = db.sharing_pairs();
-                gain_evals += seed_pairs(&db, &pairs, &mut scheduler, variant, threads);
+                gain_evals += seed_pairs(&db, &mut scheduler, variant, threads);
             }
             Variant::Partial => {
                 let n = outcome.new_leafset;
@@ -429,28 +433,40 @@ fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Fills the scheduler from the given sharing pairs. Returns the number
-/// of gain evaluations charged. Under `Basic` only the best pair is
-/// retained (Algorithm 2's candidate generation reduced to its argmax,
-/// gain ties going to the smallest pair); under `Partial` every
-/// positive pair is stored.
+/// Scores every sharing pair of `db` and fills the scheduler from them.
+/// Returns the number of gain evaluations charged: one per pair. Under
+/// `Basic` only the best pair is retained (Algorithm 2's candidate
+/// generation reduced to its argmax, gain ties going to the smallest
+/// pair); under `Partial` every positive pair is stored.
+///
+/// A pristine database (the initial sweep of a built, patched or
+/// restored database) is scored by counting, in
+/// [`InvertedDb::seed_gains`]. Any other one, after a merge or adopted
+/// mid-run, goes through [`InvertedDb::pair_gain`], fanned out across
+/// the worker threads.
 fn seed_pairs(
     db: &InvertedDb,
-    pairs: &[(LeafsetId, LeafsetId)],
     scheduler: &mut CandidateScheduler,
     variant: Variant,
     threads: usize,
 ) -> u64 {
-    let floor = match variant {
-        Variant::Basic => BASIC_FANOUT_FLOOR,
-        Variant::Partial => PARTIAL_FANOUT_FLOOR,
-    };
-    let gains = score_pairs(db, pairs, threads, floor);
-    let positive = pairs
+    let scored = db.seed_gains().unwrap_or_else(|| {
+        let floor = match variant {
+            Variant::Basic => BASIC_FANOUT_FLOOR,
+            Variant::Partial => PARTIAL_FANOUT_FLOOR,
+        };
+        let pairs = db.sharing_pairs();
+        let gains = score_pairs(db, &pairs, threads, floor);
+        pairs
+            .into_iter()
+            .zip(gains)
+            .map(|((x, y), gain)| (x, y, gain))
+            .collect()
+    });
+    let positive = scored
         .iter()
-        .zip(&gains)
-        .filter(|&(_, &gain)| gain > GAIN_EPS)
-        .map(|(&(x, y), &gain)| (x, y, gain));
+        .copied()
+        .filter(|&(_, _, gain)| gain > GAIN_EPS);
     match variant {
         Variant::Basic => {
             if let Some((x, y, gain)) = positive.fold(None, better) {
@@ -459,17 +475,21 @@ fn seed_pairs(
         }
         Variant::Partial => positive.for_each(|(x, y, gain)| scheduler.upsert(x, y, gain)),
     }
-    pairs.len() as u64
+    scored.len() as u64
 }
 
-/// Fan-out floor for CSPM-Partial's scoring (its seed and every
-/// Algorithm 4 update batch): smaller batches are scored inline, where
-/// spawning workers costs more than the evaluations. On a 2-core host a
-/// floor of 8,192 made the pokec-Small mine about 5% slower.
+/// Fan-out floor for CSPM-Partial's scoring (every Algorithm 4 update
+/// batch, and the seed of a database that is not pristine): smaller
+/// batches are scored inline, where spawning workers costs more than
+/// the evaluations. The floor was set while the seed still fanned out,
+/// when a floor of 8,192 made the pokec-Small mine about 5% slower on a
+/// 2-core host; ROADMAP records the fan-out's worth on the update
+/// batches alone.
 const PARTIAL_FANOUT_FLOOR: usize = 64;
 
-/// Fan-out floor for CSPM-Basic's full sweeps. On a 2-core host a floor
-/// of 64 made Basic 16–19% slower on DBLP-Small and USFlight-Small.
+/// Fan-out floor for CSPM-Basic's regeneration sweeps. On a 2-core host
+/// a floor of 64 made Basic 16–19% slower on DBLP-Small and
+/// USFlight-Small.
 const BASIC_FANOUT_FLOOR: usize = 8_192;
 
 /// Scores every pair against the current (immutable) database state,
@@ -525,7 +545,7 @@ fn better(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::{CoresetMode, GainPolicy};
     use cspm_graph::fixtures::paper_example;
@@ -606,7 +626,7 @@ mod tests {
     /// A connected graph with `k` interleaved label families, dense
     /// enough in distinct leafset pairs to exercise the parallel
     /// scoring fan-out.
-    fn many_label_graph(n: usize, k: usize) -> cspm_graph::AttributedGraph {
+    pub(crate) fn many_label_graph(n: usize, k: usize) -> cspm_graph::AttributedGraph {
         let mut b = cspm_graph::GraphBuilder::new();
         for i in 0..n {
             b.add_vertex([format!("a{}", i % k), format!("b{}", (i * 7 + 3) % k)]);
@@ -651,7 +671,7 @@ mod tests {
         // Stale the pool: merge the globally best pair directly, behind
         // the scheduler's back.
         let mut best = CandidateScheduler::default();
-        seed_pairs(&db, &db.sharing_pairs(), &mut best, Variant::Basic, 1);
+        seed_pairs(&db, &mut best, Variant::Basic, 1);
         let (bx, by, _) = best.pop_max().expect("a positive pair");
         db.merge(bx, by);
         // Poison the queue with entries whose *stored* gain is huge but

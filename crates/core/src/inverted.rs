@@ -863,10 +863,14 @@ impl InvertedDb {
     /// and accepted merges are guaranteed to decrease the DL.
     ///
     /// Returns 0 for nested pairs and for pairs that never co-occur.
-    /// The engine scores candidates through this same function, so it
-    /// agrees to the bit with every mined gain. Scoring only reads the
-    /// database, so the engine's fan-out shares one `&InvertedDb`
-    /// across its scoped worker threads between merges.
+    /// The engine scores every candidate after the seed through this
+    /// function: Algorithm 4's updates, Partial's revalidation on pop,
+    /// Basic's regeneration sweeps, and the seed of a database that is
+    /// not pristine. A pristine database's seed is counted by
+    /// [`Self::seed_gains`], which this function checks bit for bit in
+    /// the tests. Scoring only reads the database, so the engine's
+    /// fan-out shares one `&InvertedDb` across its scoped worker
+    /// threads between merges.
     pub fn pair_gain(&self, x: LeafsetId, y: LeafsetId) -> f64 {
         if x == y || self.is_nested_pair(x, y) {
             return 0.0;
@@ -1056,20 +1060,221 @@ impl InvertedDb {
     }
 
     /// All unordered candidate pairs of live leafsets sharing at least
-    /// one coreset (the only pairs that can have non-zero gain, §V).
+    /// one coreset (the only pairs that can have non-zero gain, §V), in
+    /// ascending `(x, y)` order.
+    ///
+    /// A partner walk: for each leafset `x`, every leafset with a row in
+    /// one of `x`'s coresets is stamped once, and those above `x` are
+    /// sorted. That costs one stamp check per row of each of `x`'s
+    /// coresets (Σ over coresets of their row count squared, in all),
+    /// plus one sort per leafset, and O(L) memory beyond the output.
     pub fn sharing_pairs(&self) -> Vec<(LeafsetId, LeafsetId)> {
-        let mut pairs = std::collections::BTreeSet::new();
-        for m in &self.rows {
-            let mut ls: Vec<LeafsetId> = m.keys().copied().collect();
-            ls.sort_unstable();
-            for i in 0..ls.len() {
-                for j in i + 1..ls.len() {
-                    pairs.insert((ls[i], ls[j]));
+        // `seen[y] == x`: `y` is already one of `x`'s partners.
+        let mut seen = vec![LeafsetId::MAX; self.leafsets.len()];
+        let mut partners = Vec::new();
+        let mut pairs = Vec::new();
+        for (x, coresets) in (0..).zip(&self.leafset_coresets) {
+            partners.clear();
+            for &e in coresets {
+                for &y in self.rows[e as usize].keys() {
+                    if seen[y as usize] != x {
+                        seen[y as usize] = x;
+                        partners.push(y);
+                    }
                 }
             }
+            partners.retain(|&y| y > x);
+            partners.sort_unstable();
+            pairs.extend(partners.iter().map(|&y| (x, y)));
         }
-        pairs.into_iter().collect()
+        pairs
     }
+
+    /// The initial candidate sweep (Algorithm 1 line 5, Algorithm 3
+    /// lines 5–6) scored by counting: every [`Self::sharing_pairs`] pair
+    /// `(x, y)`, in that order, as `(x, y, gain)`, each gain equal to the
+    /// bit to [`Self::pair_gain`]'s. `None` unless the database
+    /// [is pristine](Self::is_pristine).
+    ///
+    /// In a pristine database every leafset is one attribute value and
+    /// no union row exists, so a pair's Eq. 10–15 terms at a coreset
+    /// depend only on `|row_x|`, `|row_y|`, `|row_x ∩ row_y|` and `c_e`.
+    /// For each coreset in ascending order, one pass turns its rows into
+    /// per-center leafset lists, counts every leafset pair that meets on
+    /// a center, and adds that coreset's terms to each pair's
+    /// accumulator with `pair_gain`'s expressions. Each pair thus sums
+    /// its terms in `pair_gain`'s order, and a pair that meets on no
+    /// center scores `0.0`.
+    ///
+    /// Extra memory is O(V + L + pairs) plus one coreset's postings: a
+    /// vertex → center-rank map, per-leafset counters reset through a
+    /// touched list, one accumulator beside each pair (found by binary
+    /// search among `x`'s pairs), and the current coreset's center →
+    /// leafsets lists. Nothing is L × L.
+    pub fn seed_gains(&self) -> Option<Vec<(LeafsetId, LeafsetId, f64)>> {
+        if !self.pristine {
+            return None;
+        }
+        const UNRANKED: u32 = u32::MAX;
+        // Each pair with its running sums; `acc[first[x]..first[x + 1]]`
+        // holds x's pairs, by ascending partner.
+        let mut acc: Vec<(LeafsetId, LeafsetId, SeedTerms)> = self
+            .sharing_pairs()
+            .into_iter()
+            .map(|(x, y)| (x, y, SeedTerms::default()))
+            .collect();
+        let leafsets = self.leafsets.len();
+        let mut first = vec![0usize; leafsets + 1];
+        for &(x, _, _) in &acc {
+            first[x as usize + 1] += 1;
+        }
+        for l in 0..leafsets {
+            first[l + 1] += first[l];
+        }
+        let total = self.gain_policy == GainPolicy::Total;
+        let st_cost: Vec<f64> = if total {
+            (0..leafsets as LeafsetId)
+                .map(|l| self.leafset_st_cost(l))
+                .collect()
+        } else {
+            Vec::new()
+        };
+
+        // Per-vertex and per-leafset state. `rank` and `count` are reset
+        // after each use; a leafset's row length is read only in a
+        // coreset where it has a row, so it needs no reset.
+        let mut rank: Vec<u32> = Vec::new();
+        let mut row_len = vec![0.0f64; leafsets];
+        let mut count = vec![0u32; leafsets];
+        let mut touched: Vec<LeafsetId> = Vec::new();
+        // The current coreset: its rows by ascending leafset, each row's
+        // positions as center ranks, and the center → leafsets lists.
+        let mut members: Vec<(LeafsetId, RowId)> = Vec::new();
+        let mut centers: Vec<VertexId> = Vec::new();
+        let mut row_ranks: Vec<u32> = Vec::new();
+        let mut row_end: Vec<usize> = Vec::new();
+        let mut start: Vec<usize> = Vec::new();
+        let mut cursor: Vec<usize> = Vec::new();
+        let mut at_center: Vec<LeafsetId> = Vec::new();
+
+        for (e, rows) in self.rows.iter().enumerate() {
+            members.clear();
+            members.extend(rows.iter().map(|(&l, &r)| (l, r)));
+            members.sort_unstable_by_key(|&(l, _)| l);
+            centers.clear();
+            row_ranks.clear();
+            row_end.clear();
+            start.clear();
+            for &(l, r) in &members {
+                row_len[l as usize] = self.store.len(r) as f64;
+                for &v in self.store.positions(r).iter() {
+                    let v = v as usize;
+                    if v >= rank.len() {
+                        rank.resize(v + 1, UNRANKED);
+                    }
+                    if rank[v] == UNRANKED {
+                        rank[v] = centers.len() as u32;
+                        centers.push(v as VertexId);
+                        start.push(0);
+                    }
+                    start[rank[v] as usize] += 1;
+                    row_ranks.push(rank[v]);
+                }
+                row_end.push(row_ranks.len());
+            }
+            // Degrees to offsets: center `c` lists its leafsets in
+            // `at_center[start[c]..start[c + 1]]`, ascending, because
+            // rows are filled in ascending leafset order.
+            let mut sum = 0;
+            for s in start.iter_mut() {
+                let degree = *s;
+                *s = sum;
+                sum += degree;
+            }
+            start.push(sum);
+            at_center.resize(sum, 0);
+            cursor.clear();
+            cursor.extend_from_slice(&start[..centers.len()]);
+            let mut from = 0;
+            for (&(l, _), &end) in members.iter().zip(&row_end) {
+                for &c in &row_ranks[from..end] {
+                    at_center[cursor[c as usize]] = l;
+                    cursor[c as usize] += 1;
+                }
+                from = end;
+            }
+
+            // Count, per leafset `x` in ascending order, its overlap with
+            // every leafset above it. `cursor[c]` walks center `c`'s list
+            // alongside, so it points at `x` whenever `x` is there.
+            cursor.copy_from_slice(&start[..centers.len()]);
+            let fe = self.coreset_freq[e] as f64;
+            let code_e = self.coresets[e].code_len;
+            let mut from = 0;
+            for (&(x, _), &end) in members.iter().zip(&row_end) {
+                for &c in &row_ranks[from..end] {
+                    let c = c as usize;
+                    cursor[c] += 1;
+                    for &y in &at_center[cursor[c]..start[c + 1]] {
+                        if count[y as usize] == 0 {
+                            touched.push(y);
+                        }
+                        count[y as usize] += 1;
+                    }
+                }
+                from = end;
+                let x_pairs = &mut acc[first[x as usize]..first[x as usize + 1]];
+                let xe = row_len[x as usize];
+                for y in touched.drain(..) {
+                    let xy = std::mem::take(&mut count[y as usize]) as f64;
+                    let i = x_pairs
+                        .binary_search_by_key(&y, |&(_, y, _)| y)
+                        .expect("leafsets that meet on a center share a coreset");
+                    let t = &mut x_pairs[i].2;
+                    let ye = row_len[y as usize];
+                    // `pair_gain`'s terms for a fresh union row (`grown == xy`).
+                    t.p1 += xlog2x(fe) - xlog2x(fe - 2.0 * xy + xy);
+                    t.p2 +=
+                        xlog2x(xe) + xlog2x(ye) - (xlog2x(xe - xy) + xlog2x(ye - xy) + xlog2x(xy));
+                    if total {
+                        // `x` and `y` are single values, so `set_cost` of
+                        // `x ∪ y` adds the two code lengths `st_cost` holds.
+                        let union_cost = st_cost[x as usize] + st_cost[y as usize];
+                        t.model_delta += union_cost + code_e;
+                        if xy == xe {
+                            t.model_delta -= st_cost[x as usize] + code_e;
+                        }
+                        if xy == ye {
+                            t.model_delta -= st_cost[y as usize] + code_e;
+                        }
+                    }
+                }
+            }
+            for &v in &centers {
+                rank[v as usize] = UNRANKED;
+            }
+        }
+
+        // A pair that meets on no center keeps its three zeros and scores
+        // +0.0, the `0.0` that `pair_gain` returns for it.
+        let gain = |t: &SeedTerms| {
+            let data_gain = t.p1 - t.p2;
+            match self.gain_policy {
+                GainPolicy::DataOnly => data_gain,
+                GainPolicy::Total => data_gain - t.model_delta,
+            }
+        };
+        Some(acc.into_iter().map(|(x, y, t)| (x, y, gain(&t))).collect())
+    }
+}
+
+/// One seed pair's running sums in [`InvertedDb::seed_gains`], named as
+/// in [`InvertedDb::pair_gain`].
+#[derive(Debug, Clone, Copy, Default)]
+struct SeedTerms {
+    p1: f64,
+    p2: f64,
+    model_delta: f64,
 }
 
 /// Two-pointer intersection of two sorted coreset-id lists.
@@ -1626,6 +1831,199 @@ mod tests {
         assert_eq!(stats, PatchStats::default());
         assert_eq!(digest(&db), before);
         assert!(db.is_pristine());
+    }
+
+    /// The counted seed's oracle: it lists exactly `sharing_pairs`, in
+    /// order, and scores every pair to the bit as `pair_gain` does.
+    /// Returns the counted seed.
+    fn assert_counted_seed_is_exact(
+        db: &InvertedDb,
+        what: &str,
+    ) -> Vec<(LeafsetId, LeafsetId, f64)> {
+        let seed = db
+            .seed_gains()
+            .unwrap_or_else(|| panic!("{what}: a pristine database is counted"));
+        let pairs: Vec<_> = seed.iter().map(|&(x, y, _)| (x, y)).collect();
+        assert_eq!(pairs, db.sharing_pairs(), "{what}: pair list");
+        for &(x, y, gain) in &seed {
+            let oracle = db.pair_gain(x, y);
+            assert_eq!(
+                gain.to_bits(),
+                oracle.to_bits(),
+                "{what}: pair ({x}, {y}) counted {gain}, pair_gain {oracle}"
+            );
+        }
+        seed
+    }
+
+    const MODES: [CoresetMode; 3] = [
+        CoresetMode::SingleValue,
+        CoresetMode::Krimp,
+        CoresetMode::Slim,
+    ];
+    const POLICIES: [GainPolicy; 2] = [GainPolicy::Total, GainPolicy::DataOnly];
+
+    /// Leafsets `b` and `c` share coreset `a` (at `v0` and at `v1`) but
+    /// meet on no center; `a` meets each of them elsewhere.
+    fn meet_nowhere_graph() -> AttributedGraph {
+        let mut b = cspm_graph::GraphBuilder::new();
+        for labels in [["a"], ["a"], ["b"], ["c"]] {
+            b.add_vertex(labels);
+        }
+        for (u, v) in [(0, 2), (2, 3), (3, 1)] {
+            b.add_edge(u, v).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn counted_seed_matches_pair_gain_on_fixtures() {
+        let graphs = [
+            ("paper example", paper_example().0),
+            (
+                "many labels",
+                crate::engine::tests::many_label_graph(240, 16),
+            ),
+            ("meet nowhere", meet_nowhere_graph()),
+        ];
+        for (name, g) in &graphs {
+            for mode in MODES {
+                for policy in POLICIES {
+                    let db = InvertedDb::build(g, mode, policy);
+                    assert_counted_seed_is_exact(&db, &format!("{name} {mode:?} {policy:?}"));
+                }
+            }
+        }
+        // A pair that shares a coreset but meets on no center is listed
+        // and scores exactly +0.0.
+        let g = meet_nowhere_graph();
+        let (b, c) = (g.attrs().get("b").unwrap(), g.attrs().get("c").unwrap());
+        for policy in POLICIES {
+            let db = InvertedDb::build(&g, CoresetMode::SingleValue, policy);
+            let seed = assert_counted_seed_is_exact(&db, "meet nowhere");
+            let &(_, _, gain) = seed
+                .iter()
+                .find(|&&(x, y, _)| (x, y) == (b, c))
+                .expect("(b, c) is listed");
+            assert_eq!(gain.to_bits(), 0.0f64.to_bits());
+            assert!(
+                seed.iter().any(|&(_, _, gain)| gain != 0.0),
+                "other pairs meet"
+            );
+        }
+    }
+
+    #[test]
+    fn counted_seed_matches_pair_gain_on_bench_generators() {
+        use cspm_datasets::{dblp_like, dblp_trend_like, pokec_like, usflight_like, Scale};
+        let datasets = [
+            dblp_like(Scale::Small, 2022),
+            usflight_like(Scale::Small, 2022),
+            dblp_trend_like(Scale::Small, 2022),
+            pokec_like(Scale::Tiny, 2022),
+        ];
+        for d in &datasets {
+            for mode in MODES {
+                for policy in POLICIES {
+                    let db = InvertedDb::build(&d.graph, mode, policy);
+                    assert_counted_seed_is_exact(&db, &format!("{} {mode:?} {policy:?}", d.name));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counted_seed_reads_sparse_and_bitmap_rows_alike() {
+        use cspm_datasets::{planted_astars, PlantedConfig};
+        let (g, _) = planted_astars(
+            &[
+                (&["doctor"], &["flu", "fever"]),
+                (&["airport"], &["delay", "storm"]),
+            ],
+            PlantedConfig {
+                occurrences_per_pattern: 150,
+                background_vertices: 60,
+                background_attrs: 10,
+                noise_labels_per_vertex: 0.3,
+                seed: 19,
+            },
+        );
+        for policy in POLICIES {
+            let adaptive = InvertedDb::build_with_posting(
+                &g,
+                CoresetMode::SingleValue,
+                policy,
+                PostingPolicy::Adaptive,
+            );
+            assert!(
+                adaptive.posting_store().repr_stats().bitmap_rows > 0,
+                "fixture has no bitmap rows"
+            );
+            let sparse = InvertedDb::build_with_posting(
+                &g,
+                CoresetMode::SingleValue,
+                policy,
+                PostingPolicy::SparseOnly,
+            );
+            assert_eq!(sparse.posting_store().repr_stats().bitmap_rows, 0);
+            let bits = |seed: Vec<(LeafsetId, LeafsetId, f64)>| -> Vec<_> {
+                seed.into_iter()
+                    .map(|(x, y, g)| (x, y, g.to_bits()))
+                    .collect()
+            };
+            assert_eq!(
+                bits(assert_counted_seed_is_exact(&adaptive, "adaptive")),
+                bits(assert_counted_seed_is_exact(&sparse, "sparse only"))
+            );
+        }
+    }
+
+    /// A database patched through a run of churning deltas, and one
+    /// restored from its rows, are pristine and counted exactly.
+    #[test]
+    fn counted_seed_matches_pair_gain_after_churn_and_restore() {
+        use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
+        let mut g = cspm_datasets::dblp_like(cspm_datasets::Scale::Tiny, 7).graph;
+        for policy in POLICIES {
+            let mut db = InvertedDb::build(&g, CoresetMode::SingleValue, policy);
+            for step in 0..6u32 {
+                let n = g.vertex_count() as u32;
+                let mut delta = GraphDelta::new();
+                let w = delta.add_vertex(["churn", "ICML"]);
+                delta.add_edge(w, DeltaVertex::Existing((step * 7) % n));
+                delta.remove_edge((step * 5) % n, (step * 5 + 1) % n);
+                delta.remove_vertex((step * 11 + 3) % n);
+                let applied = delta.apply(&g).unwrap();
+                match db.apply_delta(&applied.graph, &applied.dirty_centers) {
+                    Ok(_) => {}
+                    Err(PatchError::VanishedAttribute(_)) => {
+                        db = InvertedDb::build(&applied.graph, CoresetMode::SingleValue, policy);
+                    }
+                    Err(e) => panic!("unexpected patch error: {e}"),
+                }
+                g = applied.graph;
+                assert_counted_seed_is_exact(&db, &format!("{policy:?} after delta {step}"));
+            }
+            let rows: Vec<(CoresetId, LeafsetId, Vec<VertexId>)> =
+                db.iter_rows().map(|(e, l, p)| (e, l, p.to_vec())).collect();
+            let restored = InvertedDb::from_pristine_rows(
+                &g,
+                policy,
+                rows.iter().map(|(e, l, p)| (*e, *l, p.as_slice())),
+            )
+            .unwrap();
+            assert_counted_seed_is_exact(&restored, &format!("{policy:?} restored"));
+        }
+    }
+
+    #[test]
+    fn only_a_pristine_database_is_counted() {
+        let (g, _) = paper_example();
+        let mut db = InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::Total);
+        assert!(db.seed_gains().is_some());
+        let (x, y) = db.sharing_pairs()[0];
+        db.merge(x, y);
+        assert!(db.seed_gains().is_none());
     }
 
     #[test]

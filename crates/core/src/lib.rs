@@ -18,8 +18,8 @@
 //! | Layer | Module | Role |
 //! |---|---|---|
 //! | storage | [`positions`] | sorted-slice set algebra + the flat [`PostingStore`] arena backing every row (read through `&self`, so scoring threads share it; `compact()` repacks a fragmented arena) |
-//! | database | [`InvertedDb`] | §IV-B rows over the arena, exact DL bookkeeping, the §IV-E merge, in-place graph-delta patching; [`InvertedDb::pair_gain`] is the one exact, read-only candidate score |
-//! | engine | [`engine`] | the greedy merge loop + [`CandidateScheduler`]; Algorithm 1 and Algorithm 3 are its two [`Variant`]s; candidate batches are scored across a scoped worker pool, deterministically at every thread count; a [`ProgressObserver`] rides along for per-merge callbacks and cancellation |
+//! | database | [`InvertedDb`] | §IV-B rows over the arena, exact DL bookkeeping, the §IV-E merge, in-place graph-delta patching; [`InvertedDb::pair_gain`] is the exact, read-only score of any candidate, and [`InvertedDb::seed_gains`] scores a pristine database's whole initial sweep by counting, to the same bits |
+//! | engine | [`engine`] | the greedy merge loop + [`CandidateScheduler`]; Algorithm 1 and Algorithm 3 are its two [`Variant`]s; candidate batches after the seed are scored across a scoped worker pool, deterministically at every thread count; a [`ProgressObserver`] rides along for per-merge callbacks and cancellation |
 //! | **sessions** | [`session`] | the primary API: a [`Miner`]-built [`MiningSession`] owns the database + arena across calls, absorbs [`GraphDelta`](cspm_graph::dynamic::GraphDelta)s incrementally, re-mines warm (bit-identically), and alone decides when to compact the arena, at two fixed triggers ([`MiningSession::COMPACT_ABOVE`], [`MiningSession::COMPACT_AFTER_RELEASES`]) |
 //! | one-shot | [`mine`] / [`mine_dynamic`] | single runs that retain no state |
 //!

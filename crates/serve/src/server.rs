@@ -402,6 +402,7 @@ struct PollFd {
 }
 
 const POLLIN: c_short = 0x1;
+const POLLHUP: c_short = 0x10;
 
 /// `nfds_t`: `unsigned long` on Linux, `unsigned int` on the BSDs.
 #[cfg(any(target_os = "linux", target_os = "android"))]
@@ -682,16 +683,16 @@ enum Dispatched {
     /// The response line for the caller to write (for `subscribe`, the
     /// terminal line after its progress events).
     Respond(String),
-    /// A `subscribe` client went away mid-stream: close the connection
-    /// without a terminal line.
+    /// The client went away mid-mine: close the connection without a
+    /// terminal line.
     Hangup,
 }
 
 /// Parses and executes one request line; `Ok` is the dispatch outcome,
 /// `Err` becomes a typed error line. Never panics on any input —
 /// connection threads have no one to report a panic to. The connection
-/// writer is passed through so `subscribe` can stream progress lines
-/// ahead of its terminal line.
+/// is passed through so `subscribe` can stream progress lines ahead of
+/// its terminal line, and so either mine op sees its client hang up.
 fn dispatch_on(
     shared: &Arc<Shared>,
     line: &str,
@@ -724,12 +725,12 @@ fn dispatch_on(
             session,
             deadline_ms,
             top,
-        } => do_mine(shared, &session, deadline_ms, top, None),
+        } => do_mine(shared, &session, deadline_ms, top, writer, false),
         Request::Subscribe {
             session,
             deadline_ms,
             top,
-        } => do_mine(shared, &session, deadline_ms, top, Some(writer)),
+        } => do_mine(shared, &session, deadline_ms, top, writer, true),
         Request::Stats { session } => do_stats(shared, session.as_deref()).map(Dispatched::Respond),
         Request::Metrics => Ok(Dispatched::Respond(do_metrics())),
         Request::Close { session } => do_close(shared, &session).map(Dispatched::Respond),
@@ -866,22 +867,25 @@ pub fn dl_bits(dl: f64) -> String {
     format!("{:016x}", dl.to_bits())
 }
 
-/// The observer of every mine: enforces the request deadline and, for
-/// `subscribe`, writes each accepted merge's progress line itself. A
-/// line the socket cannot take at once is dropped (counted in
-/// `cspm_serve_subscribe_dropped_total`): a slow reader loses whole
-/// lines, never merges. A failed write means the client is gone, so the
-/// run stops.
+/// The observer of every mine: enforces the request deadline, stops
+/// the run once the client is gone, and, for `subscribe`, writes each
+/// accepted merge's progress line itself. A line the socket cannot take
+/// at once is dropped (counted in `cspm_serve_subscribe_dropped_total`):
+/// a slow reader loses whole lines, never merges. A failed write means
+/// the subscriber is gone; a plain `mine` writes nothing while it runs,
+/// so it asks the socket once per merge instead ([`hung_up`]).
 struct MineObserver<'a> {
     deadline: Option<Instant>,
     hit: bool,
-    /// The subscriber's connection and session name: `Some` for
-    /// `subscribe`, `None` for `mine`.
-    progress: Option<(&'a UnixStream, &'a str)>,
+    /// The requesting client's connection.
+    conn: &'a UnixStream,
+    /// The session name for `subscribe`'s progress lines; `None` for a
+    /// plain `mine`.
+    subscribe: Option<&'a str>,
     /// Merges so far: the `iteration` of the latest progress line.
     merges: u64,
     dropped: u64,
-    /// A progress write failed: the subscriber hung up.
+    /// The client hung up.
     gone: bool,
 }
 
@@ -892,18 +896,38 @@ impl ProgressObserver for MineObserver<'_> {
             self.hit = true;
             return ControlFlow::Break(());
         }
-        if let Some((conn, name)) = self.progress {
-            match try_write_line(conn, &render_progress(name, self.merges, stat)) {
-                Ok(true) => {}
-                Ok(false) => self.dropped += 1,
-                Err(_) => {
-                    self.gone = true;
-                    return ControlFlow::Break(());
+        match self.subscribe {
+            Some(name) => {
+                match try_write_line(self.conn, &render_progress(name, self.merges, stat)) {
+                    Ok(true) => {}
+                    Ok(false) => self.dropped += 1,
+                    Err(_) => self.gone = true,
                 }
             }
+            None => self.gone = hung_up(self.conn),
         }
-        ControlFlow::Continue(())
+        if self.gone {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
     }
+}
+
+/// Whether the client has closed both halves of its connection, asked
+/// with one zero-timeout `poll(2)`. Linux reports `POLLHUP` on a Unix
+/// stream socket only then, so a client that shut down just its write
+/// half after sending its request still gets its answer.
+fn hung_up(conn: &UnixStream) -> bool {
+    let mut fd = PollFd {
+        fd: conn.as_raw_fd(),
+        events: 0,
+        revents: 0,
+    };
+    // SAFETY: one live, initialised `pollfd` whose descriptor stays
+    // open across the call.
+    let ready = unsafe { poll(&mut fd, 1, 0) };
+    ready > 0 && fd.revents & POLLHUP != 0
 }
 
 /// One progress event line: `{"ok":true,"op":"subscribe",
@@ -926,10 +950,10 @@ fn render_progress(name: &str, iteration: u64, stat: &IterationStat) -> String {
 }
 
 /// The `mine` and `subscribe` ops: one tenant mine on the request's own
-/// connection thread. `progress` is the subscriber's connection —
-/// `Some` writes one event line per accepted merge as the run goes,
-/// `None` (plain `mine`) streams nothing. Either way the terminal line
-/// (or typed error) is returned for the caller to write.
+/// connection thread. A `subscribe` (`stream`) writes one event line
+/// per accepted merge to `conn` as the run goes; a plain `mine` streams
+/// nothing. Either way the terminal line (or typed error) is returned
+/// for the caller to write, unless the client hung up mid-run.
 ///
 /// The mine slots bound mining CPU across all connections; a mine locks
 /// its tenant only once it holds a slot. Latency is measured from
@@ -941,9 +965,9 @@ fn do_mine(
     name: &str,
     deadline_ms: Option<u64>,
     top: Option<usize>,
-    progress: Option<&UnixStream>,
+    conn: &UnixStream,
+    stream: bool,
 ) -> Result<Dispatched, ProtoError> {
-    let stream = progress.is_some();
     let c = &shared.counters;
     c.bump(if stream { &c.subscribes } else { &c.mines });
     // Pins the tenant across the run *and* budget enforcement.
@@ -954,7 +978,8 @@ fn do_mine(
     let mut obs = MineObserver {
         deadline: deadline_ms.map(|ms| started + Duration::from_millis(ms)),
         hit: false,
-        progress: progress.map(|conn| (conn, name)),
+        conn,
+        subscribe: stream.then_some(name),
         merges: 0,
         dropped: 0,
         gone: false,

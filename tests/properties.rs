@@ -68,8 +68,52 @@ fn arb_graph() -> impl Strategy<Value = AttributedGraph> {
     })
 }
 
+/// The counted seed's oracle: it lists exactly `sharing_pairs` and
+/// scores every pair to the bit as `pair_gain` does.
+fn assert_counted_seed_is_exact(db: &InvertedDb, what: &str) {
+    let seed = db.seed_gains().expect("a pristine database is counted");
+    let pairs: Vec<_> = seed.iter().map(|&(x, y, _)| (x, y)).collect();
+    assert_eq!(pairs, db.sharing_pairs(), "{what}: pair list");
+    for (x, y, gain) in seed {
+        let oracle = db.pair_gain(x, y);
+        assert_eq!(
+            gain.to_bits(),
+            oracle.to_bits(),
+            "{what}: pair ({x}, {y}) counted {gain}, pair_gain {oracle}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The counted seed agrees with `pair_gain` to the bit on random
+    /// graphs, under both gain policies and all three coreset modes,
+    /// and on a database patched by a churning delta.
+    #[test]
+    fn counted_seed_matches_pair_gain(g in arb_graph(), seed in any::<u64>()) {
+        let n = g.vertex_count();
+        let mut s = Stream::new(seed);
+        let mut churn = GraphDelta::new();
+        let v = churn.add_vertex([format!("a{}", s.below(6))]);
+        churn.add_edge(v, DeltaVertex::Existing(s.below(n) as u32));
+        churn.add_label(s.below(n) as u32, format!("a{}", s.below(6)));
+        churn.remove_edge(s.below(n) as u32, s.below(n) as u32);
+        churn.remove_label(s.below(n) as u32, format!("a{}", s.below(6)));
+        churn.remove_vertex(s.below(n) as u32);
+        let churned = churn.apply(&g).ok();
+        for policy in [GainPolicy::Total, GainPolicy::DataOnly] {
+            for mode in [CoresetMode::SingleValue, CoresetMode::Krimp, CoresetMode::Slim] {
+                let db = InvertedDb::build(&g, mode, policy);
+                assert_counted_seed_is_exact(&db, &format!("{mode:?} {policy:?}"));
+            }
+            let Some(applied) = &churned else { continue };
+            let mut db = InvertedDb::build(&g, CoresetMode::SingleValue, policy);
+            if db.apply_delta(&applied.graph, &applied.dirty_centers).is_ok() {
+                assert_counted_seed_is_exact(&db, &format!("patched {policy:?}"));
+            }
+        }
+    }
 
     /// Every accepted merge strictly decreases the policy's objective:
     /// total DL under `Total`, the Eq. 8 data cost under `DataOnly` —

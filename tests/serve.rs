@@ -1,7 +1,8 @@
 //! End-to-end tests of `cspm serve` + `cspm client` as real processes:
 //! a live daemon, concurrent tenants driven through the client binary,
 //! DL digests asserted bit-identical to one-shot `cspm mine --json`,
-//! subscribers that stall or vanish, an acknowledged delta surviving
+//! subscribers that stall or vanish, a plain `mine` whose client
+//! vanishes or half-closes, an acknowledged delta surviving
 //! `kill -9`, and a clean SIGTERM shutdown (exit 0, no leaked socket
 //! file).
 //!
@@ -455,28 +456,7 @@ fn a_stalled_subscriber_gets_whole_lines_and_a_vanished_one_cancels_its_mine() {
     let dir = temp_dir("stalled");
     let daemon = Daemon::spawn(&dir.join("d.sock"), &[]);
     let sock = daemon.socket_str();
-    let graph = dir.join("g.txt");
-    let graph_str = graph.to_str().unwrap();
-    let (ok, _, err) = cspm(&[
-        "generate",
-        "dblp-trend",
-        graph_str,
-        "--scale",
-        "paper",
-        "--seed",
-        "2022",
-    ]);
-    assert!(ok, "generate: {err}");
-    let (ok, _, err) = cspm(&[
-        "client", "open", "dt", "--socket", sock, "--graph", graph_str,
-    ]);
-    assert!(ok, "open: {err}");
-    let (ok, resp, err) = cspm(&["client", "mine", "dt", "--socket", sock]);
-    assert!(ok, "mine: {err}");
-    let expected = json_at(&resp, &["final_dl_bits"]).expect("mine emits final_dl_bits");
-    let merges = json_at(&resp, &["merges"])
-        .and_then(|v| v.as_u64())
-        .expect("mine emits merges");
+    let (expected, merges) = open_paper_trend_tenant(&dir, sock);
 
     // Wait for the daemon to finish the mine before reading a byte.
     let wait_for_subscribes = |n: f64| {
@@ -534,6 +514,83 @@ fn a_stalled_subscriber_gets_whole_lines_and_a_vanished_one_cancels_its_mine() {
     let (ok, resp, err) = cspm(&["client", "mine", "dt", "--socket", sock]);
     assert!(ok, "mine after a cancelled subscribe: {err}");
     assert_eq!(json_at(&resp, &["final_dl_bits"]), Some(expected));
+
+    daemon.terminate();
+}
+
+/// Opens tenant `dt` on a paper-scale DBLP-Trend graph, whose mine is
+/// long enough to stop midway, and mines it once through the client.
+/// Returns that mine's `final_dl_bits` and merge count.
+fn open_paper_trend_tenant(dir: &Path, sock: &str) -> (Value, u64) {
+    let graph = dir.join("g.txt");
+    let graph_str = graph.to_str().unwrap();
+    let (ok, _, err) = cspm(&[
+        "generate",
+        "dblp-trend",
+        graph_str,
+        "--scale",
+        "paper",
+        "--seed",
+        "2022",
+    ]);
+    assert!(ok, "generate: {err}");
+    let (ok, _, err) = cspm(&[
+        "client", "open", "dt", "--socket", sock, "--graph", graph_str,
+    ]);
+    assert!(ok, "open: {err}");
+    let (ok, resp, err) = cspm(&["client", "mine", "dt", "--socket", sock]);
+    assert!(ok, "mine: {err}");
+    let expected = json_at(&resp, &["final_dl_bits"]).expect("mine emits final_dl_bits");
+    let merges = json_at(&resp, &["merges"])
+        .and_then(|v| v.as_u64())
+        .expect("mine emits merges");
+    (expected, merges)
+}
+
+/// A plain `mine` whose client hangs up is cancelled, where it would
+/// otherwise hold a mine slot to the end for an answer nobody reads. A
+/// client that only shuts down its write half after its request is
+/// still answered.
+#[test]
+fn a_vanished_mine_client_cancels_its_mine_and_a_half_closed_one_is_answered() {
+    let dir = temp_dir("vanished-mine");
+    let daemon = Daemon::spawn(&dir.join("d.sock"), &[]);
+    let sock = daemon.socket_str();
+    let (expected, merges) = open_paper_trend_tenant(&dir, sock);
+    assert_eq!(expected.as_str(), Some("41069deba983ca65"));
+    assert_eq!(merges, 571);
+
+    let wait_for_mines = |n: f64| {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while scrape(sock, "cspm_serve_request_seconds_count{op=\"mine\"}") != Some(n) {
+            assert!(Instant::now() < deadline, "mine {n} did not finish");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    };
+    let (cancelled, merged) = ("cspm_engine_cancelled_total", "cspm_engine_merges_total");
+    assert_eq!(scrape(sock, cancelled), Some(0.0));
+    let merged_before = scrape(sock, merged).expect("merges are scraped");
+    let request = b"{\"op\":\"mine\",\"session\":\"dt\"}\n";
+    let mut raw = UnixStream::connect(&daemon.socket).expect("raw connect");
+    raw.write_all(request).unwrap();
+    drop(raw);
+    wait_for_mines(2.0);
+    assert_eq!(scrape(sock, cancelled), Some(1.0), "the mine must stop");
+    let ran = scrape(sock, merged).expect("merges are scraped") - merged_before;
+    assert!(
+        ran < merges as f64,
+        "the abandoned mine ran {ran} of {merges} merges"
+    );
+
+    let mut raw = UnixStream::connect(&daemon.socket).expect("raw connect");
+    raw.write_all(request).unwrap();
+    raw.shutdown(Shutdown::Write).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut answer = String::new();
+    BufReader::new(&raw).read_line(&mut answer).unwrap();
+    assert_eq!(json_at(&answer, &["final_dl_bits"]), Some(expected));
+    assert_eq!(scrape(sock, cancelled), Some(1.0));
 
     daemon.terminate();
 }
