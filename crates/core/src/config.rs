@@ -48,8 +48,10 @@ pub struct CspmConfig {
     pub gain_policy: GainPolicy,
     /// Coreset formation mode.
     pub coreset_mode: CoresetMode,
-    /// Worker threads for candidate gain scoring (`0` = one per
-    /// available core, capped at [`CspmConfig::MAX_AUTO_THREADS`]).
+    /// Worker threads for the gain batches that fan out (`0` = one per
+    /// available core, capped at [`CspmConfig::MAX_AUTO_THREADS`]):
+    /// CSPM-Basic's regeneration sweeps and the seed of a database that
+    /// is not pristine. Every other score runs on the calling thread.
     /// Scoring is deterministic at every thread count: results are
     /// bit-identical to the sequential path.
     pub threads: usize,

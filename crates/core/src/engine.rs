@@ -33,28 +33,41 @@
 //!
 //! # Candidate scoring
 //!
-//! Between merges the database is immutable, and every candidate gain
-//! is a pure function of it ([`InvertedDb::pair_gain`], always exact).
-//! The initial sweep of a pristine database (Algorithm 1 line 5,
-//! Algorithm 3 lines 5–6) is scored by counting instead
-//! ([`InvertedDb::seed_gains`]): no leafset has been merged yet, so each
-//! pair's gain follows from co-occurrence counts, to the bit as
-//! `pair_gain` computes it. Every later batch — Algorithm 4's updates,
-//! Partial's revalidation on pop, and Algorithm 1's regeneration sweeps
-//! — goes through `pair_gain`, and the batches go through one routine
-//! that fans a batch out across a `std::thread::scope` worker pool once
-//! it reaches a per-variant size floor (Algorithm 1's sweeps need a far
-//! larger batch than Algorithm 4's updates to pay for the workers).
-//! Workers share the posting arena read-only (no row is cloned);
-//! batches are split into contiguous chunks and the per-pair gains
-//! reassembled in input order. Algorithm 1 then keeps the sweep's best
-//! pair, with gain ties broken towards the smallest candidate pair id.
-//! Mining output is therefore **bit-identical at every thread count**.
+//! Between merges the rows do not change, and every candidate gain is
+//! a pure function of them ([`InvertedDb::pair_gain`], always exact).
+//! Two paths score by counting instead, each to the bit as `pair_gain`
+//! computes it:
+//!
+//! * the initial sweep of a pristine database (Algorithm 1 line 5,
+//!   Algorithm 3 lines 5–6), by [`InvertedDb::seed_gains`]: no leafset
+//!   has been merged yet, so each pair's gain follows from
+//!   co-occurrence counts;
+//! * Algorithm 4's update batches, split into anchor groups that share
+//!   one leafset (the new leafset with `rdict[x] ∩ rdict[y]`, and each
+//!   partly merged parent with its partners). A group of at least
+//!   `COUNTED_GROUP_FLOOR` partners is scored by
+//!   [`InvertedDb::anchor_gains`], one sweep over the anchor's
+//!   positions through a `(coreset, center) → leafsets` index
+//!   ([`CenterIndex`](crate::CenterIndex)). The run builds that index
+//!   when the first such group comes, `merge` keeps it current, and the
+//!   run drops it before returning. Smaller groups go through
+//!   `pair_gain`, on the calling thread too.
+//!
+//! Partial's revalidation on pop goes through `pair_gain`, and so do
+//! Algorithm 1's regeneration sweeps and the seed of a database that is
+//! not pristine; those two batches fan out across a `std::thread::scope`
+//! worker pool once they reach `FANOUT_FLOOR` pairs. Workers share the
+//! posting arena read-only (no row is cloned); batches are split into
+//! contiguous chunks and the per-pair gains reassembled in input order.
+//! Algorithm 1 then keeps the sweep's best pair, with gain ties broken
+//! towards the smallest candidate pair id. Mining output is therefore
+//! **bit-identical at every thread count**.
 //!
 //! One knob on [`CspmConfig`] controls scheduling, and it tunes *speed*,
-//! never *what* is mined: [`CspmConfig::threads`], the scoring worker
-//! count (`0` = one per available core, capped at
-//! [`CspmConfig::MAX_AUTO_THREADS`]).
+//! never *what* is mined: [`CspmConfig::threads`], the worker count of
+//! those two fanned-out batches (`0` = one per available core, capped
+//! at [`CspmConfig::MAX_AUTO_THREADS`]). CSPM-Partial on a pristine
+//! database never reaches them, so it runs on one thread at any count.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
@@ -64,7 +77,7 @@ use std::time::Instant;
 use cspm_mdl::OrdF64;
 
 use crate::config::{CspmConfig, IterationStat, RunStats};
-use crate::inverted::{InvertedDb, LeafsetId};
+use crate::inverted::{InvertedDb, LeafsetId, MergeOutcome};
 use crate::model::MinedModel;
 
 /// Gains this close to zero are treated as "no improvement".
@@ -322,7 +335,6 @@ pub(crate) fn run_loop(
                 gain_evals += seed_pairs(&db, &mut scheduler, variant, threads);
             }
             Variant::Partial => {
-                let n = outcome.new_leafset;
                 // (1) Remove totally merged leafsets from the pool.
                 if outcome.x_removed {
                     scheduler.remove_leafset(x);
@@ -330,43 +342,10 @@ pub(crate) fn run_loop(
                 if outcome.y_removed {
                     scheduler.remove_leafset(y);
                 }
-                // Algorithm 4's remaining update rules form one batch of
-                // independent read-only scores against the post-merge
-                // database, evaluated across the worker pool and applied
-                // in sequential order (bit-identical to the serial path):
-                // (2) pairs of the new leafset with rdict[x] ∩ rdict[y],
-                // (3) re-scores of pairs involving a partly merged
-                // parent (frequencies only shrink; gains may flip
-                // negative). The two groups never overlap: group (2)
-                // partners exclude both parents, so neither group edits
-                // the other's rdict entries and the update set can be
-                // snapshotted up front.
-                let mut updates: Vec<(LeafsetId, LeafsetId)> = Vec::new();
-                for &rel in rel_x.intersection(&rel_y) {
-                    if rel == n || !db.is_live(rel) || !db.is_live(n) {
-                        continue;
-                    }
-                    updates.push((rel, n));
-                }
-                let fresh_pairs = updates.len();
-                for (parent, removed) in [(x, outcome.x_removed), (y, outcome.y_removed)] {
-                    if removed {
-                        continue;
-                    }
-                    for rel in scheduler.related(parent) {
-                        updates.push((parent, rel));
-                    }
-                }
-                gain_evals += updates.len() as u64;
-                let gains = score_pairs(&db, &updates, threads, PARTIAL_FANOUT_FLOOR);
-                for (i, (&(a, b), &gain)) in updates.iter().zip(&gains).enumerate() {
-                    if gain > GAIN_EPS {
-                        scheduler.upsert(a, b, gain);
-                    } else if i >= fresh_pairs {
-                        // Rule (3) drops influenced pairs that went
-                        // non-positive; rule (2) pairs were never stored.
-                        scheduler.remove_pair(a, b);
-                    }
+                for group in anchor_groups(&db, &scheduler, (x, y), &outcome, &rel_x, &rel_y) {
+                    gain_evals += group.partners.len() as u64;
+                    let gains = score_group(&mut db, &group);
+                    group.store(&mut scheduler, &gains);
                 }
             }
         }
@@ -376,6 +355,7 @@ pub(crate) fn run_loop(
         stats.iterations.push(stat);
     }
 
+    db.drop_center_index();
     stats.elapsed_secs = started.elapsed().as_secs_f64();
     stats.posting = db.posting_store().repr_stats();
     // The engine's single telemetry seam: once per run, never per merge.
@@ -451,12 +431,8 @@ fn seed_pairs(
     threads: usize,
 ) -> u64 {
     let scored = db.seed_gains().unwrap_or_else(|| {
-        let floor = match variant {
-            Variant::Basic => BASIC_FANOUT_FLOOR,
-            Variant::Partial => PARTIAL_FANOUT_FLOOR,
-        };
         let pairs = db.sharing_pairs();
-        let gains = score_pairs(db, &pairs, threads, floor);
+        let gains = score_pairs(db, &pairs, threads);
         pairs
             .into_iter()
             .zip(gains)
@@ -478,35 +454,125 @@ fn seed_pairs(
     scored.len() as u64
 }
 
-/// Fan-out floor for CSPM-Partial's scoring (every Algorithm 4 update
-/// batch, and the seed of a database that is not pristine): smaller
-/// batches are scored inline, where spawning workers costs more than
-/// the evaluations. The floor was set while the seed still fanned out,
-/// when a floor of 8,192 made the pokec-Small mine about 5% slower on a
-/// 2-core host; ROADMAP records the fan-out's worth on the update
-/// batches alone.
-const PARTIAL_FANOUT_FLOOR: usize = 64;
+/// One anchor group of an Algorithm 4 update batch: the pairs of
+/// `anchor` with each of `partners`.
+struct AnchorGroup {
+    anchor: LeafsetId,
+    partners: Vec<LeafsetId>,
+    /// Rule (3), a partly merged parent's stored pairs: scored as
+    /// `(anchor, partner)`, and dropped if no longer positive. Otherwise
+    /// rule (2), the new leafset's candidate pairs: scored as
+    /// `(partner, anchor)`, and stored only if positive.
+    rescore: bool,
+}
 
-/// Fan-out floor for CSPM-Basic's regeneration sweeps. On a 2-core host
-/// a floor of 64 made Basic 16–19% slower on DBLP-Small and
+impl AnchorGroup {
+    /// Applies the group's gains: positive pairs are stored, and rule
+    /// (3) drops pairs that went non-positive (rule (2) pairs were
+    /// never stored).
+    fn store(&self, scheduler: &mut CandidateScheduler, gains: &[f64]) {
+        for (&partner, &gain) in self.partners.iter().zip(gains) {
+            if gain > GAIN_EPS {
+                scheduler.upsert(self.anchor, partner, gain);
+            } else if self.rescore {
+                scheduler.remove_pair(self.anchor, partner);
+            }
+        }
+    }
+}
+
+/// Splits the update batch after merging `x` and `y` (Algorithm 4's
+/// rules (2) and (3)) into anchor groups that share one leafset:
+/// (2) the new leafset `n` with `rdict[x] ∩ rdict[y]` (`rel_x` and
+/// `rel_y`, captured before the merge), and (3) each partly merged
+/// parent with its current partners (frequencies only shrink, so gains
+/// may flip negative). The groups never overlap: rule (2)'s partners
+/// exclude both parents, so no group edits another's `rdict` entries,
+/// and every group can be listed before any is applied.
+fn anchor_groups(
+    db: &InvertedDb,
+    scheduler: &CandidateScheduler,
+    (x, y): (LeafsetId, LeafsetId),
+    outcome: &MergeOutcome,
+    rel_x: &BTreeSet<LeafsetId>,
+    rel_y: &BTreeSet<LeafsetId>,
+) -> Vec<AnchorGroup> {
+    let n = outcome.new_leafset;
+    let fresh = rel_x
+        .intersection(rel_y)
+        .copied()
+        .filter(|&rel| rel != n && db.is_live(rel) && db.is_live(n))
+        .collect();
+    let mut groups = vec![AnchorGroup {
+        anchor: n,
+        partners: fresh,
+        rescore: false,
+    }];
+    for (parent, removed) in [(x, outcome.x_removed), (y, outcome.y_removed)] {
+        if !removed {
+            groups.push(AnchorGroup {
+                anchor: parent,
+                partners: scheduler.related(parent).into_iter().collect(),
+                rescore: true,
+            });
+        }
+    }
+    groups
+}
+
+/// Smallest anchor group that is scored by counting. A counted sweep
+/// reads every center list along the anchor's rows, whatever the
+/// partner count, so it pays only where many partners share them: on
+/// pokec-Small 74 groups of at least 16 hold 9,919 of the 10,847
+/// update pairs, while paper-scale DBLP's hold 2.5 partners on average
+/// and its mine under the default pricing never builds the index.
+const COUNTED_GROUP_FLOOR: usize = 16;
+
+/// Scores one anchor group on the calling thread: by counting
+/// ([`InvertedDb::anchor_gains`], building the database's center index
+/// the first time) once it reaches [`COUNTED_GROUP_FLOOR`] partners,
+/// else pair by pair through [`InvertedDb::pair_gain`]. Both give the
+/// same bits.
+fn score_group(db: &mut InvertedDb, group: &AnchorGroup) -> Vec<f64> {
+    let AnchorGroup {
+        anchor,
+        ref partners,
+        rescore,
+    } = *group;
+    if partners.len() < COUNTED_GROUP_FLOOR {
+        return partners
+            .iter()
+            .map(|&p| {
+                if rescore {
+                    db.pair_gain(anchor, p)
+                } else {
+                    db.pair_gain(p, anchor)
+                }
+            })
+            .collect();
+    }
+    db.index_centers();
+    db.anchor_gains(anchor, partners, rescore)
+}
+
+/// Fan-out floor of [`score_pairs`]: smaller batches are scored inline,
+/// where spawning workers costs more than the evaluations. On a 2-core
+/// host a floor of 64 made Basic 16–19% slower on DBLP-Small and
 /// USFlight-Small.
-const BASIC_FANOUT_FLOOR: usize = 8_192;
+const FANOUT_FLOOR: usize = 8_192;
 
 /// Scores every pair against the current (immutable) database state,
-/// fanning out to scoped worker threads once the batch reaches `floor`
-/// pairs. Returns the exact per-pair gains in input order.
+/// fanning out to scoped worker threads once the batch reaches
+/// [`FANOUT_FLOOR`] pairs. Returns the exact per-pair gains in input
+/// order. Only Basic's regeneration sweeps and the seed of a database
+/// that is not pristine come here.
 ///
 /// Deterministic at every thread count: each gain is a pure function of
 /// the database, chunks are contiguous, and results are reassembled in
 /// input order — the output vector is bit-identical to the sequential
 /// path regardless of partitioning.
-fn score_pairs(
-    db: &InvertedDb,
-    pairs: &[(LeafsetId, LeafsetId)],
-    threads: usize,
-    floor: usize,
-) -> Vec<f64> {
-    if threads <= 1 || pairs.len() < floor {
+fn score_pairs(db: &InvertedDb, pairs: &[(LeafsetId, LeafsetId)], threads: usize) -> Vec<f64> {
+    if threads <= 1 || pairs.len() < FANOUT_FLOOR {
         return score_chunk(db, pairs);
     }
     let chunk = pairs.len().div_ceil(threads);
@@ -645,18 +711,252 @@ pub(crate) mod tests {
 
     #[test]
     fn score_pairs_is_identical_at_every_thread_count() {
-        let d = many_label_graph(240, 16);
+        let d = many_label_graph(1_200, 128);
         let db = InvertedDb::build(&d, CoresetMode::SingleValue, GainPolicy::Total);
         let pairs = db.sharing_pairs();
         assert!(
-            pairs.len() >= PARTIAL_FANOUT_FLOOR,
+            pairs.len() >= FANOUT_FLOOR,
             "need a batch large enough to fan out ({} pairs)",
             pairs.len()
         );
         let seq = score_chunk(&db, &pairs);
         for threads in [1, 2, 4, 8] {
-            let par = score_pairs(&db, &pairs, threads, PARTIAL_FANOUT_FLOOR);
+            let par = score_pairs(&db, &pairs, threads);
             assert_eq!(seq, par, "gains must be bit-identical at {threads} threads");
+        }
+    }
+
+    /// Replays a Partial run step for step as `run_loop` takes it, but
+    /// scores every anchor group by counting, whatever its size. After
+    /// each merge the center index must equal one rebuilt from the
+    /// rows, and every counted gain `pair_gain`'s to the bit. Returns
+    /// the replay's final DL bits, merges, gain evals and the largest
+    /// group it scored.
+    fn audited_partial_run(mut db: InvertedDb) -> (u64, usize, u64, usize) {
+        let mut stats = RunStats::default();
+        let mut scheduler = CandidateScheduler::default();
+        stats.total_gain_evals += seed_pairs(&db, &mut scheduler, Variant::Partial, 1);
+        db.index_centers();
+        let (mut merges, mut largest) = (0, 0);
+        while let Some((x, y, _, mut gain_evals)) =
+            pop_next_positive(&mut scheduler, &db, Variant::Partial, &mut stats)
+        {
+            let (rel_x, rel_y) = (scheduler.related(x), scheduler.related(y));
+            let outcome = db.merge(x, y);
+            merges += 1;
+            assert!(
+                db.center_index() == Some(&crate::CenterIndex::build(&db)),
+                "merge {merges}: the index differs from a rebuild"
+            );
+            if outcome.x_removed {
+                scheduler.remove_leafset(x);
+            }
+            if outcome.y_removed {
+                scheduler.remove_leafset(y);
+            }
+            for group in anchor_groups(&db, &scheduler, (x, y), &outcome, &rel_x, &rel_y) {
+                gain_evals += group.partners.len() as u64;
+                largest = largest.max(group.partners.len());
+                let gains = db.anchor_gains(group.anchor, &group.partners, group.rescore);
+                for (&p, gain) in group.partners.iter().zip(&gains) {
+                    let (a, b) = if group.rescore {
+                        (group.anchor, p)
+                    } else {
+                        (p, group.anchor)
+                    };
+                    let oracle = db.pair_gain(a, b);
+                    assert_eq!(
+                        gain.to_bits(),
+                        oracle.to_bits(),
+                        "merge {merges}: ({a}, {b}) counted {gain}, pair_gain {oracle}"
+                    );
+                }
+                group.store(&mut scheduler, &gains);
+            }
+            stats.total_gain_evals += gain_evals;
+        }
+        (
+            db.total_dl().to_bits(),
+            merges,
+            stats.total_gain_evals,
+            largest,
+        )
+    }
+
+    /// Audits the Partial run of each `(name, database)` and checks that
+    /// the replay is the real run: same digest, merges and evals, and
+    /// the real run hands its database back without an index. Returns
+    /// the largest group scored.
+    fn audit_partial_runs(dbs: impl IntoIterator<Item = (String, InvertedDb)>) -> usize {
+        let mut largest = 0;
+        for (name, db) in dbs {
+            assert!(db.is_pristine(), "{name}");
+            let mut session = crate::Miner::new().threads(1).build();
+            session.adopt_db(db.clone());
+            let real = session.run_detached().unwrap();
+            assert!(
+                real.db.center_index().is_none(),
+                "{name}: index left behind"
+            );
+            let (dl, merges, evals, group) = audited_partial_run(db);
+            assert_eq!(
+                (dl, merges, evals),
+                (
+                    real.final_dl.to_bits(),
+                    real.merges,
+                    real.stats.total_gain_evals
+                ),
+                "{name}: the replay left the real run's path"
+            );
+            largest = largest.max(group);
+        }
+        largest
+    }
+
+    const MODES: [CoresetMode; 3] = [
+        CoresetMode::SingleValue,
+        CoresetMode::Krimp,
+        CoresetMode::Slim,
+    ];
+    const POLICIES: [GainPolicy; 2] = [GainPolicy::Total, GainPolicy::DataOnly];
+
+    /// Every database of `graphs` under each coreset mode and gain policy.
+    fn databases<'a>(
+        graphs: &'a [(&'a str, cspm_graph::AttributedGraph)],
+    ) -> impl Iterator<Item = (String, InvertedDb)> + 'a {
+        graphs.iter().flat_map(|(name, g)| {
+            MODES.into_iter().flat_map(move |mode| {
+                POLICIES.into_iter().map(move |policy| {
+                    let db = InvertedDb::build(g, mode, policy);
+                    (format!("{name} {mode:?} {policy:?}"), db)
+                })
+            })
+        })
+    }
+
+    #[test]
+    fn counted_batches_match_pair_gain_on_fixtures() {
+        let graphs = [
+            ("paper example", paper_example().0),
+            ("many labels", many_label_graph(240, 32)),
+        ];
+        let largest = audit_partial_runs(databases(&graphs));
+        assert!(largest >= COUNTED_GROUP_FLOOR, "largest group {largest}");
+    }
+
+    #[test]
+    fn counted_batches_match_pair_gain_on_bench_generators() {
+        use cspm_datasets::{dblp_like, dblp_trend_like, pokec_like, usflight_like, Scale};
+        let graphs = [
+            dblp_like(Scale::Small, 2022),
+            usflight_like(Scale::Small, 2022),
+            dblp_trend_like(Scale::Small, 2022),
+            pokec_like(Scale::Tiny, 2022),
+        ]
+        .map(|d| (d.name, d.graph));
+        let largest = audit_partial_runs(databases(&graphs));
+        assert!(largest >= COUNTED_GROUP_FLOOR, "largest group {largest}");
+    }
+
+    #[test]
+    fn counted_batches_read_sparse_and_bitmap_rows_alike() {
+        use crate::PostingPolicy;
+        use cspm_datasets::{planted_astars, PlantedConfig};
+        let (g, _) = planted_astars(
+            &[
+                (&["doctor"], &["flu", "fever", "cough"]),
+                (&["airport"], &["delay", "storm", "queue"]),
+            ],
+            PlantedConfig {
+                occurrences_per_pattern: 150,
+                background_vertices: 60,
+                background_attrs: 10,
+                noise_labels_per_vertex: 0.3,
+                seed: 19,
+            },
+        );
+        let dbs = POLICIES.into_iter().flat_map(|policy| {
+            let g = &g;
+            [PostingPolicy::Adaptive, PostingPolicy::SparseOnly].map(move |posting| {
+                let db =
+                    InvertedDb::build_with_posting(g, CoresetMode::SingleValue, policy, posting);
+                let bitmaps = db.posting_store().repr_stats().bitmap_rows;
+                assert_eq!(
+                    bitmaps > 0,
+                    posting == PostingPolicy::Adaptive,
+                    "{posting:?}"
+                );
+                (format!("planted {policy:?} {posting:?}"), db)
+            })
+        });
+        audit_partial_runs(dbs);
+    }
+
+    /// A database with a leafset that shares coresets with at least
+    /// `partners` others, and that many of them.
+    fn anchor_with_partners(partners: usize) -> (InvertedDb, LeafsetId, Vec<LeafsetId>) {
+        let d = many_label_graph(240, 32);
+        let db = InvertedDb::build(&d, CoresetMode::SingleValue, GainPolicy::Total);
+        let pairs = db.sharing_pairs();
+        let anchor = pairs[0].0;
+        let related: Vec<LeafsetId> = pairs
+            .iter()
+            .filter(|&&(x, _)| x == anchor)
+            .map(|&(_, y)| y)
+            .take(partners)
+            .collect();
+        assert_eq!(related.len(), partners, "fixture too small");
+        (db, anchor, related)
+    }
+
+    #[test]
+    fn groups_below_the_floor_go_through_pair_gain() {
+        let (mut db, anchor, partners) = anchor_with_partners(COUNTED_GROUP_FLOOR - 1);
+        for rescore in [false, true] {
+            let group = AnchorGroup {
+                anchor,
+                partners: partners.clone(),
+                rescore,
+            };
+            let gains = score_group(&mut db, &group);
+            assert!(
+                db.center_index().is_none(),
+                "a group below the floor built the index"
+            );
+            for (&p, gain) in partners.iter().zip(&gains) {
+                let oracle = if rescore {
+                    db.pair_gain(anchor, p)
+                } else {
+                    db.pair_gain(p, anchor)
+                };
+                assert_eq!(gain.to_bits(), oracle.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn groups_at_the_floor_are_counted() {
+        let (mut db, anchor, partners) = anchor_with_partners(COUNTED_GROUP_FLOOR);
+        for rescore in [false, true] {
+            let group = AnchorGroup {
+                anchor,
+                partners: partners.clone(),
+                rescore,
+            };
+            let gains = score_group(&mut db, &group);
+            assert!(
+                db.center_index().is_some(),
+                "a group at the floor was not counted"
+            );
+            assert_eq!(gains, db.anchor_gains(anchor, &partners, rescore));
+            for (&p, gain) in partners.iter().zip(&gains) {
+                let oracle = if rescore {
+                    db.pair_gain(anchor, p)
+                } else {
+                    db.pair_gain(p, anchor)
+                };
+                assert_eq!(gain.to_bits(), oracle.to_bits());
+            }
         }
     }
 

@@ -30,7 +30,7 @@ use cspm_itemset::{krimp, slim, KrimpConfig, TransactionDb};
 use cspm_mdl::{xlog2x, StandardCodeTable};
 
 use crate::config::{CoresetMode, GainPolicy};
-use crate::positions::{PostingPolicy, PostingStore, RowId};
+use crate::positions::{gallop_to, PostingPolicy, PostingStore, RowId};
 
 /// Index into the coreset registry.
 pub type CoresetId = u32;
@@ -90,6 +90,9 @@ pub struct InvertedDb {
     /// Whether the database is still in its post-build state (no merge
     /// applied). Only pristine databases can absorb graph deltas.
     pristine: bool,
+    /// The rows indexed by `(coreset, center)`, while a merge loop
+    /// scores update batches by counting (see [`Self::index_centers`]).
+    center_index: Option<CenterIndex>,
     // --- DL bookkeeping ---
     term1: f64,
     term2: f64,
@@ -271,6 +274,7 @@ impl InvertedDb {
             live_leafsets: 0,
             mode,
             pristine: true,
+            center_index: None,
             term1: 0.0,
             term2: 0.0,
             material_cost: 0.0,
@@ -437,6 +441,8 @@ impl InvertedDb {
             return Err(PatchError::EmptyAttribute(a));
         }
         let mut stats = PatchStats::default();
+        // The patch edits rows behind the index's back.
+        self.center_index = None;
 
         // Attribute frequencies changed globally, so the standard code
         // table — and with it every coreset's CT_c code — must be
@@ -593,6 +599,7 @@ impl InvertedDb {
             live_leafsets: 0,
             mode: CoresetMode::SingleValue,
             pristine: true,
+            center_index: None,
             term1: 0.0,
             term2: 0.0,
             material_cost: 0.0,
@@ -863,14 +870,16 @@ impl InvertedDb {
     /// and accepted merges are guaranteed to decrease the DL.
     ///
     /// Returns 0 for nested pairs and for pairs that never co-occur.
-    /// The engine scores every candidate after the seed through this
-    /// function: Algorithm 4's updates, Partial's revalidation on pop,
-    /// Basic's regeneration sweeps, and the seed of a database that is
-    /// not pristine. A pristine database's seed is counted by
-    /// [`Self::seed_gains`], which this function checks bit for bit in
-    /// the tests. Scoring only reads the database, so the engine's
-    /// fan-out shares one `&InvertedDb` across its scoped worker
-    /// threads between merges.
+    /// This is the oracle of the two counted paths, which the tests
+    /// check against it bit for bit: [`Self::seed_gains`] scores a
+    /// pristine database's seed, and [`Self::anchor_gains`] the large
+    /// anchor groups of Algorithm 4's update batches. Everything else
+    /// goes through this function: Partial's revalidation on pop, the
+    /// update groups below the engine's counting floor, pairs whose
+    /// union leafset already exists, Basic's regeneration sweeps, and
+    /// the seed of a database that is not pristine. Scoring only reads
+    /// the database, so the engine's fan-out shares one `&InvertedDb`
+    /// across its scoped worker threads between merges.
     pub fn pair_gain(&self, x: LeafsetId, y: LeafsetId) -> f64 {
         if x == y || self.is_nested_pair(x, y) {
             return 0.0;
@@ -957,7 +966,8 @@ impl InvertedDb {
     /// Merges leafsets `x` and `y` (§IV-E): at every shared coreset the
     /// common positions move to a row for `x ∪ y`; empty parents are
     /// dropped. All DL bookkeeping is updated **exactly** (including the
-    /// rare case where the union row already exists).
+    /// rare case where the union row already exists), and so is the
+    /// center index, if one is built.
     pub fn merge(&mut self, x: LeafsetId, y: LeafsetId) -> MergeOutcome {
         assert_ne!(x, y, "cannot merge a leafset with itself");
         self.pristine = false;
@@ -1037,6 +1047,9 @@ impl InvertedDb {
             }
             self.term1 += xlog2x(fe as f64);
             self.coreset_freq[e as usize] = fe;
+            if let Some(index) = &mut self.center_index {
+                index.move_centers(e, &common, [x, y], n);
+            }
         }
         self.scratch_common = common;
         MergeOutcome {
@@ -1110,7 +1123,11 @@ impl InvertedDb {
     /// vertex → center-rank map, per-leafset counters reset through a
     /// touched list, one accumulator beside each pair (found by binary
     /// search among `x`'s pairs), and the current coreset's center →
-    /// leafsets lists. Nothing is L × L.
+    /// leafsets lists. Nothing is L × L. Those lists, held for every
+    /// coreset at once and kept current by [`Self::merge`], are the
+    /// [`CenterIndex`] that [`Self::anchor_gains`] sweeps; the seed
+    /// holds one coreset's lists at a time instead, so a run that never
+    /// counts an update group never holds the whole index.
     pub fn seed_gains(&self) -> Option<Vec<(LeafsetId, LeafsetId, f64)>> {
         if !self.pristine {
             return None;
@@ -1118,10 +1135,10 @@ impl InvertedDb {
         const UNRANKED: u32 = u32::MAX;
         // Each pair with its running sums; `acc[first[x]..first[x + 1]]`
         // holds x's pairs, by ascending partner.
-        let mut acc: Vec<(LeafsetId, LeafsetId, SeedTerms)> = self
+        let mut acc: Vec<(LeafsetId, LeafsetId, PairTerms)> = self
             .sharing_pairs()
             .into_iter()
-            .map(|(x, y)| (x, y, SeedTerms::default()))
+            .map(|(x, y)| (x, y, PairTerms::default()))
             .collect();
         let leafsets = self.leafsets.len();
         let mut first = vec![0usize; leafsets + 1];
@@ -1232,21 +1249,12 @@ impl InvertedDb {
                         .expect("leafsets that meet on a center share a coreset");
                     let t = &mut x_pairs[i].2;
                     let ye = row_len[y as usize];
-                    // `pair_gain`'s terms for a fresh union row (`grown == xy`).
-                    t.p1 += xlog2x(fe) - xlog2x(fe - 2.0 * xy + xy);
-                    t.p2 +=
-                        xlog2x(xe) + xlog2x(ye) - (xlog2x(xe - xy) + xlog2x(ye - xy) + xlog2x(xy));
+                    t.add_data(fe, xe, ye, xy, xlog2x);
                     if total {
                         // `x` and `y` are single values, so `set_cost` of
                         // `x ∪ y` adds the two code lengths `st_cost` holds.
-                        let union_cost = st_cost[x as usize] + st_cost[y as usize];
-                        t.model_delta += union_cost + code_e;
-                        if xy == xe {
-                            t.model_delta -= st_cost[x as usize] + code_e;
-                        }
-                        if xy == ye {
-                            t.model_delta -= st_cost[y as usize] + code_e;
-                        }
+                        let (st_x, st_y) = (st_cost[x as usize], st_cost[y as usize]);
+                        t.add_model(code_e, st_x + st_y, (xe, st_x), (ye, st_y), xy);
                     }
                 }
             }
@@ -1255,26 +1263,362 @@ impl InvertedDb {
             }
         }
 
-        // A pair that meets on no center keeps its three zeros and scores
-        // +0.0, the `0.0` that `pair_gain` returns for it.
-        let gain = |t: &SeedTerms| {
-            let data_gain = t.p1 - t.p2;
-            match self.gain_policy {
-                GainPolicy::DataOnly => data_gain,
-                GainPolicy::Total => data_gain - t.model_delta,
+        Some(
+            acc.into_iter()
+                .map(|(x, y, t)| (x, y, t.gain(self.gain_policy)))
+                .collect(),
+        )
+    }
+
+    /// Builds the [`CenterIndex`] of the current rows, unless one is
+    /// already built. [`Self::merge`] keeps it current from then on and
+    /// [`Self::apply_delta`] drops it.
+    ///
+    /// The index serves a merge loop: the engine builds it when the
+    /// first update group is large enough to be counted, and drops it
+    /// before handing the database back. It costs one `u32` per posting
+    /// plus two per `(coreset, center)`, and [`Self::approx_bytes`]
+    /// does not count it.
+    pub fn index_centers(&mut self) {
+        if self.center_index.is_none() {
+            self.center_index = Some(CenterIndex::build(self));
+        }
+    }
+
+    /// The center index, if built (see [`Self::index_centers`]).
+    pub fn center_index(&self) -> Option<&CenterIndex> {
+        self.center_index.as_ref()
+    }
+
+    /// Drops the center index, if built.
+    pub fn drop_center_index(&mut self) {
+        self.center_index = None;
+    }
+
+    /// One anchor group of Algorithm 4's update batch, scored by
+    /// counting: the gain of `(anchor, p)` for each partner `p` if
+    /// `anchor_first`, else of `(p, anchor)`, in partner order, each
+    /// equal to the bit to [`Self::pair_gain`]'s with those operands.
+    /// Partners must be distinct.
+    ///
+    /// One sweep counts the anchor's overlap with every partner at
+    /// once: for each coreset of the anchor, in ascending order, every
+    /// center of its row looks up the leafsets whose row there holds
+    /// it, and each partner met there gets that coreset's Eq. 10–15
+    /// terms with `pair_gain`'s expressions. A pair thus sums its terms
+    /// in `pair_gain`'s order. The counts suffice wherever no `x ∪ y`
+    /// row exists yet; a pair whose union leafset already exists (the
+    /// collision path) is scored by `pair_gain` itself, and a nested
+    /// pair scores `0.0` as there.
+    ///
+    /// # Panics
+    ///
+    /// Without a center index (see [`Self::index_centers`]).
+    pub fn anchor_gains(
+        &self,
+        anchor: LeafsetId,
+        partners: &[LeafsetId],
+        anchor_first: bool,
+    ) -> Vec<f64> {
+        let index = self
+            .center_index
+            .as_ref()
+            .expect("anchor_gains needs a center index");
+        let total = self.gain_policy == GainPolicy::Total;
+        let mut gains = vec![0.0; partners.len()];
+        // `pair_of[l]`: the position in `partners` of leafset `l` if its
+        // pair is counted, else `uncounted`, a counter nothing reads.
+        let uncounted = partners.len() as u32;
+        let mut pair_of = vec![uncounted; self.leafsets.len()];
+        // Per counted pair under Total: the union's and the partner's
+        // standard-code-table costs.
+        let mut st_costs = vec![(0.0, 0.0); partners.len()];
+        for (i, &p) in partners.iter().enumerate() {
+            let (x, y) = if anchor_first {
+                (anchor, p)
+            } else {
+                (p, anchor)
+            };
+            if x == y || self.is_nested_pair(x, y) {
+                continue;
             }
+            let items = union_items(&self.leafsets[x as usize], &self.leafsets[y as usize]);
+            if self.leafset_index.contains_key(&items) {
+                gains[i] = self.pair_gain(x, y);
+                continue;
+            }
+            debug_assert_eq!(
+                pair_of[p as usize], uncounted,
+                "partner {p} is listed twice"
+            );
+            pair_of[p as usize] = i as u32;
+            if total {
+                let union_cost = self.st.set_cost(items.iter().map(|&a| a as usize));
+                st_costs[i] = (union_cost, self.leafset_st_cost(p));
+            }
+        }
+        let st_anchor = if total {
+            self.leafset_st_cost(anchor)
+        } else {
+            0.0
         };
-        Some(acc.into_iter().map(|(x, y, t)| (x, y, gain(&t))).collect())
+
+        let mut terms = vec![PairTerms::default(); partners.len()];
+        let mut count = vec![0u32; partners.len() + 1];
+        for &e in &self.leafset_coresets[anchor as usize] {
+            let rows = &self.rows[e as usize];
+            let row = rows[&anchor];
+            let (first, centers) = index.centers(e);
+            let mut c = 0;
+            for &v in self.store.positions(row).iter() {
+                c = gallop_to(centers, v, c);
+                debug_assert_eq!(centers.get(c), Some(&v), "index out of date");
+                for &l in index.leafsets_at(first + c) {
+                    count[pair_of[l as usize] as usize] += 1;
+                }
+            }
+            let fe = self.coreset_freq[e as usize] as f64;
+            let code_e = self.coresets[e as usize].code_len;
+            let anchor_len = self.store.len(row) as f64;
+            for (i, &p) in partners.iter().enumerate() {
+                let xy = std::mem::take(&mut count[i]);
+                if xy == 0 {
+                    continue;
+                }
+                let xy = xy as f64;
+                let (union_cost, st_partner) = st_costs[i];
+                let partner = (self.store.len(rows[&p]) as f64, st_partner);
+                let anchor = (anchor_len, st_anchor);
+                let (x, y) = if anchor_first {
+                    (anchor, partner)
+                } else {
+                    (partner, anchor)
+                };
+                terms[i].add_data(fe, x.0, y.0, xy, |k| index.xlog2x(k));
+                if total {
+                    terms[i].add_model(code_e, union_cost, x, y, xy);
+                }
+            }
+        }
+        for (i, &p) in partners.iter().enumerate() {
+            if pair_of[p as usize] == i as u32 {
+                gains[i] = terms[i].gain(self.gain_policy);
+            }
+        }
+        gains
     }
 }
 
-/// One seed pair's running sums in [`InvertedDb::seed_gains`], named as
-/// in [`InvertedDb::pair_gain`].
+/// One pair's running sums in the counted paths
+/// ([`InvertedDb::seed_gains`], [`InvertedDb::anchor_gains`]), named as
+/// in [`InvertedDb::pair_gain`]. A pair that meets on no center keeps
+/// its three zeros and scores +0.0, the `0.0` that `pair_gain` returns
+/// for it.
 #[derive(Debug, Clone, Copy, Default)]
-struct SeedTerms {
+struct PairTerms {
     p1: f64,
     p2: f64,
     model_delta: f64,
+}
+
+impl PairTerms {
+    /// Adds one coreset's Eq. 10 and Eq. 12–15 terms for a pair `(x, y)`
+    /// that meets on `xy` of its centers, where no `x ∪ y` row exists
+    /// (so `grown == xy`): `pair_gain`'s expressions, `xe` and `ye`
+    /// being the two rows' lengths and `fe` the coreset's frequency.
+    /// `xlog` is [`xlog2x`] or a table of its values.
+    fn add_data(&mut self, fe: f64, xe: f64, ye: f64, xy: f64, xlog: impl Fn(f64) -> f64) {
+        self.p1 += xlog(fe) - xlog(fe - 2.0 * xy + xy);
+        self.p2 += xlog(xe) + xlog(ye) - (xlog(xe - xy) + xlog(ye - xy) + xlog(xy));
+    }
+
+    /// The same coreset's model-cost terms under [`GainPolicy::Total`]:
+    /// a fresh union row of cost `union_cost` appears, and a parent
+    /// row, given as `(length, leafset ST cost)`, vanishes when the
+    /// pair meets on all of it — `x`'s before `y`'s, as in `pair_gain`.
+    fn add_model(&mut self, code_e: f64, union_cost: f64, x: (f64, f64), y: (f64, f64), xy: f64) {
+        self.model_delta += union_cost + code_e;
+        if xy == x.0 {
+            self.model_delta -= x.1 + code_e;
+        }
+        if xy == y.0 {
+            self.model_delta -= y.1 + code_e;
+        }
+    }
+
+    fn gain(&self, policy: GainPolicy) -> f64 {
+        let data_gain = self.p1 - self.p2;
+        match policy {
+            GainPolicy::DataOnly => data_gain,
+            GainPolicy::Total => data_gain - self.model_delta,
+        }
+    }
+}
+
+/// The rows indexed a second way, `(coreset, center) → leafsets`: for
+/// each center that a row of a coreset holds, the leafsets whose row
+/// there holds it. [`InvertedDb::anchor_gains`] sweeps it to count one
+/// leafset's overlap with many partners at once.
+///
+/// Built from the rows by [`InvertedDb::index_centers`] and kept current
+/// by [`InvertedDb::merge`]: at each center a merge moves, `x` and `y`
+/// go out and `x ∪ y` comes in unless it is there already. So a list
+/// never grows and never empties, and it stays in the slots it was
+/// built with. Equality compares what each list holds, in any order
+/// and with any slack.
+#[derive(Debug, Clone)]
+pub struct CenterIndex {
+    /// `first[e]..first[e + 1]`: coreset `e`'s centers, as positions in
+    /// `centers`, `start` and `len`.
+    first: Vec<u32>,
+    /// Each coreset's centers, ascending.
+    centers: Vec<VertexId>,
+    /// `start[c]..start[c + 1]`: center `c`'s slots.
+    start: Vec<u32>,
+    /// How many of center `c`'s slots hold leafsets.
+    len: Vec<u32>,
+    /// Each center's leafsets, then its vacated slots.
+    slots: Vec<LeafsetId>,
+    /// `xlog2x(k)` for every `k` up to the longest row at the build,
+    /// which bounds the lengths and overlaps a merge loop meets: parent
+    /// rows only shrink, and a union row holds a parent's positions.
+    xlog: Vec<f64>,
+}
+
+impl CenterIndex {
+    /// Indexes `db`'s current rows.
+    pub fn build(db: &InvertedDb) -> Self {
+        let offset = |n: usize| u32::try_from(n).expect("the center index fits u32 offsets");
+        let bound = db.coresets.iter().map(|c| c.positions.len()).sum();
+        let mut first = Vec::with_capacity(db.rows.len() + 1);
+        let mut centers: Vec<VertexId> = Vec::with_capacity(bound);
+        let mut start = Vec::with_capacity(bound + 1);
+        let mut len = Vec::with_capacity(bound);
+        let mut slots = Vec::with_capacity(db.store.live_len());
+        // Per vertex: how many rows of the current coreset hold it, then
+        // its next free slot; zero again after each coreset.
+        let mut cursor: Vec<u32> = Vec::new();
+        let mut members: Vec<(LeafsetId, RowId)> = Vec::new();
+        let mut longest = 0;
+        for rows in &db.rows {
+            first.push(offset(centers.len()));
+            let from = centers.len();
+            members.clear();
+            members.extend(rows.iter().map(|(&l, &r)| (l, r)));
+            members.sort_unstable_by_key(|&(l, _)| l);
+            for &(_, r) in &members {
+                longest = longest.max(db.store.len(r));
+                for &v in db.store.positions(r).iter() {
+                    let v = v as usize;
+                    if v >= cursor.len() {
+                        cursor.resize(v + 1, 0);
+                    }
+                    if cursor[v] == 0 {
+                        centers.push(v as VertexId);
+                    }
+                    cursor[v] += 1;
+                }
+            }
+            centers[from..].sort_unstable();
+            for &v in &centers[from..] {
+                let rows_here = cursor[v as usize];
+                start.push(offset(slots.len()));
+                len.push(rows_here);
+                cursor[v as usize] = offset(slots.len());
+                slots.resize(slots.len() + rows_here as usize, 0);
+            }
+            for &(l, r) in &members {
+                for &v in db.store.positions(r).iter() {
+                    let next = &mut cursor[v as usize];
+                    slots[*next as usize] = l;
+                    *next += 1;
+                }
+            }
+            for &v in &centers[from..] {
+                cursor[v as usize] = 0;
+            }
+        }
+        first.push(offset(centers.len()));
+        start.push(offset(slots.len()));
+        Self {
+            first,
+            centers,
+            start,
+            len,
+            slots,
+            xlog: (0..=longest).map(|k| xlog2x(k as f64)).collect(),
+        }
+    }
+
+    /// [`xlog2x`] of a count, by table where it reaches.
+    fn xlog2x(&self, k: f64) -> f64 {
+        self.xlog
+            .get(k as usize)
+            .copied()
+            .unwrap_or_else(|| xlog2x(k))
+    }
+
+    /// Coreset `e`'s centers, ascending, with the position of the first.
+    fn centers(&self, e: CoresetId) -> (usize, &[VertexId]) {
+        let (lo, hi) = (self.first[e as usize], self.first[e as usize + 1]);
+        (lo as usize, &self.centers[lo as usize..hi as usize])
+    }
+
+    /// The leafsets at center `c` (a position in `centers`).
+    fn leafsets_at(&self, c: usize) -> &[LeafsetId] {
+        let from = self.start[c] as usize;
+        &self.slots[from..from + self.len[c] as usize]
+    }
+
+    /// Records a merge at coreset `e`: at each center of `moved`
+    /// (sorted), both `parents` go out and `n` comes in, once.
+    fn move_centers(
+        &mut self,
+        e: CoresetId,
+        moved: &[VertexId],
+        parents: [LeafsetId; 2],
+        n: LeafsetId,
+    ) {
+        let (first, hi) = (
+            self.first[e as usize] as usize,
+            self.first[e as usize + 1] as usize,
+        );
+        let mut c = 0;
+        for &v in moved {
+            c = gallop_to(&self.centers[first..hi], v, c);
+            debug_assert_eq!(self.centers.get(first + c), Some(&v), "index out of date");
+            let at = first + c;
+            let from = self.start[at] as usize;
+            let list = &mut self.slots[from..from + self.len[at] as usize];
+            let (mut kept, mut has_n) = (0, false);
+            for i in 0..list.len() {
+                let l = list[i];
+                if !parents.contains(&l) {
+                    has_n |= l == n;
+                    list[kept] = l;
+                    kept += 1;
+                }
+            }
+            if !has_n {
+                list[kept] = n;
+                kept += 1;
+            }
+            self.len[at] = kept as u32;
+        }
+    }
+}
+
+impl PartialEq for CenterIndex {
+    fn eq(&self, other: &Self) -> bool {
+        let sorted = |index: &Self, c: usize| {
+            let mut ls = index.leafsets_at(c).to_vec();
+            ls.sort_unstable();
+            ls
+        };
+        self.first == other.first
+            && self.centers == other.centers
+            && (0..self.centers.len()).all(|c| sorted(self, c) == sorted(other, c))
+    }
 }
 
 /// Two-pointer intersection of two sorted coreset-id lists.
@@ -2013,6 +2357,91 @@ mod tests {
             )
             .unwrap();
             assert_counted_seed_is_exact(&restored, &format!("{policy:?} restored"));
+        }
+    }
+
+    /// A database after merging a pair that both parents survive, with
+    /// its center index: `(db, x, y, n)` for the merged `x`, `y` and
+    /// their union `n`.
+    fn partly_merged(policy: GainPolicy) -> (InvertedDb, LeafsetId, LeafsetId, LeafsetId) {
+        let g = crate::engine::tests::many_label_graph(240, 32);
+        let mut db = InvertedDb::build(&g, CoresetMode::SingleValue, policy);
+        for (x, y) in db.sharing_pairs() {
+            let mut merged = db.clone();
+            let out = merged.merge(x, y);
+            if out.merged_any && !out.x_removed && !out.y_removed {
+                db = merged;
+                db.index_centers();
+                return (db, x, y, out.new_leafset);
+            }
+        }
+        panic!("no pair leaves both parents alive");
+    }
+
+    /// Scores `anchor` against `partners` both ways round and checks
+    /// every counted gain against `pair_gain`; returns the gains of
+    /// `(anchor, partner)`.
+    fn assert_anchor_gains_are_exact(
+        db: &InvertedDb,
+        anchor: LeafsetId,
+        partners: &[LeafsetId],
+    ) -> Vec<f64> {
+        for anchor_first in [true, false] {
+            let gains = db.anchor_gains(anchor, partners, anchor_first);
+            for (&p, gain) in partners.iter().zip(&gains) {
+                let (x, y) = if anchor_first {
+                    (anchor, p)
+                } else {
+                    (p, anchor)
+                };
+                let oracle = db.pair_gain(x, y);
+                assert_eq!(
+                    gain.to_bits(),
+                    oracle.to_bits(),
+                    "({x}, {y}) counted {gain}, pair_gain {oracle}"
+                );
+            }
+        }
+        db.anchor_gains(anchor, partners, true)
+    }
+
+    /// Re-scoring `(x, y)` after their merge: their union leafset `n`
+    /// exists, so the pair takes `pair_gain`'s collision path. Merges
+    /// keep every center's leafsets disjoint, so `x` and `y` no longer
+    /// meet anywhere and the pair scores 0 either way.
+    #[test]
+    fn a_partner_whose_union_exists_is_scored_by_pair_gain() {
+        for policy in POLICIES {
+            let (db, x, y, n) = partly_merged(policy);
+            assert!(db.is_live(x) && db.is_live(y) && db.is_live(n));
+            assert_eq!(
+                db.leafset_items(n),
+                union_items(db.leafset_items(x), db.leafset_items(y))
+            );
+            let partners: Vec<LeafsetId> =
+                db.live_leafsets().into_iter().filter(|&l| l != x).collect();
+            let gains = assert_anchor_gains_are_exact(&db, x, &partners);
+            let at_y = partners.iter().position(|&p| p == y).unwrap();
+            assert_eq!(gains[at_y].to_bits(), 0.0f64.to_bits());
+            assert!(gains.iter().any(|&g| g != 0.0), "other partners meet x");
+        }
+    }
+
+    /// A partner nested in the anchor (a parent of the new leafset)
+    /// scores `pair_gain`'s 0, and the rest of its group is counted.
+    #[test]
+    fn a_nested_partner_scores_zero() {
+        for policy in POLICIES {
+            let (db, x, y, n) = partly_merged(policy);
+            assert!(db.is_nested_pair(n, x) && db.is_nested_pair(n, y));
+            let partners: Vec<LeafsetId> =
+                db.live_leafsets().into_iter().filter(|&l| l != n).collect();
+            let gains = assert_anchor_gains_are_exact(&db, n, &partners);
+            for parent in [x, y] {
+                let at = partners.iter().position(|&p| p == parent).unwrap();
+                assert_eq!(gains[at].to_bits(), 0.0f64.to_bits());
+            }
+            assert!(gains.iter().any(|&g| g != 0.0), "other partners meet n");
         }
     }
 

@@ -18,14 +18,14 @@
 //! | Layer | Module | Role |
 //! |---|---|---|
 //! | storage | [`positions`] | sorted-slice set algebra + the flat [`PostingStore`] arena backing every row (read through `&self`, so scoring threads share it; `compact()` repacks a fragmented arena) |
-//! | database | [`InvertedDb`] | §IV-B rows over the arena, exact DL bookkeeping, the §IV-E merge, in-place graph-delta patching; [`InvertedDb::pair_gain`] is the exact, read-only score of any candidate, and [`InvertedDb::seed_gains`] scores a pristine database's whole initial sweep by counting, to the same bits |
-//! | engine | [`engine`] | the greedy merge loop + [`CandidateScheduler`]; Algorithm 1 and Algorithm 3 are its two [`Variant`]s; candidate batches after the seed are scored across a scoped worker pool, deterministically at every thread count; a [`ProgressObserver`] rides along for per-merge callbacks and cancellation |
+//! | database | [`InvertedDb`] | §IV-B rows over the arena, exact DL bookkeeping, the §IV-E merge, in-place graph-delta patching; [`InvertedDb::pair_gain`] is the exact, read-only score of any candidate, and two counted paths reach the same bits: [`InvertedDb::seed_gains`] scores a pristine database's whole initial sweep, and [`InvertedDb::anchor_gains`] one leafset against many partners through a [`CenterIndex`] that the merge keeps current |
+//! | engine | [`engine`] | the greedy merge loop + [`CandidateScheduler`]; Algorithm 1 and Algorithm 3 are its two [`Variant`]s; Algorithm 4's update batches are scored in anchor groups, counted once large enough, and Basic's sweeps across a scoped worker pool, deterministically at every thread count; a [`ProgressObserver`] rides along for per-merge callbacks and cancellation |
 //! | **sessions** | [`session`] | the primary API: a [`Miner`]-built [`MiningSession`] owns the database + arena across calls, absorbs [`GraphDelta`](cspm_graph::dynamic::GraphDelta)s incrementally, re-mines warm (bit-identically), and alone decides when to compact the arena, at two fixed triggers ([`MiningSession::COMPACT_ABOVE`], [`MiningSession::COMPACT_AFTER_RELEASES`]) |
 //! | one-shot | [`mine`] / [`mine_dynamic`] | single runs that retain no state |
 //!
-//! Scheduling is tuned by one [`CspmConfig`] knob, `threads` (scoring
-//! worker count, `0` = auto). It changes only how fast the model is
-//! found, never which model; see the [`engine`] docs for the
+//! Scheduling is tuned by one [`CspmConfig`] knob, `threads` (worker
+//! count of Basic's sweeps, `0` = auto). It changes only how fast the
+//! model is found, never which model; see the [`engine`] docs for the
 //! determinism guarantees.
 //!
 //! # Quick example
@@ -75,7 +75,8 @@ pub use decode::{decode_neighborhood, true_neighborhood, verify_lossless, LossEr
 pub use dynamic::{mine_dynamic, DynamicResult, TemporalOccurrences};
 pub use engine::{CandidateScheduler, CspmResult, ProgressObserver, RunToCompletion, Variant};
 pub use inverted::{
-    Coreset, CoresetId, InvertedDb, LeafsetId, MergeOutcome, PatchError, PatchStats, RestoreError,
+    CenterIndex, Coreset, CoresetId, InvertedDb, LeafsetId, MergeOutcome, PatchError, PatchStats,
+    RestoreError,
 };
 pub use model::{MinedAStar, MinedModel};
 pub use positions::{PostingPolicy, PostingReprStats, PostingStore, RowId};

@@ -74,7 +74,7 @@ pub const BITMAP_MIN_LEN: usize = 128;
 
 /// First index `i ≥ lo` with `s[i] ≥ target`, by exponential probe then
 /// binary search — O(log distance) instead of O(distance).
-fn gallop_to(s: &[VertexId], target: VertexId, lo: usize) -> usize {
+pub(crate) fn gallop_to(s: &[VertexId], target: VertexId, lo: usize) -> usize {
     let mut prev = lo;
     let mut cur = lo;
     let mut step = 1;

@@ -27,8 +27,9 @@
 //! document on stdout (progress/ingest chatter moves to stderr).
 //!
 //! Scheduling knob (speed only — mined output is bit-identical at any
-//! setting): `--threads N` sets the candidate-scoring worker count
-//! (default 0 = one per core, capped at 8). `--basic` runs CSPM-Basic
+//! setting): `--threads N` sets the worker count of CSPM-Basic's
+//! re-scoring sweeps (default 0 = one per core, capped at 8);
+//! CSPM-Partial scores on the calling thread. `--basic` runs CSPM-Basic
 //! (Algorithm 1) instead of the default CSPM-Partial.
 //!
 //! `--store <path>` makes the session durable (crash-safe snapshot +
@@ -113,8 +114,8 @@ machine-readable output:
 mine variant and scheduling:
   --basic              run CSPM-Basic (Algorithm 1: regenerate every candidate
                        gain after each merge) instead of CSPM-Partial
-  --threads N          candidate-scoring worker threads (0 = auto, default);
-                       tunes speed, never the mined model
+  --threads N          worker threads for --basic's re-scoring sweeps
+                       (0 = auto, default); tunes speed, never the model
 
 durable sessions (crash-safe snapshot + delta WAL, docs/FORMATS.md):
   --store <path>       mine: persist the session at <path> — an empty store

@@ -250,6 +250,21 @@ fn bench_datasets_keep_their_digests() {
             d.name
         );
     }
+    // DataOnly pricing accepts far more merges, so these runs hold the
+    // longest Algorithm 4 update sequences.
+    let data_only = [
+        (dblp(Paper, 2022), "40fd7e5fbdd615e4", 1_809, 45_974),
+        (flight(Small, 2022), "40c37c33c6042a32", 217, 4_632),
+        (trend(Small, 2022), "40d700bf363da490", 644, 12_838),
+    ];
+    for (d, dl_hex, merges, evals) in data_only {
+        assert_eq!(
+            digest(&d, Partial, equiv_config()),
+            (dl_hex.to_owned(), merges, evals),
+            "{} DataOnly",
+            d.name
+        );
+    }
     // Multi-value coresets (§IV-F, Step 1). Krimp and SLIM find the same
     // coresets on both graphs, so each row holds for both modes; a Krimp
     // minimum support of 1 or 3 gives a different digest on each graph.

@@ -3,7 +3,9 @@
 //! read untrusted input: wire JSON, request lines with their deltas,
 //! graph text and, with the `real-data` feature, the three dump formats.
 
-use cspm::core::{mine, CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner, Variant};
+use cspm::core::{
+    mine, CenterIndex, CoresetMode, CspmConfig, GainPolicy, InvertedDb, LeafsetId, Miner, Variant,
+};
 use cspm::graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm::graph::{read_graph, AttributedGraph, GraphBuilder};
 use cspm::itemset::{eclat, krimp, slim, KrimpConfig, TransactionDb};
@@ -84,8 +86,75 @@ fn assert_counted_seed_is_exact(db: &InvertedDb, what: &str) {
     }
 }
 
+/// Merges greedily, as CSPM-Basic does: the pair with the highest
+/// positive `pair_gain`, ties going to the smallest. After every merge
+/// the center index must equal one rebuilt from the rows, and the new
+/// leafset and both parents, each as an anchor against every other
+/// live leafset, must score every pair by counting as `pair_gain` does,
+/// in both operand orders.
+fn assert_counted_groups_are_exact(mut db: InvertedDb, what: &str) {
+    db.index_centers();
+    for merge in 1.. {
+        let best = db
+            .sharing_pairs()
+            .into_iter()
+            .map(|(x, y)| (db.pair_gain(x, y), x, y))
+            .filter(|&(gain, _, _)| gain > 1e-9)
+            .fold(
+                None,
+                |best: Option<(f64, LeafsetId, LeafsetId)>, c| match best {
+                    Some(b) if b.0 >= c.0 => Some(b),
+                    _ => Some(c),
+                },
+            );
+        let Some((_, x, y)) = best else { break };
+        let n = db.merge(x, y).new_leafset;
+        assert!(
+            db.center_index() == Some(&CenterIndex::build(&db)),
+            "{what}: merge {merge} left the index out of date"
+        );
+        for anchor in [n, x, y].into_iter().filter(|&l| db.is_live(l)) {
+            let partners: Vec<LeafsetId> = db
+                .live_leafsets()
+                .into_iter()
+                .filter(|&l| l != anchor)
+                .collect();
+            for anchor_first in [true, false] {
+                let gains = db.anchor_gains(anchor, &partners, anchor_first);
+                for (&p, gain) in partners.iter().zip(gains) {
+                    let (a, b) = if anchor_first {
+                        (anchor, p)
+                    } else {
+                        (p, anchor)
+                    };
+                    let oracle = db.pair_gain(a, b);
+                    assert_eq!(
+                        gain.to_bits(),
+                        oracle.to_bits(),
+                        "{what}: merge {merge}, ({a}, {b}) counted {gain}, pair_gain {oracle}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Algorithm 4's counted anchor groups agree with `pair_gain` to the
+    /// bit after every merge of a run on random graphs, under both gain
+    /// policies and all three coreset modes, and the index that `merge`
+    /// keeps current equals a rebuild.
+    #[test]
+    fn counted_groups_match_pair_gain(g in arb_graph()) {
+        for policy in [GainPolicy::Total, GainPolicy::DataOnly] {
+            for mode in [CoresetMode::SingleValue, CoresetMode::Krimp, CoresetMode::Slim] {
+                let db = InvertedDb::build(&g, mode, policy);
+                assert_counted_groups_are_exact(db, &format!("{mode:?} {policy:?}"));
+            }
+        }
+    }
 
     /// The counted seed agrees with `pair_gain` to the bit on random
     /// graphs, under both gain policies and all three coreset modes,
