@@ -7,6 +7,9 @@
 //! ```
 //!
 //! Measures, per dataset, each record the median of 5 repeats: the
+//! text parse of the generator's graph (`parse`, `read_graph` of its
+//! `write_graph` bytes), the database build on the in-memory graph
+//! (`build`, `InvertedDb::build`: Steps 1–2 of Algorithm 1), the
 //! counted seed sweep on a pre-built pristine database (`seed_sweep`,
 //! `InvertedDb::seed_gains`: the initial sharing pairs and their
 //! gains), the engine's two variants end to end on a
@@ -51,7 +54,7 @@ use cspm_bench::fmt_secs;
 use cspm_core::{CoresetMode, CspmConfig, CspmResult, GainPolicy, InvertedDb, Miner, Variant};
 use cspm_datasets::{dblp_like, pokec_like, usflight_like, Dataset, Scale};
 use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
-use cspm_graph::AttributedGraph;
+use cspm_graph::{read_graph, write_graph, AttributedGraph};
 
 /// Median of `reps` timed runs of `f`, in seconds.
 fn median_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -230,6 +233,29 @@ fn main() {
         let (n, m, a) = d.statistics();
         println!("== {} ({n} vertices, {m} edges, {a} attrs) ==", d.name);
 
+        // The two phases before the merge loop: `parse` reads the graph
+        // back from the text format (an `--input` dump's parse was
+        // recorded at ingest), `build` is Steps 1–2 on the graph.
+        if inputs.is_empty() {
+            let mut text = Vec::new();
+            write_graph(&d.graph, &mut text).expect("writing to memory succeeds");
+            let secs = median_secs(reps, || {
+                read_graph(text.as_slice()).expect("written graph parses")
+            });
+            println!("  parse: {} ({} bytes)", fmt_secs(secs), text.len());
+            records.push(Record {
+                name: format!("{}/parse", d.name),
+                secs,
+            });
+        }
+        let secs = median_secs(reps, || {
+            InvertedDb::build(&d.graph, CoresetMode::SingleValue, GainPolicy::Total)
+        });
+        println!("  build: {}", fmt_secs(secs));
+        records.push(Record {
+            name: format!("{}/build", d.name),
+            secs,
+        });
         let db = InvertedDb::build(&d.graph, CoresetMode::SingleValue, GainPolicy::Total);
         let initial_pairs = db.sharing_pairs().len();
         let secs = median_secs(reps, || db.seed_gains().expect("a fresh build is pristine"));

@@ -775,6 +775,57 @@ impl PostingStore {
         }
     }
 
+    /// Removes from the row, in place, every id whose bit is set in
+    /// `marked` (a bitset over vertex ids: bit `v % 32` of word
+    /// `v / 32`; ids past its end are unmarked). Returns how many ids it
+    /// removed. Leaves the row as [`Self::difference`] with the marked
+    /// ids would, but costs one probe per row element (one word
+    /// operation per bitmap word) instead of a walk of the marked list,
+    /// which is what a graph patch needs: many rows against one large
+    /// dirty set. A bitmap row that loses ids and falls below the
+    /// hysteresis floor flips back to sparse.
+    pub fn remove_marked(&mut self, row: RowId, marked: &[u32]) -> usize {
+        let s = self.slots[row.0 as usize];
+        let removed = match s.repr {
+            Repr::Sparse => {
+                let is_marked = |v: VertexId| {
+                    marked
+                        .get(v as usize / 32)
+                        .is_some_and(|&w| w >> (v % 32) & 1 != 0)
+                };
+                let span = &mut self.data[s.offset..s.offset + s.len];
+                let mut write = 0;
+                for read in 0..span.len() {
+                    let x = span[read];
+                    if !is_marked(x) {
+                        span[write] = x;
+                        write += 1;
+                    }
+                }
+                self.slots[row.0 as usize].len = write;
+                self.live_units -= s.len - write;
+                s.len - write
+            }
+            Repr::Bitmap { base, words } => {
+                let first = base as usize / 32;
+                let mut removed = 0;
+                for (w, word) in self.data[s.offset..s.offset + words].iter_mut().enumerate() {
+                    let m = marked.get(first + w).copied().unwrap_or(0);
+                    removed += (*word & m).count_ones() as usize;
+                    *word &= !m;
+                }
+                self.slots[row.0 as usize].len = s.len - removed;
+                if removed > 0 && s.len - removed < words {
+                    self.demote_to_sparse(row);
+                    self.flips_to_sparse += 1;
+                }
+                removed
+            }
+        };
+        self.live_elems -= removed;
+        removed
+    }
+
     /// Merges sorted `other` into the row (set union), in place when the
     /// result fits the span's capacity, relocating the row otherwise.
     /// Returns the new length.
@@ -1620,6 +1671,51 @@ mod tests {
                 adaptive.intersect_count(rb, aa),
                 intersect_count(&a, &sparse_b)
             );
+        }
+    }
+
+    /// `remove_marked` leaves a row, and the store around it, as
+    /// `difference` with the marked ids does: sparse and bitmap rows,
+    /// marks outside the row's range or past the mask's end, nothing
+    /// marked, and a cut that drops a bitmap below the hysteresis floor.
+    #[test]
+    fn remove_marked_matches_difference() {
+        let rows: Vec<Vec<VertexId>> = vec![
+            dense(0, 512),
+            dense(700, 600),
+            (0..300).map(|v| v * 5).collect(),
+            vec![3, 40, 41, 900],
+        ];
+        let cuts: Vec<Vec<VertexId>> = vec![
+            vec![],
+            vec![41],
+            (0..2000).step_by(3).collect(),
+            dense(0, 1400),
+            vec![5000],
+        ];
+        for policy in [PostingPolicy::Adaptive, PostingPolicy::SparseOnly] {
+            for row in &rows {
+                for cut in &cuts {
+                    let mut marked = vec![0u32; 1400usize.div_ceil(32)];
+                    for &v in cut.iter().filter(|&&v| v < 1400) {
+                        marked[v as usize / 32] |= 1 << (v % 32);
+                    }
+                    // Ids past the mask's end are unmarked.
+                    let cut: Vec<VertexId> = cut.iter().copied().filter(|&v| v < 1400).collect();
+                    let mut by_mask = PostingStore::with_policy(policy);
+                    let mut by_list = PostingStore::with_policy(policy);
+                    let (rm, rl) = (by_mask.insert(row), by_list.insert(row));
+                    let removed = by_mask.remove_marked(rm, &marked);
+                    let new_len = by_list.difference(rl, &cut);
+                    assert_eq!(removed, row.len() - new_len);
+                    assert_eq!(by_mask.positions(rm), by_list.positions(rl));
+                    assert_eq!(is_bitmap(&by_mask, rm), is_bitmap(&by_list, rl));
+                    assert_eq!(by_mask.repr_stats(), by_list.repr_stats());
+                    assert_eq!(by_mask.arena_len(), by_list.arena_len());
+                    assert_eq!(by_mask.live_units(), by_list.live_units());
+                    assert_eq!(by_mask.live_len(), by_list.live_len());
+                }
+            }
         }
     }
 

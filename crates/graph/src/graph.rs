@@ -9,9 +9,10 @@ pub type VertexId = u32;
 
 /// An undirected attributed graph `G = (A, λ, V, E)` (§III).
 ///
-/// Construction goes through [`crate::GraphBuilder`]; the built graph is
-/// immutable, with sorted, deduplicated neighbour lists and sorted
-/// attribute-value lists per vertex.
+/// Construction goes through [`crate::GraphBuilder`] or
+/// [`Self::from_edge_list`]; the built graph is immutable, with sorted,
+/// deduplicated neighbour lists and sorted attribute-value lists per
+/// vertex.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributedGraph {
     pub(crate) adjacency: Vec<Vec<VertexId>>,
@@ -21,10 +22,13 @@ pub struct AttributedGraph {
 }
 
 impl AttributedGraph {
-    /// Bulk constructor for large generated graphs: takes per-vertex
-    /// attribute lists, the interner that produced them, and an edge
-    /// list. Edges are deduplicated; self-loops are rejected. Much faster
-    /// than [`crate::GraphBuilder`] for multi-million-edge graphs.
+    /// Bulk constructor: takes per-vertex attribute lists, the interner
+    /// that produced them, and an edge list. Labels and edges are
+    /// deduplicated (an edge may come as `(u, v)`, `(v, u)` or both);
+    /// the first self-loop or out-of-range endpoint in iteration order
+    /// is the error. [`crate::read_graph`], the generators, the binary
+    /// codec and the subgraph helpers build through it; it sorts each
+    /// list once where [`crate::GraphBuilder`] keeps ordered sets.
     pub fn from_edge_list(
         labels: Vec<Vec<AttrId>>,
         attrs: AttrTable,

@@ -10,7 +10,10 @@
 //! ```
 //!
 //! Vertex ids must be dense (`0..n`), but `v` lines may appear in any
-//! order. Attribute values may not contain whitespace. A file may not
+//! order, and a vertex may have several. Attribute values may not
+//! contain whitespace (Unicode whitespace included); they are numbered
+//! in the order the file first names them, and repeated values and
+//! edges collapse. Lines may end in `\n` or `\r\n`. A file may not
 //! name more ids than its records can: the largest id must be below
 //! the number of `v` records plus twice the number of `e` records, so
 //! the vertex table is bounded by the input's size.
@@ -23,20 +26,29 @@
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 
 use crate::attrs::{AttrId, AttrTable};
-use crate::builder::GraphBuilder;
 use crate::codec::{put_str, put_u32, DecodeError, Reader};
 use crate::error::GraphError;
-use crate::graph::AttributedGraph;
+use crate::graph::{AttributedGraph, VertexId};
 
 /// Reads a graph from the text format. Does not enforce connectivity
 /// (call [`AttributedGraph::validate`] if the paper's input requirements
 /// must hold). A largest id that the file's records cannot account for
 /// is a [`GraphError::Parse`] naming its line, never an allocation of
 /// that many vertices.
+///
+/// One pass over the input: each line is read into one reused buffer,
+/// attribute values are interned in file order as they are met (so the
+/// [`AttrTable`] numbers them by first appearance), and the labels and
+/// edges are collected as flat `(vertex, value)` and `(u, v)` lists
+/// that [`AttributedGraph::from_edge_list`] turns into the graph. Parse
+/// errors name the first bad line; after them come the nameable-id
+/// check, then the first self-loop in file order.
 pub fn read_graph<R: Read>(reader: R) -> Result<AttributedGraph, GraphError> {
-    let reader = BufReader::new(reader);
-    let mut vertices: Vec<(u32, Vec<String>)> = Vec::new();
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut reader = BufReader::new(reader);
+    let mut attrs = AttrTable::new();
+    let mut labels: Vec<(VertexId, AttrId)> = Vec::new();
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut v_records = 0usize;
     // Largest id seen so far and the first line that named it.
     let mut max_id: Option<(u32, usize)> = None;
     let mut see = |id: u32, line: usize| {
@@ -45,16 +57,22 @@ pub fn read_graph<R: Read>(reader: R) -> Result<AttributedGraph, GraphError> {
         }
     };
 
-    for (lineno, line) in reader.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = line.map_err(|e| match e.kind() {
-            ErrorKind::InvalidData => GraphError::Parse {
-                line: lineno,
-                message: "line is not valid UTF-8".into(),
-            },
-            _ => GraphError::Io(e),
-        })?;
-        let line = line.trim();
+    let mut buf = Vec::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        lineno += 1;
+        let not_utf8 = || GraphError::Parse {
+            line: lineno,
+            message: "line is not valid UTF-8".into(),
+        };
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::InvalidData => return Err(not_utf8()),
+            Err(e) => return Err(GraphError::Io(e)),
+        }
+        let line = std::str::from_utf8(&buf).map_err(|_| not_utf8())?.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -75,7 +93,8 @@ pub fn read_graph<R: Read>(reader: R) -> Result<AttributedGraph, GraphError> {
             "v" => {
                 let id = parse_id(parts.next())?;
                 see(id, lineno);
-                vertices.push((id, parts.map(str::to_owned).collect()));
+                v_records += 1;
+                labels.extend(parts.map(|value| (id, attrs.intern(value))));
             }
             "e" => {
                 let u = parse_id(parts.next())?;
@@ -95,7 +114,7 @@ pub fn read_graph<R: Read>(reader: R) -> Result<AttributedGraph, GraphError> {
     // Each `v` record names at most one vertex and each `e` record two.
     // A larger id asks for table slots that no record fills, and would
     // let a few bytes of input demand gigabytes of them.
-    let nameable = vertices.len() + 2 * edges.len();
+    let nameable = v_records + 2 * edges.len();
     if let Some((id, line)) = max_id.filter(|&(id, _)| id as usize >= nameable) {
         return Err(GraphError::Parse {
             line,
@@ -105,17 +124,15 @@ pub fn read_graph<R: Read>(reader: R) -> Result<AttributedGraph, GraphError> {
         });
     }
     let n = max_id.map_or(0, |(m, _)| m as usize + 1);
-    let mut b = GraphBuilder::with_capacity(n);
-    b.add_vertices(n);
-    for (id, values) in vertices {
-        for value in values {
-            b.add_label(id, &value)?;
-        }
+    let mut count = vec![0usize; n];
+    for &(v, _) in &labels {
+        count[v as usize] += 1;
     }
-    for (u, v) in edges {
-        b.add_edge(u, v)?;
+    let mut lists: Vec<Vec<AttrId>> = count.into_iter().map(Vec::with_capacity).collect();
+    for (v, a) in labels {
+        lists[v as usize].push(a);
     }
-    Ok(b.build_unchecked())
+    AttributedGraph::from_edge_list(lists, attrs, edges)
 }
 
 /// Writes a graph in the text format (inverse of [`read_graph`]).

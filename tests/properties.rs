@@ -587,11 +587,16 @@ fn arb_request(s: &mut Stream) -> Value {
     Value::Obj(members)
 }
 
-/// Graph text built from the format's tokens and their near misses,
-/// with an occasional byte that is not valid UTF-8.
+/// Graph text: either the format's tokens and their near misses, or
+/// records that mostly parse, with what the reader must take in its
+/// stride (CRLF line ends, a vertex's `v` records repeated, its values
+/// repeated and reordered, edges reversed and repeated, whitespace that
+/// is not ASCII) and what it must refuse (a self-loop after valid
+/// edges, an id past what the records can name), with an occasional
+/// byte that is not valid UTF-8.
 fn arb_graph_text(s: &mut Stream) -> Vec<u8> {
     const TAGS: [&str; 6] = ["v", "e", "#", "x", "", "V"];
-    const TOKENS: [&str; 11] = [
+    const TOKENS: [&str; 12] = [
         "0",
         "1",
         "2",
@@ -603,20 +608,164 @@ fn arb_graph_text(s: &mut Stream) -> Vec<u8> {
         "a",
         "b",
         "\u{a0}",
+        "\u{3000}",
     ];
+    const VALUES: [&str; 6] = ["a", "b", "c", "ä", "b", "z9"];
+    const SPACES: [&str; 5] = [" ", " ", "\t", "\u{3000}", "  "];
     let mut text = Vec::new();
-    for _ in 0..s.below(10) {
-        text.extend_from_slice(s.pick(&TAGS).as_bytes());
-        for _ in 0..s.below(4) {
-            text.push(if s.below(8) == 0 { b'\t' } else { b' ' });
-            text.extend_from_slice(s.pick(&TOKENS).as_bytes());
-        }
-        if s.below(16) == 0 {
+    let crlf = s.below(3) == 0;
+    let soup = s.below(2) == 0;
+    let bad_byte = if soup { 16 } else { 128 };
+    let end_line = |s: &mut Stream, text: &mut Vec<u8>| {
+        if s.below(bad_byte) == 0 {
             text.push(0xff);
         }
-        text.push(b'\n');
+        text.extend_from_slice(if crlf || s.below(8) == 0 {
+            b"\r\n"
+        } else {
+            b"\n"
+        });
+    };
+    if soup {
+        for _ in 0..s.below(10) {
+            text.extend_from_slice(s.pick(&TAGS).as_bytes());
+            for _ in 0..s.below(4) {
+                text.push(if s.below(8) == 0 { b'\t' } else { b' ' });
+                text.extend_from_slice(s.pick(&TOKENS).as_bytes());
+            }
+            end_line(s, &mut text);
+        }
+        return text;
+    }
+    let n = 1 + s.below(8);
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    for _ in 0..s.below(24) {
+        let mut line = String::new();
+        match s.below(8) {
+            0..=2 => {
+                line += &format!("v{}{}", s.pick(&SPACES), s.below(n));
+                for _ in 0..s.below(4) {
+                    line += *s.pick(&SPACES);
+                    line += *s.pick(&VALUES);
+                }
+            }
+            3..=5 => {
+                let (u, v) = match edges.len() {
+                    0 => (s.below(n), s.below(n)),
+                    k => {
+                        let (u, v) = edges[s.below(k)];
+                        if s.below(2) == 0 {
+                            (v, u)
+                        } else {
+                            (u, v)
+                        }
+                    }
+                };
+                let (u, v) = if u == v && s.below(4) != 0 {
+                    (u, (u + 1) % (n + 1))
+                } else {
+                    (u, v)
+                };
+                if s.below(3) == 0 || edges.is_empty() {
+                    edges.push((u, v));
+                }
+                line += &format!("e{}{u}{}{v}", s.pick(&SPACES), s.pick(&SPACES));
+            }
+            6 => line += if s.below(2) == 0 { "# note" } else { "" },
+            _ => {
+                // A bare id, now and then past the nameable bound.
+                let id = if s.below(8) == 0 { 3 * n + 40 } else { n };
+                line += &format!("{}{}{id}", s.pick(&["v", "e 0"]), s.pick(&SPACES));
+            }
+        }
+        text.extend_from_slice(line.as_bytes());
+        end_line(s, &mut text);
     }
     text
+}
+
+/// The reader `read_graph` replaced, kept as its oracle: every line an
+/// owned `String`, every value an owned `String`, and the graph
+/// assembled through `GraphBuilder`'s ordered sets once the nameable-id
+/// check has passed.
+fn read_graph_via_builder(bytes: &[u8]) -> Result<AttributedGraph, cspm::graph::GraphError> {
+    use cspm::graph::GraphError;
+    use std::io::{BufRead, ErrorKind};
+    let mut vertices: Vec<(u32, Vec<String>)> = Vec::new();
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut max_id: Option<(u32, usize)> = None;
+    let mut see = |id: u32, line: usize| {
+        if max_id.is_none_or(|(m, _)| id > m) {
+            max_id = Some((id, line));
+        }
+    };
+    for (lineno, line) in bytes.lines().enumerate() {
+        let lineno = lineno + 1;
+        let line = line.map_err(|e| match e.kind() {
+            ErrorKind::InvalidData => GraphError::Parse {
+                line: lineno,
+                message: "line is not valid UTF-8".into(),
+            },
+            _ => GraphError::Io(e),
+        })?;
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut parts = line.split_whitespace();
+        let tag = parts.next().unwrap();
+        let parse_id = |tok: Option<&str>| -> Result<u32, GraphError> {
+            tok.ok_or_else(|| GraphError::Parse {
+                line: lineno,
+                message: "missing vertex id".into(),
+            })?
+            .parse()
+            .map_err(|_| GraphError::Parse {
+                line: lineno,
+                message: "vertex id is not an integer".into(),
+            })
+        };
+        match tag {
+            "v" => {
+                let id = parse_id(parts.next())?;
+                see(id, lineno);
+                vertices.push((id, parts.map(str::to_owned).collect()));
+            }
+            "e" => {
+                let u = parse_id(parts.next())?;
+                let v = parse_id(parts.next())?;
+                see(u.max(v), lineno);
+                edges.push((u, v));
+            }
+            other => {
+                return Err(GraphError::Parse {
+                    line: lineno,
+                    message: format!("unknown record tag '{other}'"),
+                })
+            }
+        }
+    }
+    let nameable = vertices.len() + 2 * edges.len();
+    if let Some((id, line)) = max_id.filter(|&(id, _)| id as usize >= nameable) {
+        return Err(GraphError::Parse {
+            line,
+            message: format!(
+                "vertex id {id} exceeds the {nameable} ids the file's records can name"
+            ),
+        });
+    }
+    let n = max_id.map_or(0, |(m, _)| m as usize + 1);
+    let mut b = GraphBuilder::with_capacity(n);
+    b.add_vertices(n);
+    for (id, values) in vertices {
+        for value in values {
+            b.add_label(id, &value)?;
+        }
+    }
+    for (u, v) in edges {
+        b.add_edge(u, v)?;
+    }
+    Ok(b.build_unchecked())
 }
 
 proptest! {
@@ -669,6 +818,25 @@ proptest! {
         if let Ok(g) = read_graph(text.as_slice()) {
             let records = text.split(|&b| b == b'\n').count();
             prop_assert!(g.vertex_count() <= 2 * records);
+        }
+    }
+
+    /// The one-pass reader returns what the `GraphBuilder` reader
+    /// returned: an equal graph, attribute numbering included, or an
+    /// error with the same text.
+    #[test]
+    fn read_graph_matches_the_builder_reader(seed in any::<u64>()) {
+        let text = arb_graph_text(&mut Stream::new(seed));
+        match (read_graph(text.as_slice()), read_graph_via_builder(&text)) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+            (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+            (got, want) => prop_assert!(
+                false,
+                "{:?}: read_graph {:?}, builder reader {:?}",
+                String::from_utf8_lossy(&text),
+                got.map(|g| g.vertex_count()),
+                want.map(|g| g.vertex_count())
+            ),
         }
     }
 }
